@@ -69,7 +69,13 @@ def build_arg_parser():
     ap.add_argument("--format", choices=("text", "json"), default="text")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--degree-cap", type=int, default=64)
-    ap.add_argument("--sample-cap", type=int, default=50)
+    ap.add_argument(
+        "--sample-cap",
+        type=int,
+        default=50,
+        help="most Samuel samples taken when Q has a non-linear generator "
+        "(default 50); linear Q is computed exactly and never sampled",
+    )
     return ap
 
 

@@ -20,13 +20,50 @@ from .kernel import (
     mono_divides,
     mono_lcm,
     mono_mul,
+    pykernel,
     reduce_full,
     term_key,
 )
 
 
-def _monic(terms, split):
-    (c, m) = max(terms, key=lambda t: term_key(t[0], t[1], split))
+class TermOrder:
+    """The term order of a Groebner computation, as a value.
+
+    split makes it a block elimination order (components < split dominate
+    the rest); split = rank is the plain module order of the kernel.  An
+    optional weight (one int per variable) puts terms of smaller weight
+    first and lets the module order break ties.  With weight 1 on the
+    variables of Q = (x_p), the lead terms of a submodule N present the
+    initial module of N for the Q-adic filtration.
+
+    Only the unweighted order exists in the compiled kernel, so a weighted
+    order reduces with the pure-Python one.  The key and the reducer are
+    bound here, once, so no per-term call branches on the order.
+    """
+
+    __slots__ = ("split", "weight", "key", "_reduce", "_arg")
+
+    def __init__(self, split, weight=None):
+        self.split = split
+        self.weight = weight
+        if weight is None:
+            self.key = lambda t: term_key(t[0], t[1], split)
+            self._reduce, self._arg = reduce_full, split
+        else:
+            self.key = pykernel.order_key(split, tuple(weight))
+            self._reduce, self._arg = pykernel.reduce_by_key, self.key
+
+    def lead(self, terms):
+        """(comp, mono) of the largest term of a nonzero element."""
+        return max(terms, key=self.key)
+
+    def reduce(self, terms, by_comp):
+        """Full normal form against a monic basis given as by_comp."""
+        return self._reduce(terms, by_comp, self._arg)
+
+
+def _monic(terms, order):
+    (c, m) = order.lead(terms)
     lc = terms[(c, m)]
     if str(lc) == "1":
         return terms, (c, m)
@@ -37,10 +74,10 @@ class GroebnerEngine:
     """Incremental Buchberger.  Elements can be added after a compute();
     the engine resumes with the new pairs only."""
 
-    def __init__(self, module, split=None):
+    def __init__(self, module, order=None):
         self.module = module
         self.ring = module.ring
-        self.split = module.rank if split is None else split
+        self.order = TermOrder(module.rank) if order is None else order
         self.cap = self.ring.degree_cap
         self.basis = []      # monic term dicts
         self.leads = []      # (comp, mono) per basis element
@@ -54,7 +91,7 @@ class GroebnerEngine:
         out = GroebnerEngine.__new__(GroebnerEngine)
         out.module = self.module
         out.ring = self.ring
-        out.split = self.split
+        out.order = self.order
         out.cap = self.cap
         out.basis = list(self.basis)
         out.leads = list(self.leads)
@@ -71,13 +108,13 @@ class GroebnerEngine:
         self._add_terms(el.terms)
 
     def _add_terms(self, terms):
-        nf = reduce_full(terms, self.by_comp, self.split)
+        nf = self.order.reduce(terms, self.by_comp)
         if not nf:
             return
         deg = self._degree(nf)
         if deg > self.cap:
             raise DegreeCapError(self.cap)
-        terms, (c, m) = _monic(nf, self.split)
+        terms, (c, m) = _monic(nf, self.order)
         idx = len(self.basis)
         self.basis.append(terms)
         self.leads.append((c, m))
@@ -150,13 +187,14 @@ class GroebnerEngine:
     def reduced_elements(self):
         """The reduced Groebner basis as canonical FreeElements."""
         self.compute()
-        elems = interreduce(list(self.basis), self.split)
+        elems = interreduce(list(self.basis), list(self.leads), self.order)
         return [FreeElement(self.module, t) for t in elems]
 
 
-def interreduce(elems, split):
-    """Interreduce monic term dicts to the reduced basis; canonical order."""
-    elems = [e for e in elems if e]
+def interreduce(elems, leads, order):
+    """Interreduce monic term dicts with the given leads to the reduced
+    basis, in canonical (descending lead) order.  A lead is recomputed only
+    for an element that changed."""
     changed = True
     while changed:
         changed = False
@@ -167,21 +205,21 @@ def interreduce(elems, split):
             for j, other in enumerate(elems):
                 if j == i or other is None:
                     continue
-                (c, m) = max(other, key=lambda t: term_key(t[0], t[1], split))
+                c, m = leads[j]
                 by_comp.setdefault(c, []).append((m, other))
-            nf = reduce_full(elems[i], by_comp, split)
+            nf = order.reduce(elems[i], by_comp)
             if nf != elems[i]:
                 changed = True
-                elems[i] = _monic(nf, split)[0] if nf else None
-    elems = [e for e in elems if e]
-    elems.sort(
-        key=lambda t: term_key(*max(t, key=lambda u: term_key(u[0], u[1], split)), split),
-        reverse=True,
-    )
-    return elems
+                if nf:
+                    elems[i], leads[i] = _monic(nf, order)
+                else:
+                    elems[i] = None
+    kept = [i for i, e in enumerate(elems) if e is not None]
+    kept.sort(key=lambda i: order.key(leads[i]), reverse=True)
+    return [elems[i] for i in kept]
 
 
-def groebner_basis(gens, module=None, split=None):
+def groebner_basis(gens, module=None, order=None):
     """Reduced Groebner basis of the submodule generated by gens.
 
     Verifies membership of every input generator (zero normal form) before
@@ -192,25 +230,25 @@ def groebner_basis(gens, module=None, split=None):
         if not gens:
             raise ValueError("cannot infer ambient from an empty generator list")
         module = gens[0].module
-    eng = GroebnerEngine(module, split=split)
+    eng = GroebnerEngine(module, order)
     for g in gens:
         eng.add(g)
     gb = eng.reduced_elements()
     for g in gens:
-        if normal_form(g, gb, split=split):
+        if normal_form(g, gb, eng.order):
             raise EngineBugError("generator does not reduce to zero against its own basis")
     return gb
 
 
-def normal_form(el, gb, split=None):
+def normal_form(el, gb, order=None):
     """Full normal form of el against a reduced (or at least monic) basis."""
-    if split is None:
-        split = el.module.rank
+    if order is None:
+        order = TermOrder(el.module.rank)
     by_comp = {}
     for g in gb:
-        (c, m), _ = g.lead(split)
+        c, m = order.lead(g.terms)
         by_comp.setdefault(c, []).append((m, g.terms))
-    return FreeElement(el.module, reduce_full(el.terms, by_comp, split))
+    return FreeElement(el.module, order.reduce(el.terms, by_comp))
 
 
 def syzygy_module(gens):
@@ -237,7 +275,7 @@ def syzygy_module(gens):
         terms = dict(g.terms)
         terms[(r + i, ring.zero_mono)] = ring.field.one
         tagged.append(FreeElement(big, terms))
-    gb = groebner_basis(tagged, module=big, split=r)
+    gb = groebner_basis(tagged, module=big, order=TermOrder(r))
     target = FreeModule(ring, k, tuple(degs))
     out = []
     for el in gb:

@@ -1,10 +1,19 @@
 """Hilbert series and Hilbert-Samuel functions, polynomials, and
 multiplicities with respect to an ideal generated by homogeneous forms.
 
-The Samuel function n -> l(M / Q^{n+1} M) is computed exactly; the Samuel
-polynomial is recovered by solving for its coefficients in the binomial
-basis and confirming the fit on a window of further samples, sliding past
-the postulation number if needed.
+When every generator of Q is linear, a change of coordinates makes Q an
+ideal of variables, Q = (x_p : p a pivot).  One Groebner basis of the
+relations under the pivot-weight order (smaller pivot degree first) then
+presents gr_Q(M) by its initial module, and the bigraded Hilbert series of
+that monomial module (pivot degree, other degree) gives the Samuel
+polynomial exactly: its coefficients, its postulation number and its
+value table.  Nothing is sampled and no sample cap applies.
+
+For non-linear Q the Samuel function n -> l(M / Q^{n+1} M) is sampled, one
+Groebner run per n up to a sample cap; the Samuel polynomial is recovered
+by solving for its coefficients in the binomial basis and confirming the
+fit on a window of further samples, sliding past the postulation number if
+needed.  The sampled fit also serves as the test oracle of the exact route.
 """
 
 from dataclasses import dataclass
@@ -13,9 +22,16 @@ from itertools import combinations_with_replacement
 from math import comb
 
 from .errors import EngineBugError, SampleCapError
-from .groebner import GroebnerEngine
+from .groebner import GroebnerEngine, TermOrder
 from .modules import Presentation, minimal_generators
-from .monomial_ideals import count_standard_monomials
+from .monomial_ideals import (
+    count_standard_monomials,
+    divide_one_minus_t,
+    eval_at_one,
+    hilbert_numerator,
+    poly_add,
+    reduce_pole,
+)
 from .ring import Polynomial
 
 
@@ -25,7 +41,9 @@ class HilbertCoefficients:
 
         l(M / Q^(n+1) M) = sum_i (-1)^i e[i] C(n + s - i, s - i)  (n >= postulation)
 
-    samples holds the raw length table that was actually computed.
+    samples holds a table of the Samuel function l(M / Q^(n+1) M) from
+    n = 0: the values sampled by the fit, or for linear Q the values for
+    n <= postulation + 2s + 2 read off the Hilbert series.
     """
 
     s: int
@@ -50,7 +68,8 @@ _DEFAULT_SAMPLE_CAP = [50]
 
 
 def set_default_sample_cap(cap):
-    """Session-wide default for the Samuel sampling cap (CLI knob)."""
+    """Session-wide default for the Samuel sampling cap of non-linear Q
+    (CLI knob)."""
     if cap < 1:
         raise ValueError("sample cap must be positive")
     _DEFAULT_SAMPLE_CAP[0] = cap
@@ -133,10 +152,7 @@ class SamuelFunction:
         for monos in per:
             cnt = count_standard_monomials(monos)
             if cnt is None:
-                raise EngineBugError(
-                    "Samuel quotient has infinite length; the ideal is not "
-                    "an ideal of definition for the module"
-                )
+                raise _infinite_length()
             total += cnt
         return total
 
@@ -213,32 +229,123 @@ def _linearize(pres, q_gens):
     return new_pres, new_gens
 
 
-def hilbert_coefficients(pres, q_gens, sample_cap=None):
-    """The Samuel polynomial of Q on M in binomial form.
+def _infinite_length():
+    return EngineBugError(
+        "Samuel quotient has infinite length; the ideal is not "
+        "an ideal of definition for the module"
+    )
 
-    The fit uses s + 1 consecutive samples, is confirmed on s + 2 further
-    samples, and the window slides past any pre-polynomial values.  The
-    postulation index is the least n from which every computed sample
-    agrees with the polynomial.
+
+def hilbert_coefficients(pres, q_gens, sample_cap=None):
+    """The Samuel polynomial of Q on M in binomial form, cached on pres.
+
+    Exact from the Hilbert series of gr_Q(M) when every generator of Q is
+    linear; otherwise fitted to samples taken below sample_cap.
     """
     s = pres.dim()
     if s < 0:
         raise ValueError("the zero module has no Samuel polynomial")
+    gens = [g for g in q_gens if g]
+    if not gens:
+        raise ValueError("Samuel function needs a nonzero ideal")
+    linear = all(g.degree() == 1 for g in gens)
     if sample_cap is None:
         sample_cap = _DEFAULT_SAMPLE_CAP[0]
-    cache_key = ("samuel", tuple(sorted(repr(g) for g in q_gens)), sample_cap)
+    cache_key = ("samuel", tuple(sorted(repr(g) for g in q_gens)))
+    if not linear:
+        cache_key += (sample_cap,)
     cached = pres._cache.get(cache_key)
-    if cached is not None:
-        return cached
+    if cached is None:
+        if linear:
+            cached = exact_coefficients(pres, gens)
+        else:
+            cached = fitted_coefficients(pres, gens, sample_cap)
+        pres._cache[cache_key] = cached
+    return cached
+
+
+def exact_coefficients(pres, q_gens):
+    """The Samuel polynomial of a linear Q from one weighted Groebner basis.
+
+    After _linearize, Q = (x_p : p in P) with r = |P| pivots.  The lead
+    terms of the relations under TermOrder(rank, weight = pivot indicator)
+    span a monomial module with the bigraded Hilbert series of gr_Q(M),
+
+        N(t_x, t_y) / ((1 - t_x)^r (1 - t_y)^(n - r)),
+
+    t_x counting the pivot degree.  Every graded piece Q^j M / Q^(j+1) M
+    has finite length iff (1 - t_y)^(n - r) divides N exactly; setting
+    t_y = 1 then leaves sum_j l(Q^j M / Q^(j+1) M) t^j = h(t) / (1 - t)^s,
+    so e_i = h^(i)(1) / i! and l(M / Q^(n+1) M) = sum_k h_k C(n - k + s, s).
+    """
+    s = pres.dim()
+    pres, q_gens = _linearize(pres, q_gens)
+    nvars = pres.ring.n
+    pivot = [0] * nvars
+    for g in q_gens:
+        pivot[g.lead_monomial().index(1)] = 1
+    other = [1 - w for w in pivot]
+    eng = GroebnerEngine(pres.ambient, TermOrder(pres.rank, pivot))
+    for rel in pres.relation_gens():
+        eng.add(rel)
+    eng.compute()
+    per = [[] for _ in range(pres.rank)]
+    for c, m in eng.leads:
+        per[c].append(m)
+    # Twists shift only the t_y-degree, which is set to 1, so they are
+    # left out of the numerator.
+    num = {}
+    memo = {}
+    for monos in per:
+        num = poly_add(num, hilbert_numerator(monos, memo, (pivot, other)))
+    rows = {}
+    for (a, b), c in num.items():
+        rows.setdefault(a, {})[b] = c
+    series = {}
+    for a, p in rows.items():
+        for _ in range(nvars - len(q_gens)):
+            if eval_at_one(p):
+                raise _infinite_length()
+            p = divide_one_minus_t(p)
+        if eval_at_one(p):
+            series[a] = eval_at_one(p)
+    h, pole = reduce_pole(series, len(q_gens))
+    if pole != s:
+        raise EngineBugError(
+            f"Samuel series of gr_Q(M) has pole order {pole}, but dim M = {s}"
+        )
+    e = tuple(sum(c * comb(k, i) for k, c in h.items()) for i in range(s + 1))
+
+    def value(n):
+        return sum(c * comb(n - k + s, s) for k, c in h.items() if k <= n)
+
+    post = 0
+    for n in range(max(h) - s - 1, -1, -1):
+        if value(n) != _eval_samuel(e, n, s):
+            post = n + 1
+            break
+    samples = tuple(value(n) for n in range(post + 2 * s + 3))
+    return HilbertCoefficients(s, e, post, samples)
+
+
+def fitted_coefficients(pres, q_gens, sample_cap=None):
+    """The Samuel polynomial of Q on M fitted to sampled values.
+
+    The fit uses s + 1 consecutive samples, is confirmed on s + 2 further
+    samples, and the window slides past any pre-polynomial values.  The
+    postulation index is the least n from which every computed sample
+    agrees with the polynomial.  Not cached; hilbert_coefficients is.
+    """
+    s = pres.dim()
+    if s < 0:
+        raise ValueError("the zero module has no Samuel polynomial")
     f = SamuelFunction(pres, q_gens, sample_cap=sample_cap)
     if s == 0:
         ln = pres.length()
         n = 0
         while f(n) != ln:
             n += 1
-        result = HilbertCoefficients(0, (ln,), n, tuple(f._values))
-        pres._cache[cache_key] = result
-        return result
+        return HilbertCoefficients(0, (ln,), n, tuple(f._values))
     window = s + 2
     n0 = 0
     while True:
@@ -258,9 +365,7 @@ def hilbert_coefficients(pres, q_gens, sample_cap=None):
             post = len(all_samples)
             while post > 0 and _eval_samuel(e, post - 1, s) == all_samples[post - 1]:
                 post -= 1
-            result = HilbertCoefficients(s, e, post, all_samples)
-            pres._cache[cache_key] = result
-            return result
+            return HilbertCoefficients(s, e, post, all_samples)
         n0 += 1
 
 

@@ -10,6 +10,10 @@ The term order is grevlex on monomials, term-over-position on components
 (lower component wins ties).  `split` turns the order into a block
 elimination order: components < split dominate components >= split.  With
 split = rank the order degenerates to the plain module order.
+
+`order_key` and `reduce_by_key` extend the order by a weight on the
+variables (terms of smaller weight come first).  They exist only here: the
+compiled twin implements the unweighted order alone.
 """
 
 KERNEL_NAME = "python"
@@ -46,6 +50,30 @@ def term_key(c, m, split):
     return (c < split, sum(m), tuple(-e for e in reversed(m)), -c)
 
 
+def order_key(split, weight=None):
+    """Sort key on (comp, mono) pairs; max() picks the lead term.
+
+    Without a weight this is term_key.  With one (an int per variable), a
+    term of smaller weight is larger, and term_key breaks ties.
+    """
+    if weight is None:
+        # term_key inlined: max() calls the key once per term
+        def key(t):
+            c, m = t
+            return (c < split, sum(m), tuple(-e for e in reversed(m)), -c)
+    else:
+        def key(t):
+            c, m = t
+            return (
+                -sum(w * e for w, e in zip(weight, m)),
+                c < split,
+                sum(m),
+                tuple(-e for e in reversed(m)),
+                -c,
+            )
+    return key
+
+
 def lead_term(terms, split):
     """Largest term of a nonzero element: ((comp, mono), coeff)."""
     best = max(terms, key=lambda t: term_key(t[0], t[1], split))
@@ -73,10 +101,15 @@ def reduce_full(f, by_comp, split):
     lead coefficient is 1.  Returns the remainder: no remaining term is
     divisible by any basis lead term.
     """
+    return reduce_by_key(f, by_comp, order_key(split))
+
+
+def reduce_by_key(f, by_comp, sort_key):
+    """reduce_full under the term order whose sort key is sort_key."""
     work = dict(f)
     out = {}
     while work:
-        (c, m) = max(work, key=lambda t: term_key(t[0], t[1], split))
+        (c, m) = max(work, key=sort_key)
         coef = work.pop((c, m))
         hit = None
         for bm, bt in by_comp.get(c, ()):

@@ -110,10 +110,16 @@ def _homology_at(pres, seq, degs, i):
 
 def koszul_homology_lengths(pres, seq):
     """Lengths [l(H_0), ..., l(H_d)]; every H_i must have finite length,
-    which holds exactly when seq generates an ideal of definition for M."""
-    hs = koszul_homology(pres, seq)
+    which holds exactly when seq generates an ideal of definition for M.
+
+    The lengths (not the homology modules) are cached on pres, keyed by
+    the sequence."""
+    key = ("koszul_lengths", tuple(repr(a) for a in seq))
+    cached = pres._cache.get(key)
+    if cached is not None:
+        return list(cached)
     out = []
-    for i, h in enumerate(hs):
+    for i, h in enumerate(koszul_homology(pres, seq)):
         ln = h.length()
         if ln is None:
             raise EngineBugError(
@@ -121,6 +127,7 @@ def koszul_homology_lengths(pres, seq):
                 "the sequence is not a system of parameters for the module"
             )
         out.append(ln)
+    pres._cache[key] = tuple(out)
     return out
 
 

@@ -15,7 +15,7 @@ from .groebner import (
     normal_form,
     syzygy_module,
 )
-from .kernel import mono_deg, mono_key, reduce_full, term_key
+from .kernel import mono_deg, term_key
 from .monomial_ideals import (
     eval_at_one,
     hilbert_numerator,
@@ -405,7 +405,7 @@ def minimal_generators(gens):
     kept = []
     for i in order:
         eng.compute()
-        nf = reduce_full(gens[i].terms, eng.by_comp, eng.split)
+        nf = eng.order.reduce(gens[i].terms, eng.by_comp)
         if nf:
             kept.append(gens[i])
             eng.add(gens[i])

@@ -36,33 +36,66 @@ def poly_add(p, q, sign=1):
 
 
 def poly_shift(p, k):
+    """Multiply by t^k; a tuple k shifts a multigraded polynomial."""
+    if isinstance(k, tuple):
+        return {tuple(a + b for a, b in zip(d, k)): c for d, c in p.items()}
     return {d + k: c for d, c in p.items()}
 
 
-def hilbert_numerator(monos, _memo=None):
-    """Numerator N(t) with Hilbert series of S/(monos) = N(t)/(1-t)^n."""
-    monos = minimalize(monos)
+def hilbert_numerator(monos, _memo=None, weights=None):
+    """Numerator N(t) with Hilbert series of S/(monos) = N(t)/(1-t)^n.
+
+    With weights, a list of k weight vectors (one int per variable), the
+    series is k-graded instead: a degree is the k-tuple of weighted
+    degrees and the denominator is prod_i (1 - t^deg(x_i)).  A memo must
+    serve a single grading.
+    """
     if _memo is None:
         _memo = {}
+    if weights is None:
+        return _numerator(monos, _memo, mono_deg, 0)
+    rows = [tuple(w) for w in weights]
+
+    def deg(m):
+        return tuple(sum(w * e for w, e in zip(row, m)) for row in rows)
+
+    return _numerator(monos, _memo, deg, (0,) * len(rows))
+
+
+def _numerator(monos, memo, deg, zero):
+    monos = minimalize(monos)
     key = frozenset(monos)
-    hit = _memo.get(key)
+    hit = memo.get(key)
     if hit is not None:
         return hit
     if not monos:
-        out = {0: 1}
+        out = {zero: 1}
     elif len(monos) == 1:
-        d = mono_deg(monos[0])
-        out = {0: 1, d: -1} if d else {}
+        out = {zero: 1, deg(monos[0]): -1} if any(monos[0]) else {}
     else:
         rest = monos[:-1]
         m = monos[-1]
         out = poly_add(
-            hilbert_numerator(rest, _memo),
-            poly_shift(hilbert_numerator(_colon(rest, m), _memo), mono_deg(m)),
+            _numerator(rest, memo, deg, zero),
+            poly_shift(_numerator(_colon(rest, m), memo, deg, zero), deg(m)),
             sign=-1,
         )
-    _memo[key] = out
+    memo[key] = out
     return out
+
+
+def divide_one_minus_t(p):
+    """p / (1 - t) for a series polynomial with p(1) = 0, where the
+    division is exact: q_d = sum_{e <= d} p_e."""
+    if not p:
+        return {}
+    q = {}
+    acc = 0
+    for d in range(min(p), max(p) + 1):
+        acc += p.get(d, 0)
+        if acc:
+            q[d] = acc
+    return q
 
 
 def reduce_pole(num, n):
@@ -71,17 +104,8 @@ def reduce_pole(num, n):
     of the module the series came from."""
     s = n
     p = dict(num)
-    while p and s > 0 and sum(p.values()) == 0:
-        # divide by (1 - t): q_d = sum_{e <= d} p_e
-        lo, hi = min(p), max(p)
-        q = {}
-        acc = 0
-        for d in range(lo, hi + 1):
-            acc += p.get(d, 0)
-            if acc:
-                q[d] = acc
-        # the top accumulates to zero exactly when (1-t) divides
-        p = q
+    while p and s > 0 and eval_at_one(p) == 0:
+        p = divide_one_minus_t(p)
         s -= 1
     return p, s
 

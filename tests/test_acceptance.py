@@ -53,7 +53,7 @@ def test_criterion_1_mixed_surface_family(ex46_family):
 def test_criterion_2_linear_intersection_family(ex39_family):
     """(l,m) in {(2,1),(3,1),(2,2)}: dim = l+m, depth = m+1, e0 = 2,
     l(A/Q) = l+1, chi1 = l-1, hdeg = 2 + C(l+m-1, m+1); first theorem's
-    condition (1) holds exactly when l = 2.  Under 5 min per instance."""
+    condition (1) holds exactly when l = 2.  Under 30 s per instance."""
     for (l, m), inst in ex39_family.items():
         t0 = time.monotonic()
         inv = invariant_report(inst.pres, inst.q_gens)
@@ -66,7 +66,7 @@ def test_criterion_2_linear_intersection_family(ex39_family):
         v = check_thm1(inst)
         assert v.condition1 == (l == 2), f"(l,m)=({l},{m})"
         assert v.equivalence_consistent, f"(l,m)=({l},{m})"
-        assert time.monotonic() - t0 < 300, f"(l,m)=({l},{m})"
+        assert time.monotonic() - t0 < 30, f"(l,m)=({l},{m})"
 
 
 def test_criterion_3_inequality_audit(corpus):

@@ -1,18 +1,26 @@
-"""Hilbert series, Samuel functions, and the fitted Samuel polynomial."""
+"""Hilbert series, Samuel functions, and the Samuel polynomial: exact for
+linear Q, fitted for non-linear Q."""
 
+import random
 from math import comb
 
 import pytest
 
 from homdeg import (
     Algebra,
+    FreeModule,
+    Polynomial,
     PolyRing,
+    Presentation,
     SamuelFunction,
     hilbert_coefficients,
     hilbert_series,
+    local_cohomology_duals,
     multiplicity,
 )
-from homdeg.errors import SampleCapError
+from homdeg.errors import EngineBugError, SampleCapError
+from homdeg.hilbert import exact_coefficients, fitted_coefficients
+from homdeg.verify import gen_example_46
 
 
 def test_series_hypersurface():
@@ -111,3 +119,95 @@ def test_samuel_values_match_koszul_h0():
     q = [x - y, z]
     f = SamuelFunction(pres, q)
     assert f(0) == koszul_homology_lengths(pres, q)[0]
+
+
+# ---- the exact route for linear Q against the sampled oracle ----------
+
+
+def _agree(pres, q):
+    exact = exact_coefficients(pres, q)
+    fitted = fitted_coefficients(pres, q)
+    assert (exact.s, exact.e, exact.postulation) == (
+        fitted.s,
+        fitted.e,
+        fitted.postulation,
+    )
+    common = min(len(exact.samples), len(fitted.samples))
+    assert exact.samples[:common] == fitted.samples[:common]
+
+
+def test_exact_route_matches_sampled_oracle(corpus):
+    """The 21 corpus instances, their 32 nonzero local-cohomology duals and
+    ex46 l = 4..6: the weighted-basis Samuel polynomial equals the fit."""
+    cases = []
+    for inst in corpus:
+        cases.append((inst.name, inst.pres, inst.q_gens))
+        for j, dual in enumerate(local_cohomology_duals(inst.pres)):
+            if not dual.is_zero():
+                cases.append((f"{inst.name} M_{j}", dual, inst.q_gens))
+    for l in (4, 5, 6):
+        inst = gen_example_46(l)
+        cases.append((inst.name, inst.pres, inst.q_gens))
+    assert len(cases) == 56
+    for name, pres, q in cases:
+        try:
+            _agree(pres, q)
+        except AssertionError as exc:
+            raise AssertionError(name) from exc
+
+
+def _twisted_rank2_draw(rng):
+    """A random rank-2 cokernel over k[x,y,z] with twists (0,1) or (0,2)
+    and a random linear Q of dim M forms that is an ideal of definition,
+    or None when the draw has no such Q."""
+    ring = PolyRing(("x", "y", "z"))
+    twists = (0, rng.choice((1, 2)))
+    ambient = FreeModule(ring, 2, twists)
+
+    def form(deg):
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            a = rng.randint(0, deg)
+            b = rng.randint(0, deg - a)
+            terms[(a, b, deg - a - b)] = ring.field.from_int(rng.randint(-3, 3))
+        return Polynomial(ring, {m: c for m, c in terms.items() if c})
+
+    cols = []
+    for _ in range(rng.randint(2, 3)):
+        deg = twists[1] + rng.randint(0, 2)
+        col = ambient.inject(form(deg), 0) + ambient.inject(form(deg - twists[1]), 1)
+        if col:
+            cols.append(col)
+    pres = Presentation(Algebra(ring, ()), 2, twists, cols)
+    s = pres.dim()
+    if s < 1:
+        return None
+    q = []
+    for _ in range(s):
+        coeffs = [ring.field.from_int(rng.randint(-2, 2)) for _ in range(3)]
+        q.append(sum((v.scale(c) for v, c in zip(ring.gens(), coeffs)), ring.zero))
+    if any(not g for g in q) or pres.quotient_by_ideal(q).length() is None:
+        return None
+    return pres, q
+
+
+def test_exact_route_twisted_rank2_draws():
+    """Unequal twists: the weight must be the pivot degree with component
+    weight 0, not the degree in the other variables."""
+    rng = random.Random(20140409)
+    drawn = 0
+    while drawn < 36:
+        draw = _twisted_rank2_draw(rng)
+        if draw is None:
+            continue
+        drawn += 1
+        _agree(*draw)
+
+
+def test_exact_route_rejects_non_parameter_ideal():
+    # k[x,y]/(xy) with Q = (x): M/QM = k[y] has infinite length
+    ring = PolyRing(("x", "y"))
+    x, y = ring.gens()
+    pres = Algebra(ring, [x * y]).as_module()
+    with pytest.raises(EngineBugError, match="infinite length"):
+        hilbert_coefficients(pres, [x])
