@@ -74,13 +74,48 @@ class RationalField:
         return "QQ"
 
 
+# Miller-Rabin with the first thirteen primes (2..41) as bases decides
+# primality exactly for every n below this bound, the least strong
+# pseudoprime to all thirteen bases (Sorenson and Webster, Math. Comp. 86
+# (2017); OEIS A014233).  Twelve bases (2..37) would not do: the composite
+# 318665857834031151167461 passes all of them.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
+def is_prime(n):
+    """Deterministic Miller-Rabin primality test for n < _MR_BOUND."""
+    if n >= _MR_BOUND:
+        raise ValueError(f"prime too large: {n} (primality is decided below {_MR_BOUND})")
+    if n < 2:
+        return False
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class PrimeField:
     """GF(p) for a prime p.  Offered as a fast surrogate for an infinite
     coefficient field; p should be large (>= 32003) when random linear
     recombinations matter."""
 
     def __init__(self, p):
-        if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
+        if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.name = f"GF({p})"

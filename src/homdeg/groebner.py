@@ -22,7 +22,6 @@ from .kernel import (
     mono_mul,
     pykernel,
     reduce_full,
-    term_key,
 )
 
 
@@ -37,8 +36,11 @@ class TermOrder:
     initial module of N for the Q-adic filtration.
 
     Only the unweighted order exists in the compiled kernel, so a weighted
-    order reduces with the pure-Python one.  The key and the reducer are
-    bound here, once, so no per-term call branches on the order.
+    order reduces with the pure-Python one.  The key (pykernel.order_key:
+    the largest term sorts first) and the reducer are bound here, once, so
+    no per-term call branches on the order and no call builds a key.
+    `reduce` returns its normal form in descending term order: the lead of
+    a nonzero normal form is its first key.
     """
 
     __slots__ = ("split", "weight", "key", "_reduce", "_arg")
@@ -46,28 +48,26 @@ class TermOrder:
     def __init__(self, split, weight=None):
         self.split = split
         self.weight = weight
-        if weight is None:
-            self.key = lambda t: term_key(t[0], t[1], split)
+        self.key = pykernel.order_key(split, None if weight is None else tuple(weight))
+        if weight is None and reduce_full is not pykernel.reduce_full:
             self._reduce, self._arg = reduce_full, split
         else:
-            self.key = pykernel.order_key(split, tuple(weight))
             self._reduce, self._arg = pykernel.reduce_by_key, self.key
 
-    def lead(self, terms):
-        """(comp, mono) of the largest term of a nonzero element."""
-        return max(terms, key=self.key)
-
     def reduce(self, terms, by_comp):
-        """Full normal form against a monic basis given as by_comp."""
+        """Full normal form against a monic basis given as by_comp, in
+        descending term order."""
         return self._reduce(terms, by_comp, self._arg)
 
 
-def _monic(terms, order):
-    (c, m) = order.lead(terms)
-    lc = terms[(c, m)]
+def _monic(nf):
+    """nf scaled to lead coefficient 1, and its lead (comp, mono).  nf is a
+    normal form, so its lead is its first key."""
+    lead = next(iter(nf))
+    lc = nf[lead]
     if str(lc) == "1":
-        return terms, (c, m)
-    return {t: v / lc for t, v in terms.items()}, (c, m)
+        return nf, lead
+    return {t: v / lc for t, v in nf.items()}, lead
 
 
 class GroebnerEngine:
@@ -114,7 +114,7 @@ class GroebnerEngine:
         deg = self._degree(nf)
         if deg > self.cap:
             raise DegreeCapError(self.cap)
-        terms, (c, m) = _monic(nf, self.order)
+        terms, (c, m) = _monic(nf)
         idx = len(self.basis)
         self.basis.append(terms)
         self.leads.append((c, m))
@@ -192,31 +192,40 @@ class GroebnerEngine:
 
 
 def interreduce(elems, leads, order):
-    """Interreduce monic term dicts with the given leads to the reduced
-    basis, in canonical (descending lead) order.  A lead is recomputed only
-    for an element that changed."""
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(elems)):
-            if elems[i] is None:
-                continue
-            by_comp = {}
-            for j, other in enumerate(elems):
-                if j == i or other is None:
-                    continue
-                c, m = leads[j]
-                by_comp.setdefault(c, []).append((m, other))
-            nf = order.reduce(elems[i], by_comp)
-            if nf != elems[i]:
-                changed = True
-                if nf:
-                    elems[i], leads[i] = _monic(nf, order)
-                else:
-                    elems[i] = None
-    kept = [i for i, e in enumerate(elems) if e is not None]
-    kept.sort(key=lambda i: order.key(leads[i]), reverse=True)
-    return [elems[i] for i in kept]
+    """The reduced basis of a Groebner basis given as monic term dicts and
+    their leads, in canonical (descending lead) order.
+
+    Elements whose lead is divisible by another lead go (of equal leads the
+    first stays); the rest is still a Groebner basis.  Against it each
+    kept element's tail is reduced once, and the stored lead goes back in
+    front: the normal form is unique, so lead + NF(tail) = lead - NF(lead)
+    is the reduced element.  A term divisible by an element's own lead is
+    of higher degree, so it is never in that element's (homogeneous) tail.
+    """
+    by_lead = {}
+    for i, (c, m) in enumerate(leads):
+        by_lead.setdefault(c, []).append((m, i))
+    kept = [
+        i
+        for i, (c, m) in enumerate(leads)
+        if not any(
+            mono_divides(om, m) and (om != m or j < i) for om, j in by_lead[c] if j != i
+        )
+    ]
+    kept.sort(key=lambda i: order.key(leads[i]))
+    by_comp = {}
+    for i in kept:
+        c, m = leads[i]
+        by_comp.setdefault(c, []).append((m, elems[i]))
+    out = []
+    for i in kept:
+        lead = leads[i]
+        terms = elems[i]
+        tail = {t: v for t, v in terms.items() if t != lead}
+        reduced = {lead: terms[lead]}
+        reduced.update(order.reduce(tail, by_comp))
+        out.append(reduced)
+    return out
 
 
 def groebner_basis(gens, module=None, order=None):
@@ -234,21 +243,29 @@ def groebner_basis(gens, module=None, order=None):
     for g in gens:
         eng.add(g)
     gb = eng.reduced_elements()
+    by_comp = _by_lead(gb)
     for g in gens:
-        if normal_form(g, gb, eng.order):
+        if eng.order.reduce(g.terms, by_comp):
             raise EngineBugError("generator does not reduce to zero against its own basis")
     return gb
 
 
-def normal_form(el, gb, order=None):
-    """Full normal form of el against a reduced (or at least monic) basis."""
-    if order is None:
-        order = TermOrder(el.module.rank)
+def _by_lead(gb):
+    """comp -> [(lead mono, terms)] over a reduced basis, whose elements
+    each lead with their lead term."""
     by_comp = {}
     for g in gb:
-        c, m = order.lead(g.terms)
+        c, m = next(iter(g.terms))
         by_comp.setdefault(c, []).append((m, g.terms))
-    return FreeElement(el.module, order.reduce(el.terms, by_comp))
+    return by_comp
+
+
+def normal_form(el, gb, order=None):
+    """Full normal form of el against a reduced basis under order, as
+    groebner_basis returns it."""
+    if order is None:
+        order = TermOrder(el.module.rank)
+    return FreeElement(el.module, order.reduce(el.terms, _by_lead(gb)))
 
 
 def syzygy_module(gens):

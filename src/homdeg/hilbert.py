@@ -23,7 +23,7 @@ from math import comb
 
 from .errors import EngineBugError, SampleCapError
 from .groebner import GroebnerEngine, TermOrder
-from .modules import Presentation, minimal_generators
+from .modules import Presentation
 from .monomial_ideals import (
     count_standard_monomials,
     divide_one_minus_t,
@@ -32,7 +32,6 @@ from .monomial_ideals import (
     poly_add,
     reduce_pole,
 )
-from .ring import Polynomial
 
 
 @dataclass(frozen=True)
@@ -97,45 +96,30 @@ class SamuelFunction:
             raise ValueError("Samuel function needs a nonzero ideal")
         self.sample_cap = _DEFAULT_SAMPLE_CAP[0] if sample_cap is None else sample_cap
         self._values = []
-        linear = all(g.degree() == 1 for g in q_gens)
-        if linear:
+        if all(g.degree() == 1 for g in q_gens):
             pres, q_gens = _linearize(pres, q_gens)
-            self._pivots = [g.lead_monomial().index(1) for g in q_gens]
-        else:
-            self._pivots = None
         self.pres = pres
         self.q_gens = q_gens
-        self._power = list(q_gens)  # generators of Q^(k) for current k
-        self._power_k = 1
         self._base = GroebnerEngine(pres.ambient)
         for r in pres.relation_gens():
             self._base.add(r)
         self._base.compute()
 
     def _power_gens(self, k):
-        """Generators of Q^k: plain monomials after the linear change of
-        coordinates, otherwise incrementally built and pruned products."""
-        ring = self.pres.ring
-        if self._pivots is not None:
-            out = []
-            for picks in combinations_with_replacement(self._pivots, k):
-                mono = [0] * ring.n
-                for i in picks:
-                    mono[i] += 1
-                out.append(Polynomial(ring, {tuple(mono): ring.field.one}))
-            return out
-        while self._power_k < k:
-            nxt = []
-            seen = set()
-            for p in self._power:
-                for g in self.q_gens:
-                    q = p * g
-                    if q and q not in seen:
-                        seen.add(q)
-                        nxt.append(q)
-            self._power = _prune_ideal_gens(nxt)
-            self._power_k += 1
-        return self._power
+        """Generators of Q^k: the products of k generators of Q, equal
+        products once.  After the linear change of coordinates these are
+        the monomials of degree k in the pivots."""
+        one = self.pres.ring.one
+        out = []
+        seen = set()
+        for picks in combinations_with_replacement(self.q_gens, k):
+            prod = one
+            for g in picks:
+                prod = prod * g
+            if prod and prod not in seen:
+                seen.add(prod)
+                out.append(prod)
+        return out
 
     def _sample(self, k):
         """l(M / Q^{k+1} M) via an incremental Groebner run."""
@@ -162,22 +146,6 @@ class SamuelFunction:
         while len(self._values) <= n:
             self._values.append(self._sample(len(self._values)))
         return self._values[n]
-
-
-def _prune_ideal_gens(gens):
-    """Drop generators that are monomial multiples of earlier ones and
-    minimalize the rest against the ideal they span."""
-    gens = [g for g in gens if g]
-    if not gens:
-        return []
-    module = None
-    from .freemod import FreeModule
-
-    ring = gens[0].ring
-    module = FreeModule(ring, 1)
-    els = [module.inject(g) for g in gens]
-    kept = minimal_generators(els)
-    return [e.component(0) for e in kept]
 
 
 def _linearize(pres, q_gens):

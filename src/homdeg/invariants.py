@@ -110,8 +110,16 @@ def h0_torsion_module(pres):
 
 
 def h0_length(pres):
-    """l(H^0_m(M)), computed by saturation and cross-checked against the
-    length of the dual module M_0 (duality preserves length)."""
+    """l(H^0_m(M)), cached on pres.  Computed once by saturation and
+    cross-checked against the length of the dual module M_0 (duality
+    preserves length)."""
+    cached = pres._cache.get("h0_length")
+    if cached is None:
+        cached = pres._cache["h0_length"] = _h0_length(pres)
+    return cached
+
+
+def _h0_length(pres):
     if pres.is_zero():
         return 0
     via_sat = h0_torsion_module(pres).length()

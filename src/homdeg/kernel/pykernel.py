@@ -14,7 +14,14 @@ split = rank the order degenerates to the plain module order.
 `order_key` and `reduce_by_key` extend the order by a weight on the
 variables (terms of smaller weight come first).  They exist only here: the
 compiled twin implements the unweighted order alone.
+
+Contract shared with the compiled twin: `reduce_full` (and here
+`reduce_by_key`) emits its remainder in strictly descending term order, so
+the lead term of a normal form is its first key, `next(iter(nf))`.
+Callers rely on that instead of rescanning for the lead.
 """
+
+from heapq import heapify, heappop, heappush
 
 KERNEL_NAME = "python"
 
@@ -51,26 +58,22 @@ def term_key(c, m, split):
 
 
 def order_key(split, weight=None):
-    """Sort key on (comp, mono) pairs; max() picks the lead term.
+    """Sort key on (comp, mono) pairs that puts the largest term first:
+    min() picks the lead term, and a min-heap pops it first.
 
-    Without a weight this is term_key.  With one (an int per variable), a
-    term of smaller weight is larger, and term_key breaks ties.
+    Without a weight it orders like term_key, reversed.  With one (an int
+    per variable), a term of smaller weight is larger, and the unweighted
+    order breaks ties.
     """
     if weight is None:
-        # term_key inlined: max() calls the key once per term
+        # term_key negated and inlined: one Python call per term
         def key(t):
             c, m = t
-            return (c < split, sum(m), tuple(-e for e in reversed(m)), -c)
+            return (c >= split, -sum(m), m[::-1], c)
     else:
         def key(t):
             c, m = t
-            return (
-                -sum(w * e for w, e in zip(weight, m)),
-                c < split,
-                sum(m),
-                tuple(-e for e in reversed(m)),
-                -c,
-            )
+            return (sum(w * e for w, e in zip(weight, m)), c >= split, -sum(m), m[::-1], c)
     return key
 
 
@@ -98,37 +101,50 @@ def reduce_full(f, by_comp, split):
     """Full normal form of f against a monic basis.
 
     by_comp maps a component to a list of (lead_mono, terms) entries whose
-    lead coefficient is 1.  Returns the remainder: no remaining term is
-    divisible by any basis lead term.
+    lead coefficient is 1.  Returns the remainder in descending term order:
+    no remaining term is divisible by any basis lead term.
     """
     return reduce_by_key(f, by_comp, order_key(split))
 
 
-def reduce_by_key(f, by_comp, sort_key):
-    """reduce_full under the term order whose sort key is sort_key."""
+def reduce_by_key(f, by_comp, key):
+    """reduce_full under the term order whose order_key-style key is key.
+
+    The remainder's terms sit in a min-heap under key, each key computed
+    once, when its term enters.  A term cancelled to zero leaves a stale
+    heap entry, skipped when popped; it may be pushed again if it comes
+    back.  A popped term never comes back: every term a reduction step
+    adds is smaller than the term it reduces.
+    """
     work = dict(f)
+    heap = [(key(t), t) for t in work]
+    heapify(heap)
     out = {}
-    while work:
-        (c, m) = max(work, key=sort_key)
-        coef = work.pop((c, m))
-        hit = None
+    while heap:
+        t = heappop(heap)[1]
+        coef = work.pop(t, None)
+        if coef is None:
+            continue  # cancelled after it was pushed
+        c, m = t
         for bm, bt in by_comp.get(c, ()):
             if mono_divides(bm, m):
-                hit = (bm, bt)
                 break
-        if hit is None:
-            out[(c, m)] = coef
+        else:
+            out[t] = coef
             continue
-        bm, bt = hit
         q = mono_div(m, bm)
         for (tc, tm), tcoef in bt.items():
             if tc == c and tm == bm:
                 continue  # lead term cancels against the popped term
-            key = (tc, mono_mul(q, tm))
-            s = work.get(key)
-            s = -coef * tcoef if s is None else s - coef * tcoef
-            if s:
-                work[key] = s
+            u = (tc, mono_mul(q, tm))
+            s = work.get(u)
+            if s is None:
+                work[u] = -coef * tcoef
+                heappush(heap, (key(u), u))
             else:
-                work.pop(key, None)
+                s = s - coef * tcoef
+                if s:
+                    work[u] = s
+                else:
+                    del work[u]
     return out

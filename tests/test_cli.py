@@ -67,6 +67,15 @@ def test_field_flag_fp(tmp_path, capsys):
     assert json.loads(out)["hilbert_coefficients"] == ["1", "-1", "0"]
 
 
+@pytest.mark.parametrize("p", ["561", "3317044064679887385961983"])
+def test_field_flag_rejects_bad_prime(tmp_path, capsys, p):
+    script = tmp_path / "ok.hd"
+    script.write_text("example ex46 l=1;\n")
+    code, out, err = run_cli(capsys, "--input", str(script), "--field", f"fp:{p}")
+    assert code == 2
+    assert "argument --field" in err
+
+
 def test_malformed_corpus_exit_codes(capsys):
     files = sorted((CORPUS / "malformed").glob("*.hd"))
     assert len(files) == 10

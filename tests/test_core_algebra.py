@@ -1,6 +1,7 @@
 """Exact field, polynomial, and free-module arithmetic, plus the order
 properties the whole engine depends on."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from homdeg import FreeModule, PolyRing, QQ, PrimeField
 from homdeg.errors import InhomogeneousError, RingMismatchError
+from homdeg.fields import is_prime
 from homdeg.kernel import mono_key, term_key
 
 
@@ -40,6 +42,39 @@ def test_prime_field_arithmetic():
 def test_prime_field_rejects_composite():
     with pytest.raises(ValueError):
         PrimeField(32001)
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003, 10**18 + 3])
+def test_prime_field_accepts_primes(p):
+    # 10**18 + 3 is prime; trial division never finished on it
+    start = time.perf_counter()
+    assert PrimeField(p).char == p
+    assert time.perf_counter() - start < 0.5
+
+
+def test_primality_matches_trial_division():
+    for n in range(3000):
+        expected = n >= 2 and all(n % q for q in range(2, int(n**0.5) + 1))
+        assert is_prime(n) == expected, n
+
+
+@pytest.mark.parametrize(
+    "n, why",
+    [
+        (0, "not prime"),
+        (1, "not prime"),
+        (561, "not prime"),  # Carmichael number 3 * 11 * 17
+        (10**18 + 1, "not prime"),  # 101 * 9901 * 999999000001
+        # least strong pseudoprimes to the bases 2..7, 2..37 and 2..41
+        (3215031751, "not prime"),  # 151 * 751 * 28351
+        (318665857834031151167461, "not prime"),  # 399165290221 * 798330580441
+        (3317044064679887385961981, "too large"),
+        (3317044064679887385961981 + 2, "too large"),  # past the exact bound
+    ],
+)
+def test_prime_field_rejects(n, why):
+    with pytest.raises(ValueError, match=why):
+        PrimeField(n)
 
 
 # ---- polynomials -----------------------------------------------------

@@ -84,6 +84,13 @@ def test_positioned_errors(text, line, col_min):
     assert err.value.col >= col_min
 
 
+def test_prime_too_large_is_positioned():
+    with pytest.raises(DslError) as err:
+        parse_input("ring S = FP(3317044064679887385961983)[x];")
+    assert (err.value.line, err.value.col) == (1, 10)
+    assert "too large" in err.value.msg
+
+
 def test_error_mentions_offender():
     with pytest.raises(DslError) as err:
         parse_input("ring S = QQ[x];\nideal J = (x + 1);")

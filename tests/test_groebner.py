@@ -1,6 +1,10 @@
 """Groebner bases, normal forms, syzygies, and the standard-monomial /
-Hilbert-numerator machinery, checked against brute-force oracles."""
+Hilbert-numerator machinery, checked against brute-force oracles; the
+engine's contracts (descending normal forms, reduced bases) on seeded
+random ideals, rank-2 modules and the corpus."""
 
+import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -8,6 +12,7 @@ import pytest
 from homdeg import (
     Algebra,
     FreeModule,
+    Polynomial,
     PolyRing,
     groebner_basis,
     lift_relations,
@@ -15,6 +20,8 @@ from homdeg import (
     syzygy_module,
 )
 from homdeg.errors import DegreeCapError
+from homdeg.groebner import GroebnerEngine, TermOrder, interreduce
+from homdeg.kernel import mono_divides, pykernel, reduce_full
 from homdeg.monomial_ideals import (
     count_standard_monomials,
     eval_at_one,
@@ -158,3 +165,206 @@ def test_module_hilbert_series_matches_quotient():
     assert n == 2
     assert pres.dim() == 1
     assert pres.degree_multiplicity() == 1
+
+
+# ---- engine contracts --------------------------------------------------
+
+
+def _homogeneous_terms(rng, n, twists, deg):
+    """A random homogeneous term dict of degree deg (maybe empty)."""
+    terms = {}
+    for _ in range(rng.randint(1, 6)):
+        c = rng.randrange(len(twists))
+        if deg < twists[c]:
+            continue
+        m = [0] * n
+        for _ in range(deg - twists[c]):
+            m[rng.randrange(n)] += 1
+        terms[(c, tuple(m))] = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2]))
+    return terms
+
+
+def _lead_key(split, weight):
+    """Oracle: a max()-key of the order, written apart from
+    pykernel.order_key: smaller weight first, then term_key."""
+
+    def key(t):
+        c, m = t
+        w = 0 if weight is None else sum(a * e for a, e in zip(weight, m))
+        return (-w, pykernel.term_key(c, m, split))
+
+    return key
+
+
+def _max_reduce(f, by_comp, key):
+    """Oracle: full reduction that rescans the remainder for its largest
+    term (under the max()-key key) at every step."""
+    work = dict(f)
+    out = {}
+    while work:
+        c, m = max(work, key=key)
+        coef = work.pop((c, m))
+        hit = next(((bm, bt) for bm, bt in by_comp.get(c, ()) if mono_divides(bm, m)), None)
+        if hit is None:
+            out[(c, m)] = coef
+            continue
+        bm, bt = hit
+        q = pykernel.mono_div(m, bm)
+        for (tc, tm), tcoef in bt.items():
+            if (tc, tm) == (c, bm):
+                continue
+            t = (tc, pykernel.mono_mul(q, tm))
+            s = work.get(t, 0) - coef * tcoef
+            if s:
+                work[t] = s
+            else:
+                work.pop(t, None)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_reduction_emits_descending_irreducible_terms(seed):
+    rng = random.Random(300 + seed)
+    for _ in range(80):
+        n = rng.randint(1, 3)
+        twists = tuple(rng.randint(0, 1) for _ in range(rng.randint(1, 2)))
+        split = rng.randint(0, len(twists))
+        weight = None if rng.random() < 0.5 else tuple(rng.randint(0, 2) for _ in range(n))
+        key = _lead_key(split, weight)
+        by_comp = {}
+        for _ in range(rng.randint(1, 4)):
+            terms = _homogeneous_terms(rng, n, twists, rng.randint(1, 3))
+            if terms:
+                lead = max(terms, key=key)
+                lc = terms[lead]
+                by_comp.setdefault(lead[0], []).append(
+                    (lead[1], {t: v / lc for t, v in terms.items()})
+                )
+        f = _homogeneous_terms(rng, n, twists, rng.randint(2, 5))
+        outs = [pykernel.reduce_by_key(f, by_comp, pykernel.order_key(split, weight))]
+        if weight is None:
+            outs.append(reduce_full(f, by_comp, split))  # the active kernel
+        expected = _max_reduce(f, by_comp, key)
+        for out in outs:
+            assert list(out.items()) == list(expected.items())
+            keys = [key(t) for t in out]
+            assert all(a > b for a, b in zip(keys, keys[1:]))
+            for c, m in out:
+                assert not any(mono_divides(bm, m) for bm, _ in by_comp.get(c, ()))
+
+
+def _fixed_point_interreduce(elems, leads, order):
+    """Oracle: interreduce by full passes, each element reduced against all
+    the others, repeated until no element changes."""
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(elems)):
+            if elems[i] is None:
+                continue
+            by_comp = {}
+            for j, other in enumerate(elems):
+                if j != i and other is not None:
+                    c, m = leads[j]
+                    by_comp.setdefault(c, []).append((m, other))
+            nf = order.reduce(elems[i], by_comp)
+            if nf != elems[i]:
+                changed = True
+                if nf:
+                    leads[i] = max(nf, key=_lead_key(order.split, order.weight))
+                    lc = nf[leads[i]]
+                    elems[i] = {t: v / lc for t, v in nf.items()}
+                else:
+                    elems[i] = None
+    kept = [i for i, e in enumerate(elems) if e is not None]
+    kept.sort(key=lambda i: _lead_key(order.split, order.weight)(leads[i]), reverse=True)
+    return [elems[i] for i in kept]
+
+
+def _check_reduced_basis(module, gens, order):
+    eng = GroebnerEngine(module, order)
+    for g in gens:
+        eng.add(g)
+    eng.compute()
+    expected = _fixed_point_interreduce(list(eng.basis), list(eng.leads), eng.order)
+    gb = eng.reduced_elements()
+    assert [list(g.terms.items()) for g in gb] == [list(e.items()) for e in expected]
+    assert groebner_basis(gens, module=module, order=order) == gb
+    # of equal leads one element stays
+    twice = interreduce(list(eng.basis) * 2, list(eng.leads) * 2, eng.order)
+    assert [list(t.items()) for t in twice] == [list(g.terms.items()) for g in gb]
+    key = _lead_key(order.split, order.weight)
+    leads = []
+    for g in gb:
+        lead = max(g.terms, key=key)
+        assert next(iter(g.terms)) == lead  # the lead is the first key
+        assert g.terms[lead] == module.ring.field.one
+        leads.append(lead)
+    keys = [key(t) for t in leads]
+    assert all(a > b for a, b in zip(keys, keys[1:]))
+    for g in gb:
+        for i, (c, m) in enumerate(g.terms):
+            for lc, lm in leads:
+                if lc == c and (i > 0 or (lc, lm) != (c, m)):
+                    assert not mono_divides(lm, m)
+    return gb
+
+
+def _random_form(rng, ring, deg):
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        m = [0] * ring.n
+        for _ in range(deg):
+            m[rng.randrange(ring.n)] += 1
+        terms[tuple(m)] = ring.field.from_int(rng.choice([-3, -2, -1, 1, 2, 3]))
+    return Polynomial(ring, terms)
+
+
+def _random_orders(rng, rank, n):
+    return [
+        TermOrder(rank),
+        TermOrder(rng.randint(0, rank)),
+        TermOrder(rank, [rng.randint(0, 1) for _ in range(n)]),
+    ]
+
+
+def test_reduced_basis_random_ideals():
+    rng = random.Random(1404)
+    ring = PolyRing(("x", "y", "z"))
+    mod = FreeModule(ring, 1)
+    for _ in range(25):
+        forms = [_random_form(rng, ring, rng.randint(1, 3)) for _ in range(rng.randint(2, 4))]
+        gens = [mod.inject(f) for f in forms if f]
+        for order in _random_orders(rng, 1, ring.n):
+            _check_reduced_basis(mod, gens, order)
+
+
+def test_reduced_basis_random_rank2_modules():
+    rng = random.Random(2455)
+    ring = PolyRing(("x", "y", "z"))
+    for _ in range(20):
+        twists = (0, rng.randint(0, 2))
+        mod = FreeModule(ring, 2, twists)
+        gens = []
+        for _ in range(rng.randint(2, 4)):
+            deg = twists[1] + rng.randint(0, 2)
+            col = mod.inject(_random_form(rng, ring, deg), 0) + mod.inject(
+                _random_form(rng, ring, deg - twists[1]), 1
+            )
+            if col:
+                gens.append(col)
+        for order in _random_orders(rng, 2, ring.n):
+            _check_reduced_basis(mod, gens, order)
+
+
+def test_reduced_basis_corpus(corpus):
+    rng = random.Random(39)
+    for inst in corpus:
+        gens = inst.pres.relation_gens()
+        if not gens:
+            continue
+        for order in _random_orders(rng, inst.pres.rank, inst.pres.ring.n):
+            try:
+                _check_reduced_basis(inst.pres.ambient, gens, order)
+            except AssertionError as exc:
+                raise AssertionError(inst.name) from exc

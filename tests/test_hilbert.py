@@ -20,6 +20,7 @@ from homdeg import (
 )
 from homdeg.errors import EngineBugError, SampleCapError
 from homdeg.hilbert import exact_coefficients, fitted_coefficients
+from homdeg.modules import minimal_generators
 from homdeg.verify import gen_example_46
 
 
@@ -211,3 +212,28 @@ def test_exact_route_rejects_non_parameter_ideal():
     pres = Algebra(ring, [x * y]).as_module()
     with pytest.raises(EngineBugError, match="infinite length"):
         hilbert_coefficients(pres, [x])
+
+
+# ---- non-linear Q: unpruned powers against pruned ones --------------------
+
+
+def _pruned_samuel_values(pres, q, count):
+    """Oracle: l(M / Q^(n+1) M) for n < count, each power of Q built from
+    the previous one and pruned to minimal generators."""
+    line = FreeModule(pres.ring, 1)
+    power = [e.component(0) for e in minimal_generators([line.inject(g) for g in q])]
+    out = []
+    for _ in range(count):
+        out.append(pres.quotient_by_ideal(power).length())
+        products = [line.inject(p * g) for p in power for g in q]
+        power = [e.component(0) for e in minimal_generators(products)]
+    return out
+
+
+@pytest.mark.parametrize("l", [1, 2, 3])
+def test_nonlinear_samuel_matches_pruned_powers(l):
+    inst = gen_example_46(l)
+    x, y, z = inst.pres.ring.gens()
+    q = [(x - y) ** 2, (x - z) ** 2]
+    f = SamuelFunction(inst.pres, q)
+    assert [f(n) for n in range(6)] == _pruned_samuel_values(inst.pres, q, 6)
