@@ -79,6 +79,29 @@ def build_arg_parser():
     return ap
 
 
+def _check_parameters(pres, q_gens, stmt):
+    """Raise a DslError at stmt unless Q is a parameter ideal of M: exactly
+    dim M generators and l(M/QM) finite.  A module of dimension <= 0 takes
+    any Q: its invariants do not depend on Q, and a script cannot write
+    the empty parameter list."""
+    d = pres.dim()
+    if d <= 0:
+        return
+    if len(q_gens) != d:
+        raise DslError(
+            f"not a parameter ideal of the module: {len(q_gens)} generators, "
+            f"but dim M = {d}",
+            stmt.line,
+            stmt.col,
+        )
+    if pres.quotient_by_ideal(q_gens).length() is None:
+        raise DslError(
+            "not a parameter ideal of the module: M/QM has infinite length",
+            stmt.line,
+            stmt.col,
+        )
+
+
 def run_script(script, cfg):
     """Execute a parsed script; returns (report dict, failure flag)."""
     set_default_sample_cap(cfg.sample_cap)
@@ -86,6 +109,7 @@ def run_script(script, cfg):
     current_pres = None
     current_params = None
     current_meta = {}
+    checked = (None, None)  # the (module, Q) pair _check_parameters last passed
     failed = False
     for stmt in script.statements:
         if isinstance(stmt, RingDecl):
@@ -110,9 +134,16 @@ def run_script(script, cfg):
             current_meta = inst.metadata
         elif isinstance(stmt, CheckCmd):
             if current_pres is None:
-                raise DslError("no module or algebra in scope for check", 0, 0)
+                raise DslError(
+                    "no module or algebra in scope for check", stmt.line, stmt.col
+                )
             if current_params is None:
-                raise DslError("no parameter ideal in scope for check", 0, 0)
+                raise DslError(
+                    "no parameter ideal in scope for check", stmt.line, stmt.col
+                )
+            if checked[0] is not current_pres or checked[1] is not current_params:
+                _check_parameters(current_pres, current_params, stmt)
+                checked = (current_pres, current_params)
             inst = ProblemInstance(current_pres, current_params, current_meta)
             if stmt.kind == "invariants":
                 inv = invariant_report(current_pres, current_params)

@@ -179,6 +179,9 @@ class ExampleCmd:
 @dataclass
 class CheckCmd:
     kind: str
+    # position of the `check` keyword, for errors raised when the check runs
+    line: int = field(default=0, compare=False)
+    col: int = field(default=0, compare=False)
 
     def unparse(self):
         return f"check {self.kind};"
@@ -508,7 +511,7 @@ class _Parser:
         return ExampleCmd(ftok.text, tuple(sorted(args.items())))
 
     def _check(self):
-        self.expect("check")
+        kw = self.expect("check")
         t = self.next()
         if t.text not in _CHECKS:
             raise DslError(
@@ -516,7 +519,7 @@ class _Parser:
                 t.line,
                 t.col,
             )
-        return CheckCmd(t.text)
+        return CheckCmd(t.text, kw.line, kw.col)
 
     # ---- polynomial expressions --------------------------------------
 

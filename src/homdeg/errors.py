@@ -34,10 +34,6 @@ class SampleCapError(HomdegError):
         super().__init__(f"Hilbert-Samuel fit did not stabilize within {cap} samples")
 
 
-class NotPrimaryError(HomdegError):
-    """An ideal expected to be a parameter / primary ideal is not."""
-
-
 class EngineBugError(HomdegError):
     """Two independent computations of the same value disagree, or a proven
     inequality failed.  This always signals a bug in the engine, never bad

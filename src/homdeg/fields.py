@@ -9,7 +9,7 @@ from fractions import Fraction
 
 try:
     from gmpy2 import mpq as _mpq
-except ImportError:  # pragma: no cover - gmpy2 is normally present
+except ImportError:  # gmpy2 is optional: fall back to fractions.Fraction
     _mpq = None
 
 

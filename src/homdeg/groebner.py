@@ -20,8 +20,8 @@ from .kernel import (
     mono_divides,
     mono_lcm,
     mono_mul,
-    pykernel,
-    reduce_full,
+    order_key,
+    reduce_by_key,
 )
 
 
@@ -35,29 +35,23 @@ class TermOrder:
     variables of Q = (x_p), the lead terms of a submodule N present the
     initial module of N for the Q-adic filtration.
 
-    Only the unweighted order exists in the compiled kernel, so a weighted
-    order reduces with the pure-Python one.  The key (pykernel.order_key:
-    the largest term sorts first) and the reducer are bound here, once, so
-    no per-term call branches on the order and no call builds a key.
-    `reduce` returns its normal form in descending term order: the lead of
-    a nonzero normal form is its first key.
+    The key (kernel.order_key: the largest term sorts first) is bound
+    here, once, so no per-term call branches on the order and no call
+    builds a key.  `reduce` returns its normal form in descending term
+    order: the lead of a nonzero normal form is its first key.
     """
 
-    __slots__ = ("split", "weight", "key", "_reduce", "_arg")
+    __slots__ = ("split", "weight", "key")
 
     def __init__(self, split, weight=None):
         self.split = split
         self.weight = weight
-        self.key = pykernel.order_key(split, None if weight is None else tuple(weight))
-        if weight is None and reduce_full is not pykernel.reduce_full:
-            self._reduce, self._arg = reduce_full, split
-        else:
-            self._reduce, self._arg = pykernel.reduce_by_key, self.key
+        self.key = order_key(split, None if weight is None else tuple(weight))
 
     def reduce(self, terms, by_comp):
         """Full normal form against a monic basis given as by_comp, in
         descending term order."""
-        return self._reduce(terms, by_comp, self._arg)
+        return reduce_by_key(terms, by_comp, self.key)
 
 
 def _monic(nf):

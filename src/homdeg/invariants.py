@@ -102,11 +102,19 @@ def torsions(pres, q_gens):
     return tuple(torsion(pres, q_gens, i, memo) for i in range(1, s))
 
 
+def h0_torsion_gens(pres):
+    """Reduced Groebner basis of (0 :_M m^infinity) + relations inside the
+    ambient of pres, cached on pres."""
+    sat = pres._cache.get("h0_sat")
+    if sat is None:
+        m_gens = pres.algebra.irrelevant_gens()
+        sat = pres._cache["h0_sat"] = saturate(pres, [], m_gens)
+    return sat
+
+
 def h0_torsion_module(pres):
     """H^0_m(M) = (0 :_M m^infinity) presented as a module."""
-    m_gens = pres.algebra.irrelevant_gens()
-    sat = saturate(pres, [], m_gens)
-    return pres.subquotient(sat)
+    return pres.subquotient(h0_torsion_gens(pres))
 
 
 def h0_length(pres):

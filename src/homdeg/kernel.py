@@ -1,6 +1,6 @@
-"""Pure-Python kernel: the hot inner loops of the Groebner engine.
+"""The reduction kernel: the hot inner loops of the Groebner engine.
 
-Data layout shared with the compiled twin (ckernel):
+Data layout:
 
 * a monomial is a tuple of nonnegative ints (one exponent per variable);
 * a free-module term index is a pair (component, monomial);
@@ -9,21 +9,18 @@ Data layout shared with the compiled twin (ckernel):
 The term order is grevlex on monomials, term-over-position on components
 (lower component wins ties).  `split` turns the order into a block
 elimination order: components < split dominate components >= split.  With
-split = rank the order degenerates to the plain module order.
+split = rank the order degenerates to the plain module order.  `order_key`
+extends the order by a weight on the variables (terms of smaller weight
+come first).
 
-`order_key` and `reduce_by_key` extend the order by a weight on the
-variables (terms of smaller weight come first).  They exist only here: the
-compiled twin implements the unweighted order alone.
-
-Contract shared with the compiled twin: `reduce_full` (and here
-`reduce_by_key`) emits its remainder in strictly descending term order, so
-the lead term of a normal form is its first key, `next(iter(nf))`.
-Callers rely on that instead of rescanning for the lead.
+Contract: `reduce_by_key` emits its remainder in strictly descending term
+order, so the lead term of a normal form is its first key,
+`next(iter(nf))`.  Callers rely on that instead of rescanning for the lead.
 """
 
 from heapq import heapify, heappop, heappush
 
-KERNEL_NAME = "python"
+KERNEL_NAME = "python"  # read by the benchmark's result stamp
 
 
 def mono_mul(a, b):
@@ -77,38 +74,13 @@ def order_key(split, weight=None):
     return key
 
 
-def lead_term(terms, split):
-    """Largest term of a nonzero element: ((comp, mono), coeff)."""
-    best = max(terms, key=lambda t: term_key(t[0], t[1], split))
-    return best, terms[best]
-
-
-def add_scaled(u, c, m, v):
-    """Return u + c * m * v as a fresh dict; inputs are not mutated."""
-    out = dict(u)
-    for (vc, vm), vcoef in v.items():
-        key = (vc, mono_mul(m, vm))
-        s = out.get(key)
-        s = c * vcoef if s is None else s + c * vcoef
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
-    return out
-
-
-def reduce_full(f, by_comp, split):
-    """Full normal form of f against a monic basis.
+def reduce_by_key(f, by_comp, key):
+    """Full normal form of f against a monic basis, under the term order
+    whose order_key-style key is key.
 
     by_comp maps a component to a list of (lead_mono, terms) entries whose
     lead coefficient is 1.  Returns the remainder in descending term order:
     no remaining term is divisible by any basis lead term.
-    """
-    return reduce_by_key(f, by_comp, order_key(split))
-
-
-def reduce_by_key(f, by_comp, key):
-    """reduce_full under the term order whose order_key-style key is key.
 
     The remainder's terms sit in a min-heap under key, each key computed
     once, when its term enters.  A term cancelled to zero leaves a stale

@@ -15,7 +15,7 @@ from .groebner import (
     normal_form,
     syzygy_module,
 )
-from .kernel import mono_deg, term_key
+from .kernel import mono_deg, mono_div, mono_divides, mono_mul, term_key
 from .monomial_ideals import (
     eval_at_one,
     hilbert_numerator,
@@ -287,7 +287,6 @@ def _prune_constants(ring, rank, twists, cols):
 def exact_divide(el, f):
     """el / f for an element known to lie in f * F; exactness is checked."""
     module = el.module
-    ring = module.ring
     out = {}
     fl = f.lead_monomial()
     flc = f.terms[fl]
@@ -295,8 +294,6 @@ def exact_divide(el, f):
     while work:
         (c, m) = max(work, key=lambda t: term_key(t[0], t[1], module.rank))
         coef = work[(c, m)]
-        from .kernel import mono_divides, mono_div, mono_mul
-
         if not mono_divides(fl, m):
             raise EngineBugError("exact division failed: element not in f*F")
         q = mono_div(m, fl)

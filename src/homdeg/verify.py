@@ -29,6 +29,8 @@ from .hilbert import hilbert_coefficients
 from .invariants import (
     _duals,
     _ideal_times_module_gens,
+    h0_length,
+    h0_torsion_gens,
     hdeg,
     is_d_sequence,
     is_unmixed,
@@ -75,8 +77,6 @@ def _core_numbers(inst):
     h = hdeg(pres, q)
     chi1 = euler_char_1(pres, q, multiplicity=e[0])
     t = torsions(pres, q)
-    from .invariants import h0_length
-
     h0 = h0_length(pres)
     return d, e, h, chi1, t, h0
 
@@ -103,11 +103,8 @@ def _q_kills_dual(pres, q_gens, i):
 
 def _qm_meets_h0(pres, q_gens):
     """True iff QM cap H^0(M) = 0 inside M."""
-    from .modules import saturate
-
     qm = _ideal_times_module_gens(pres, q_gens) + pres.relation_gens()
-    sat_gens = saturate(pres, [], pres.algebra.irrelevant_gens())
-    inter = intersect_submodules(qm, sat_gens, pres.ambient)
+    inter = intersect_submodules(qm, h0_torsion_gens(pres), pres.ambient)
     gb = pres.gb()
     return all(not normal_form(el, gb) for el in inter)
 

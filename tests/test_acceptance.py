@@ -166,16 +166,17 @@ def test_criterion_6_additivity_of_hdeg():
 
 
 def test_criterion_7_cli_corpus(capsys):
-    """Ten malformed scripts exit 2 with positioned diagnostics; the two
-    family scripts reproduce their checked-in JSON byte for byte under a
+    """Fourteen malformed scripts exit 2 with positioned diagnostics; the
+    two family scripts reproduce their checked-in JSON byte for byte under a
     fixed seed."""
     malformed = sorted((CORPUS / "malformed").glob("*.hd"))
-    assert len(malformed) == 10
+    assert len(malformed) == 14
     for f in malformed:
         code = cli_main(["--input", str(f)])
         captured = capsys.readouterr()
         assert code == 2, f.name
         assert f"{f}:" in captured.err and ": error:" in captured.err, f.name
+        assert ":0:0:" not in captured.err, f.name
 
     for stem in ("ex46_l2", "ex39_l2_m1"):
         script = CORPUS / f"{stem}.hd"

@@ -42,6 +42,20 @@ def test_text_format(tmp_path, capsys):
     assert "dimension" in out and "multiplicity" in out
 
 
+def test_parameter_ideal_checked_per_module_and_q(tmp_path, capsys):
+    """Q is validated again when a later statement replaces it: the second
+    check sees a non-parameter Q and exits 2 at its own position."""
+    script = tmp_path / "twice.hd"
+    script.write_text(
+        "ring S = QQ[x, y];\nideal J = (x*y);\nalgebra A = S / J;\n"
+        "params Q = (x - y);\ncheck invariants;\ncheck thm1;\n"
+        "params P = (x);\ncheck invariants;\n"
+    )
+    code, out, err = run_cli(capsys, "--input", str(script))
+    assert code == 2
+    assert f"{script}:8:1: error: not a parameter ideal" in err
+
+
 def test_missing_file_exits_two(capsys):
     code, out, err = run_cli(capsys, "--input", "/nonexistent/path.hd")
     assert code == 2
@@ -78,12 +92,13 @@ def test_field_flag_rejects_bad_prime(tmp_path, capsys, p):
 
 def test_malformed_corpus_exit_codes(capsys):
     files = sorted((CORPUS / "malformed").glob("*.hd"))
-    assert len(files) == 10
+    assert len(files) == 14
     for f in files:
         code, out, err = run_cli(capsys, "--input", str(f))
         assert code == 2, f.name
-        # every diagnostic carries file:line:col position
+        # every diagnostic carries a real file:line:col position
         assert f"{f}:" in err and ": error:" in err, f.name
+        assert ":0:0:" not in err, f.name
 
 
 def test_corpus_json_deterministic(capsys):

@@ -21,7 +21,8 @@ from homdeg import (
 )
 from homdeg.errors import DegreeCapError
 from homdeg.groebner import GroebnerEngine, TermOrder, interreduce
-from homdeg.kernel import mono_divides, pykernel, reduce_full
+from homdeg import kernel
+from homdeg.kernel import mono_divides
 from homdeg.monomial_ideals import (
     count_standard_monomials,
     eval_at_one,
@@ -114,8 +115,6 @@ def test_degree_cap_raises():
 
 
 def _brute_standard(monos, n, box):
-    from homdeg.kernel import mono_divides
-
     count = 0
     for m in product(range(box), repeat=n):
         if not any(mono_divides(g, m) for g in monos):
@@ -186,12 +185,12 @@ def _homogeneous_terms(rng, n, twists, deg):
 
 def _lead_key(split, weight):
     """Oracle: a max()-key of the order, written apart from
-    pykernel.order_key: smaller weight first, then term_key."""
+    kernel.order_key: smaller weight first, then term_key."""
 
     def key(t):
         c, m = t
         w = 0 if weight is None else sum(a * e for a, e in zip(weight, m))
-        return (-w, pykernel.term_key(c, m, split))
+        return (-w, kernel.term_key(c, m, split))
 
     return key
 
@@ -209,11 +208,11 @@ def _max_reduce(f, by_comp, key):
             out[(c, m)] = coef
             continue
         bm, bt = hit
-        q = pykernel.mono_div(m, bm)
+        q = kernel.mono_div(m, bm)
         for (tc, tm), tcoef in bt.items():
             if (tc, tm) == (c, bm):
                 continue
-            t = (tc, pykernel.mono_mul(q, tm))
+            t = (tc, kernel.mono_mul(q, tm))
             s = work.get(t, 0) - coef * tcoef
             if s:
                 work[t] = s
@@ -241,16 +240,13 @@ def test_reduction_emits_descending_irreducible_terms(seed):
                     (lead[1], {t: v / lc for t, v in terms.items()})
                 )
         f = _homogeneous_terms(rng, n, twists, rng.randint(2, 5))
-        outs = [pykernel.reduce_by_key(f, by_comp, pykernel.order_key(split, weight))]
-        if weight is None:
-            outs.append(reduce_full(f, by_comp, split))  # the active kernel
+        out = kernel.reduce_by_key(f, by_comp, kernel.order_key(split, weight))
         expected = _max_reduce(f, by_comp, key)
-        for out in outs:
-            assert list(out.items()) == list(expected.items())
-            keys = [key(t) for t in out]
-            assert all(a > b for a, b in zip(keys, keys[1:]))
-            for c, m in out:
-                assert not any(mono_divides(bm, m) for bm, _ in by_comp.get(c, ()))
+        assert list(out.items()) == list(expected.items())
+        keys = [key(t) for t in out]
+        assert all(a > b for a, b in zip(keys, keys[1:]))
+        for c, m in out:
+            assert not any(mono_divides(bm, m) for bm, _ in by_comp.get(c, ()))
 
 
 def _fixed_point_interreduce(elems, leads, order):
