@@ -20,7 +20,6 @@ from .dsl import (
 )
 from .errors import DslError, EngineBugError, HomdegError
 from .fields import QQ, PrimeField
-from .hilbert import set_default_sample_cap
 from .invariants import invariant_report
 from .verify import (
     ProblemInstance,
@@ -104,7 +103,8 @@ def _check_parameters(pres, q_gens, stmt):
 
 def run_script(script, cfg):
     """Execute a parsed script; returns (report dict, failure flag)."""
-    set_default_sample_cap(cfg.sample_cap)
+    if cfg.sample_cap < 1:
+        raise ValueError("sample cap must be positive")
     report = report_mod.empty_report()
     current_pres = None
     current_params = None
@@ -114,6 +114,7 @@ def run_script(script, cfg):
     for stmt in script.statements:
         if isinstance(stmt, RingDecl):
             stmt.ring.degree_cap = cfg.degree_cap
+            stmt.ring.sample_cap = cfg.sample_cap
         elif isinstance(stmt, AlgebraDecl):
             current_pres = stmt.algebra.as_module()
             current_meta = {"family": "script", "params": {"name": stmt.name}}
@@ -129,6 +130,7 @@ def run_script(script, cfg):
             else:
                 inst = gen_example_46(args["l"], field=cfg.field)
             inst.pres.ring.degree_cap = cfg.degree_cap
+            inst.pres.ring.sample_cap = cfg.sample_cap
             current_pres = inst.pres
             current_params = inst.q_gens
             current_meta = inst.metadata

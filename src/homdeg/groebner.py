@@ -302,29 +302,25 @@ def lift_relations(gens, modulo):
     Returns generators of {a in S^k : sum a_i gens_i in <modulo>}, the
     presentation matrix columns of the subquotient (<gens> + <modulo>) /
     <modulo> on the generators gens.  Zero gens contribute unit relations.
+
+    This is the one relation-lifting primitive of the engine: submodule
+    presentations, colons and intersections (modules.py), and the cycles
+    and homology of Ext and Koszul complexes (modules.homology) all go
+    through it.
     """
-    k = len(gens)
-    nonzero = [(i, g) for i, g in enumerate(gens) if g]
+    if not gens:
+        return []
     degs = tuple(g.homogeneous_degree() if g else 0 for g in gens)
-    if not nonzero:
-        ring = modulo[0].module.ring if modulo else None
-        if ring is None:
-            raise ValueError("cannot infer ring")
-        target = FreeModule(ring, k, degs)
-        return [target.basis(i) for i in range(k)]
-    ring = nonzero[0][1].module.ring
-    target = FreeModule(ring, k, degs)
-    combined = [g for _, g in nonzero] + [m for m in modulo if m]
-    syz = syzygy_module(combined)
+    target = FreeModule(gens[0].module.ring, len(gens), degs)
+    nonzero = [i for i, g in enumerate(gens) if g]
     out = []
-    for s in syz:
-        terms = {}
-        for (c, m), v in s.terms.items():
-            if c < len(nonzero):
-                terms[(nonzero[c][0], m)] = v
-        if terms:
-            out.append(FreeElement(target, terms))
-    for i, g in enumerate(gens):
-        if not g:
-            out.append(target.basis(i))
+    if nonzero:
+        combined = [gens[i] for i in nonzero] + [m for m in modulo if m]
+        for s in syzygy_module(combined):
+            terms = {
+                (nonzero[c], m): v for (c, m), v in s.terms.items() if c < len(nonzero)
+            }
+            if terms:
+                out.append(FreeElement(target, terms))
+    out.extend(target.basis(i) for i, g in enumerate(gens) if not g)
     return out

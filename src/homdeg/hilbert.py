@@ -10,7 +10,8 @@ polynomial exactly: its coefficients, its postulation number and its
 value table.  Nothing is sampled and no sample cap applies.
 
 For non-linear Q the Samuel function n -> l(M / Q^{n+1} M) is sampled, one
-Groebner run per n up to a sample cap; the Samuel polynomial is recovered
+Groebner run per n below a sample cap (PolyRing.sample_cap unless a
+call passes its own); the Samuel polynomial is recovered
 by solving for its coefficients in the binomial basis and confirming the
 fit on a window of further samples, sliding past the postulation number if
 needed.  The sampled fit also serves as the test oracle of the exact route.
@@ -23,7 +24,7 @@ from math import comb
 
 from .errors import EngineBugError, SampleCapError
 from .groebner import GroebnerEngine, TermOrder
-from .modules import Presentation
+from .modules import Presentation, ideal_cache_key
 from .monomial_ideals import (
     count_standard_monomials,
     divide_one_minus_t,
@@ -63,17 +64,6 @@ class HilbertCoefficients:
         return _eval_samuel(self.e, n, self.s)
 
 
-_DEFAULT_SAMPLE_CAP = [50]
-
-
-def set_default_sample_cap(cap):
-    """Session-wide default for the Samuel sampling cap of non-linear Q
-    (CLI knob)."""
-    if cap < 1:
-        raise ValueError("sample cap must be positive")
-    _DEFAULT_SAMPLE_CAP[0] = cap
-
-
 def hilbert_series(pres):
     """(numerator, n) with series = numerator / (1-t)^n, twists included."""
     return pres.hilbert_series()
@@ -94,7 +84,7 @@ class SamuelFunction:
         q_gens = [g for g in q_gens if g]
         if not q_gens:
             raise ValueError("Samuel function needs a nonzero ideal")
-        self.sample_cap = _DEFAULT_SAMPLE_CAP[0] if sample_cap is None else sample_cap
+        self.sample_cap = pres.ring.sample_cap if sample_cap is None else sample_cap
         self._values = []
         if all(g.degree() == 1 for g in q_gens):
             pres, q_gens = _linearize(pres, q_gens)
@@ -208,7 +198,8 @@ def hilbert_coefficients(pres, q_gens, sample_cap=None):
     """The Samuel polynomial of Q on M in binomial form, cached on pres.
 
     Exact from the Hilbert series of gr_Q(M) when every generator of Q is
-    linear; otherwise fitted to samples taken below sample_cap.
+    linear; otherwise fitted to samples taken below sample_cap (None: the
+    ring's sample_cap).
     """
     s = pres.dim()
     if s < 0:
@@ -218,8 +209,8 @@ def hilbert_coefficients(pres, q_gens, sample_cap=None):
         raise ValueError("Samuel function needs a nonzero ideal")
     linear = all(g.degree() == 1 for g in gens)
     if sample_cap is None:
-        sample_cap = _DEFAULT_SAMPLE_CAP[0]
-    cache_key = ("samuel", tuple(sorted(repr(g) for g in q_gens)))
+        sample_cap = pres.ring.sample_cap
+    cache_key = ideal_cache_key("samuel", q_gens)
     if not linear:
         cache_key += (sample_cap,)
     cached = pres._cache.get(cache_key)

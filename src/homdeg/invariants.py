@@ -14,6 +14,7 @@ from .koszul import euler_char_1
 from .modules import (
     Presentation,
     colon_by_element,
+    ideal_cache_key,
     intersect_submodules,
     minimal_generators,
     saturate,
@@ -40,29 +41,20 @@ def _duals(pres):
     return duals
 
 
-def _ideal_key(q_gens):
-    ring = q_gens[0].ring
-    from .freemod import FreeModule
-
-    module = FreeModule(ring, 1)
-    gb = groebner_basis([module.inject(g) for g in q_gens if g], module=module)
-    return submodule_key(gb)
-
-
-def hdeg(pres, q_gens, _memo=None):
+def hdeg(pres, q_gens):
     """Homological degree of M with respect to the ideal Q:
 
         hdeg = e0(Q; M) + sum_{j=0}^{s-1} C(s-1, j) hdeg(M_j)   (s = dim M),
 
     with hdeg = l(M) when s <= 0.  The recursion descends through the
     graded local-cohomology duals and terminates because dim M_j <= j < s.
+    Cached on pres, keyed by Q, so the duals (cached on pres too) keep
+    their own hdeg across calls.
     """
-    if _memo is None:
-        _memo = {}
     if pres.is_zero():
         return 0
-    key = (pres.canonical_key(), _ideal_key(q_gens))
-    hit = _memo.get(key)
+    key = ideal_cache_key("hdeg", q_gens)
+    hit = pres._cache.get(key)
     if hit is not None:
         return hit
     s = pres.dim()
@@ -72,24 +64,21 @@ def hdeg(pres, q_gens, _memo=None):
         out = multiplicity(pres, q_gens)
         duals = _duals(pres)
         for j in range(s):
-            out += comb(s - 1, j) * hdeg(duals[j], q_gens, _memo)
-    _memo[key] = out
+            out += comb(s - 1, j) * hdeg(duals[j], q_gens)
+    pres._cache[key] = out
     return out
 
 
-def torsion(pres, q_gens, i, _memo=None):
+def torsion(pres, q_gens, i):
     """Homological torsion T^i = sum_{j=1}^{s-i} C(s-i-1, j-1) hdeg(M_j)."""
     s = pres.dim()
     if s < 2:
         raise ValueError("torsion requires dim M >= 2")
     if not 1 <= i <= s - 1:
         raise ValueError(f"torsion index {i} out of range 1..{s - 1}")
-    if _memo is None:
-        _memo = {}
     duals = _duals(pres)
     return sum(
-        comb(s - i - 1, j - 1) * hdeg(duals[j], q_gens, _memo)
-        for j in range(1, s - i + 1)
+        comb(s - i - 1, j - 1) * hdeg(duals[j], q_gens) for j in range(1, s - i + 1)
     )
 
 
@@ -98,8 +87,7 @@ def torsions(pres, q_gens):
     s = pres.dim()
     if s < 2:
         return ()
-    memo = {}
-    return tuple(torsion(pres, q_gens, i, memo) for i in range(1, s))
+    return tuple(torsion(pres, q_gens, i) for i in range(1, s))
 
 
 def h0_torsion_gens(pres):
@@ -273,9 +261,7 @@ def is_superficial(pres, a, ideal_gens, c_range=(1, 4), window=4, cap=12):
             lhs = intersect_submodules(
                 lhs_colon, submodule_gb(pres, icm), pres.ambient
             )
-            if submodule_key(groebner_basis(lhs, module=pres.ambient) if lhs else []) != submodule_key(
-                submodule_gb(pres, inm)
-            ):
+            if submodule_key(lhs) != submodule_key(submodule_gb(pres, inm)):
                 ok = False
                 saw_violation = True
                 break

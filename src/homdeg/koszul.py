@@ -4,16 +4,16 @@ H_i(a_1, ..., a_d; M) is computed from the explicit Koszul complex
 M otimes wedge^i: the chain module in degree i has one copy of M per
 subset T of {1..d} with |T| = i, twisted by sum of the degrees of the a_t
 so that the differential e_T -> sum_j (-1)^pos a_{t_j} e_{T - t_j} is
-homogeneous of degree zero.  Cycles and boundaries are found with the
-relation-lifting machinery, so everything stays exact.
+homogeneous of degree zero.  Cycles and boundaries are found by
+modules.homology, the helper Ext (resolution) shares, on top of
+groebner.lift_relations, so everything stays exact.
 """
 
 from itertools import combinations
 
 from .errors import EngineBugError
 from .freemod import FreeElement, FreeModule
-from .groebner import lift_relations
-from .modules import Presentation
+from .modules import homology, ideal_cache_key
 
 
 def koszul_homology(pres, seq):
@@ -73,9 +73,10 @@ def _homology_at(pres, seq, degs, i):
     chain_i = _chain_module(pres, subsets_i, degs)
     chain_rels = _chain_relations(pres, chain_i, len(subsets_i))
 
-    if i == 0:
-        cycles = [chain_i.basis(j) for j in range(chain_i.rank)]
-    else:
+    # the images of the (T, j) basis under d_i: the cycles are their
+    # relations modulo the relations of M in the copies of chain i-1
+    images, lower_rels = None, []
+    if i > 0:
         subsets_im1 = list(combinations(range(d), i - 1))
         chain_im1 = _chain_module(pres, subsets_im1, degs)
         lower_index = {T: k for k, T in enumerate(subsets_im1)}
@@ -85,12 +86,6 @@ def _homology_at(pres, seq, degs, i):
             for T in subsets_i
             for j in range(rank)
         ]
-        lifted = lift_relations(images, lower_rels)
-        # a lifted relation is a coefficient vector over the (T, j) basis;
-        # the same index layout is used by chain_i, so re-home directly
-        cycles = [
-            FreeElement(chain_i, dict(rel.terms)) for rel in lifted
-        ]
 
     boundaries = []
     if i < d:
@@ -99,13 +94,7 @@ def _homology_at(pres, seq, degs, i):
             for j in range(rank):
                 boundaries.append(_apply_diff(pres, seq, T, j, chain_i, index_i))
 
-    cycles = [c for c in cycles if c]
-    if not cycles:
-        return Presentation(pres.algebra, 0, (), ())
-    rels = lift_relations(cycles, boundaries + chain_rels)
-    twists = tuple(c.homogeneous_degree() for c in cycles)
-    h = Presentation(pres.algebra, len(cycles), twists, rels)
-    return h.minimized()
+    return homology(pres.algebra, chain_i, images, lower_rels, boundaries + chain_rels)
 
 
 def koszul_homology_lengths(pres, seq):
@@ -113,8 +102,9 @@ def koszul_homology_lengths(pres, seq):
     which holds exactly when seq generates an ideal of definition for M.
 
     The lengths (not the homology modules) are cached on pres, keyed by
-    the sequence."""
-    key = ("koszul_lengths", tuple(repr(a) for a in seq))
+    the sequence up to order (a permuted sequence has an isomorphic
+    Koszul complex)."""
+    key = ideal_cache_key("koszul_lengths", seq)
     cached = pres._cache.get(key)
     if cached is not None:
         return list(cached)

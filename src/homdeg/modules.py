@@ -8,14 +8,8 @@ relation computation.
 
 from .errors import EngineBugError, InhomogeneousError
 from .freemod import FreeElement, FreeModule
-from .groebner import (
-    GroebnerEngine,
-    groebner_basis,
-    lift_relations,
-    normal_form,
-    syzygy_module,
-)
-from .kernel import mono_deg, mono_div, mono_divides, mono_mul, term_key
+from .groebner import GroebnerEngine, groebner_basis, lift_relations, normal_form
+from .kernel import mono_deg
 from .monomial_ideals import (
     eval_at_one,
     hilbert_numerator,
@@ -24,7 +18,6 @@ from .monomial_ideals import (
     poly_shift,
     reduce_pole,
 )
-from .ring import Polynomial
 
 #: Krull dimension marker for the zero module.
 DIM_ZERO = -1
@@ -217,22 +210,6 @@ class Presentation:
         # copies of it here is only an optimization, not required.
         return Presentation(self.algebra, rank, twists, cols)
 
-    def canonical_key(self):
-        key = self._cache.get("canon")
-        if key is None:
-            elems = []
-            for g in self.gb():
-                elems.append(
-                    tuple(
-                        sorted(
-                            ((c, m, str(v)) for (c, m), v in g.terms.items()),
-                        )
-                    )
-                )
-            key = (self.rank, self.twists, tuple(sorted(elems)))
-            self._cache["canon"] = key
-        return key
-
     def __repr__(self):
         return (
             f"Presentation(rank={self.rank}, twists={list(self.twists)}, "
@@ -284,53 +261,30 @@ def _prune_constants(ring, rank, twists, cols):
 # ---- submodule calculus inside a presentation ------------------------
 
 
-def exact_divide(el, f):
-    """el / f for an element known to lie in f * F; exactness is checked."""
-    module = el.module
-    out = {}
-    fl = f.lead_monomial()
-    flc = f.terms[fl]
-    work = dict(el.terms)
-    while work:
-        (c, m) = max(work, key=lambda t: term_key(t[0], t[1], module.rank))
-        coef = work[(c, m)]
-        if not mono_divides(fl, m):
-            raise EngineBugError("exact division failed: element not in f*F")
-        q = mono_div(m, fl)
-        qc = coef / flc
-        out[(c, q)] = qc
-        for fm, fc in f.terms.items():
-            key = (c, mono_mul(q, fm))
-            s = work.get(key)
-            s = -qc * fc if s is None else s - qc * fc
-            if s:
-                work[key] = s
-            else:
-                work.pop(key, None)
-    return FreeElement(module, out)
+def _image(coeffs, gens, module):
+    """sum_c coeffs_c gens_c inside module, for a coefficient vector."""
+    el = module.zero()
+    for c in {c for c, _ in coeffs.terms}:
+        el = el + coeffs.component(c) * gens[c]
+    return el
 
 
 def intersect_submodules(gens1, gens2, module):
-    """Generators of <gens1> cap <gens2> inside a free module."""
+    """Generators of <gens1> cap <gens2> inside a free module: the image
+    under gens1 of the relations of gens1 modulo gens2."""
     g1 = [g for g in gens1 if g]
-    g2 = [g for g in gens2 if g]
-    if not g1 or not g2:
+    if not g1 or not any(gens2):
         return []
-    syz = syzygy_module(g1 + g2)
-    out = []
-    for s in syz:
-        el = module.zero()
-        for (c, m), v in s.terms.items():
-            if c < len(g1):
-                el = el + Polynomial(module.ring, {m: v}) * g1[c]
-        if el:
-            out.append(el)
+    out = [_image(a, g1, module) for a in lift_relations(g1, gens2)]
+    out = [el for el in out if el]
     return groebner_basis(out, module=module) if out else []
 
 
 def colon_by_element(pres, sub_gens, f):
     """Generators of (N :_M f) = {u in M : f u in N}, for N = <sub_gens>
-    inside M.  f = 0 returns all of M (documented behaviour)."""
+    inside M, as a reduced Groebner basis in the ambient of pres: the
+    relations of f e_1, ..., f e_r modulo N and the relations of M.
+    f = 0 returns all of M (documented behaviour)."""
     module = pres.ambient
     if not f:
         return [module.basis(i) for i in range(module.rank)]
@@ -338,8 +292,7 @@ def colon_by_element(pres, sub_gens, f):
         raise InhomogeneousError(repr(f))
     big_n = [g for g in sub_gens if g] + pres.relation_gens()
     f_f = [module.inject(f, i) for i in range(module.rank)]
-    inter = intersect_submodules(big_n, f_f, module)
-    out = [exact_divide(el, f) for el in inter]
+    out = [FreeElement(module, a.terms) for a in lift_relations(f_f, big_n)]
     return groebner_basis(out, module=module) if out else []
 
 
@@ -367,6 +320,34 @@ def saturate(pres, sub_gens, ideal_gens):
         if submodule_key(nxt) == submodule_key(current):
             return current
         current = nxt
+
+
+def homology(algebra, source, outgoing, out_modulo, incoming):
+    """ker / im at the free module source of a complex, as a minimal
+    presentation over algebra.
+
+    The cycles are the relations of outgoing (the images of the basis of
+    source) modulo out_modulo, re-homed to source; outgoing = None makes
+    all of source cycles.  They are presented modulo incoming (boundaries
+    and any relations living in source).  Ext (resolution) and Koszul
+    homology (koszul) are both computed here.
+    """
+    if outgoing is None:
+        cycles = [source.basis(j) for j in range(source.rank)]
+    else:
+        lifted = lift_relations(outgoing, out_modulo)
+        cycles = [FreeElement(source, a.terms) for a in lifted]
+    if not cycles:
+        return Presentation(algebra, 0, (), ())
+    rels = lift_relations(cycles, incoming)
+    twists = tuple(c.homogeneous_degree() for c in cycles)
+    return Presentation(algebra, len(cycles), twists, rels).minimized()
+
+
+def ideal_cache_key(name, gens):
+    """Key of a quantity of M cached on pres._cache that depends on an
+    ideal (or sequence) given by gens, independent of their order."""
+    return (name, tuple(sorted(repr(g) for g in gens)))
 
 
 def submodule_key(gb_gens):

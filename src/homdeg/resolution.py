@@ -4,13 +4,16 @@ local-cohomology duals obtained from them.
 Everything is computed over the polynomial cover S; a module over A = S/J
 is just an S-module killed by J.  The resolution is minimal (no constant
 entries in any differential), so its length equals the projective
-dimension and is bounded by the number of variables.
+dimension and is bounded by the number of variables.  Ext is the homology
+of the dualized resolution, taken by modules.homology (shared with
+koszul) on top of groebner.lift_relations.
 """
 
 from .errors import EngineBugError
 from .freemod import FreeElement, FreeModule
-from .groebner import groebner_basis, normal_form, syzygy_module
-from .modules import Presentation, minimal_generators
+from .groebner import syzygy_module
+from .modules import Algebra, Presentation, homology, minimal_generators
+from .ring import Polynomial
 
 
 class FreeResolution:
@@ -72,8 +75,6 @@ def _check_complex(res):
         for col in res.diffs[i]:
             img = lower.zero()
             for (c, m), v in col.terms.items():
-                from .ring import Polynomial
-
                 img = img + Polynomial(lower.ring, {m: v}) * prev_cols[c]
             if img:
                 raise EngineBugError("resolution differentials do not compose to zero")
@@ -101,11 +102,10 @@ def _transpose_columns(cols, source, target):
 def ext_modules(pres, max_index=None):
     """Ext^i_S(M, S) for i = 0..max_index as Presentations over S.
 
-    Computed as homology of the dualized minimal resolution:
-    Ext^i = ker(d_{i+1}^*) / im(d_i^*).
+    Computed as homology of the dualized minimal resolution,
+    Ext^i = ker(d_{i+1}^*) / im(d_i^*), by the helper modules.homology
+    that Koszul homology shares.
     """
-    from .modules import Algebra
-
     ring = pres.ring
     if max_index is None:
         max_index = ring.n
@@ -121,14 +121,12 @@ def ext_modules(pres, max_index=None):
 
 
 def _ext_at(plain, res, i):
-    from .modules import Presentation, lift_relations
-
-    ring = plain.ring
+    """Ext^i = ker(d_{i+1}^*) / im(d_i^*) at F_i^*, by modules.homology."""
     L = res.length
     if i > L:
         return Presentation(plain, 0, (), ())
     fi = res.modules[i]
-    dual_fi = FreeModule(ring, fi.rank, tuple(-t for t in fi.twists))
+    dual_fi = FreeModule(plain.ring, fi.rank, tuple(-t for t in fi.twists))
     # incoming dual map d_i^* : F_{i-1}^* -> F_i^*  (image = boundaries)
     if i >= 1:
         # diffs[i-1] maps F_i -> F_{i-1}; its transpose maps F_{i-1}^* to
@@ -139,39 +137,10 @@ def _ext_at(plain, res, i):
     else:
         boundaries = []
     # outgoing dual map d_{i+1}^* : F_i^* -> F_{i+1}^*  (kernel = cycles)
+    outgoing = None
     if i < L:
-        _, dual_next, outgoing = _transpose_columns(res.diffs[i], res.modules[i + 1], res.modules[i])
-        cycles = _kernel_gens(outgoing, dual_fi)
-    else:
-        cycles = [dual_fi.basis(j) for j in range(dual_fi.rank)]
-    cycles = [c for c in cycles if c]
-    if not cycles:
-        return Presentation(plain, 0, (), ())
-    rels = lift_relations(cycles, boundaries)
-    twists = tuple(c.homogeneous_degree() for c in cycles)
-    ext = Presentation(plain, len(cycles), twists, rels)
-    return ext.minimized()
-
-
-def _kernel_gens(map_cols, source):
-    """Generators of ker(phi) for phi : source -> target given by columns.
-
-    map_cols[j] is the image of the j-th basis vector of source; the kernel
-    is exactly the syzygy module of those images, re-twisted to source.
-    """
-    nonzero = [(j, c) for j, c in enumerate(map_cols) if c]
-    out = []
-    if nonzero:
-        syz = syzygy_module([c for _, c in nonzero])
-        for s in syz:
-            terms = {}
-            for (c, m), v in s.terms.items():
-                terms[(nonzero[c][0], m)] = v
-            out.append(FreeElement(source, terms))
-    for j, c in enumerate(map_cols):
-        if not c:
-            out.append(source.basis(j))
-    return out
+        _, _, outgoing = _transpose_columns(res.diffs[i], res.modules[i + 1], res.modules[i])
+    return homology(plain, dual_fi, outgoing, [], boundaries)
 
 
 def local_cohomology_duals(pres):

@@ -9,14 +9,16 @@ class PolyRing:
     """k[x_1, ..., x_n] with the degree-reverse-lexicographic order.
 
     degree_cap bounds every Groebner computation over this ring; exceeding
-    it raises DegreeCapError rather than hanging.
+    it raises DegreeCapError rather than hanging.  sample_cap bounds the
+    Samuel samples of a non-linear Q (SampleCapError past it).
     """
 
-    def __init__(self, names, field=QQ, degree_cap=64):
+    def __init__(self, names, field=QQ, degree_cap=64, sample_cap=50):
         self.names = tuple(names)
         self.n = len(self.names)
         self.field = field
         self.degree_cap = degree_cap
+        self.sample_cap = sample_cap
         self.zero_mono = (0,) * self.n
 
     def var(self, i):

@@ -6,7 +6,9 @@ import pathlib
 
 import pytest
 
+from homdeg import hilbert_coefficients
 from homdeg.cli import main
+from homdeg.verify import gen_example_46
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
@@ -113,3 +115,33 @@ def test_corpus_json_deterministic(capsys):
     assert runs[0] == runs[1]
     expected = (CORPUS / "expected" / "ex46_l2.json").read_text()
     assert runs[0] == expected
+
+
+NONLINEAR_SCRIPT = (
+    "ring S = QQ[x, y, z];\n"
+    "ideal J = intersect((x), (y, z));\n"
+    "algebra A = S / J;\n"
+    "params Q = ((x - y)^2, (x - z)^2);\n"
+    "check invariants;\n"
+)
+
+
+def test_sample_cap_stays_with_the_run(tmp_path, capsys):
+    """--sample-cap bounds the samples of the script's own rings, and a
+    library call on a fresh ring afterwards samples under the ring's
+    default cap: the flag leaves no session-wide setting behind."""
+    script = tmp_path / "nl.hd"
+    script.write_text(NONLINEAR_SCRIPT)
+    code, out, err = run_cli(capsys, "--input", str(script), "--sample-cap", "2")
+    assert code == 2
+    assert "within 2 samples" in err
+
+    pres = gen_example_46(1).pres
+    x, y, z = pres.ring.gens()
+    assert pres.ring.sample_cap == 50
+    e = hilbert_coefficients(pres, [(x - y) ** 2, (x - z) ** 2])
+    assert e.s == 2
+
+    code, out, err = run_cli(capsys, "--input", str(script), "--sample-cap", "0")
+    assert code == 2
+    assert "sample cap must be positive" in err

@@ -43,6 +43,15 @@ def test_hdeg_low_depth(low_depth):
     assert hdeg(pres, q) == 2
 
 
+def test_hdeg_cached_per_ideal(low_depth):
+    """hdeg is cached on the presentation under its Q: another Q on the
+    same module gets its own value, and the first value stays."""
+    pres, q, (x, y) = low_depth
+    assert hdeg(pres, q) == 2
+    assert hdeg(pres, [y**2]) == 3  # e0 = 2 for Q = (y^2), plus l(H^0) = 1
+    assert hdeg(pres, q) == 2
+
+
 def test_hdeg_finite_length_is_length():
     ring = PolyRing(("x",))
     (x,) = ring.gens()

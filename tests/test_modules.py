@@ -1,0 +1,163 @@
+"""Submodule calculus: colons, intersections and lifted relations, checked
+against monomial combinatorics and against a reference colon that
+intersects with f*F and divides f back out."""
+
+import random
+
+from homdeg import Algebra, FreeElement, FreeModule, Polynomial, PolyRing, Presentation
+from homdeg.errors import EngineBugError
+from homdeg.groebner import groebner_basis, lift_relations, syzygy_module
+from homdeg.kernel import mono_div, mono_divides, mono_lcm, mono_mul, term_key
+from homdeg.modules import colon_by_element, intersect_submodules, submodule_key
+
+
+def _monomial(ring, m):
+    return Polynomial(ring, {tuple(m): ring.field.one})
+
+
+def _random_mono(rng, n, deg):
+    m = [0] * n
+    for _ in range(deg):
+        m[rng.randrange(n)] += 1
+    return tuple(m)
+
+
+def _random_monomial_ideal(rng, n):
+    return [_random_mono(rng, n, rng.randint(1, 3)) for _ in range(rng.randint(1, 4))]
+
+
+def _key_of_monomials(mod, monos):
+    ring = mod.ring
+    return submodule_key(groebner_basis([mod.inject(_monomial(ring, m)) for m in monos], module=mod))
+
+
+def test_monomial_colon_is_lcm_over_f():
+    """(J : f) = (lcm(g, f) / f : g in J) for monomials."""
+    rng = random.Random(7)
+    ring = PolyRing(("x", "y", "z"))
+    pres = Algebra(ring).as_module()
+    mod = pres.ambient
+    for _ in range(60):
+        j = _random_monomial_ideal(rng, ring.n)
+        f = _random_mono(rng, ring.n, rng.randint(0, 3))
+        got = colon_by_element(pres, [mod.inject(_monomial(ring, g)) for g in j], _monomial(ring, f))
+        want = [mono_div(mono_lcm(g, f), f) for g in j]
+        assert submodule_key(got) == _key_of_monomials(mod, want), (j, f)
+        # the colon comes back as a reduced Groebner basis
+        assert got == groebner_basis(got, module=mod)
+
+
+def test_monomial_intersection_is_lcm():
+    """I cap K = (lcm(g, h) : g in I, h in K) for monomials."""
+    rng = random.Random(11)
+    ring = PolyRing(("x", "y", "z"))
+    mod = FreeModule(ring, 1)
+    for _ in range(60):
+        i_gens = _random_monomial_ideal(rng, ring.n)
+        k_gens = _random_monomial_ideal(rng, ring.n)
+        got = intersect_submodules(
+            [mod.inject(_monomial(ring, g)) for g in i_gens],
+            [mod.inject(_monomial(ring, h)) for h in k_gens],
+            mod,
+        )
+        want = [mono_lcm(g, h) for g in i_gens for h in k_gens]
+        assert submodule_key(got) == _key_of_monomials(mod, want), (i_gens, k_gens)
+
+
+# ---- the reference colon: intersect with f*F, then divide by f --------
+
+
+def _reference_intersect(gens1, gens2, module):
+    g1 = [g for g in gens1 if g]
+    g2 = [g for g in gens2 if g]
+    out = []
+    for s in syzygy_module(g1 + g2):
+        el = module.zero()
+        for (c, m), v in s.terms.items():
+            if c < len(g1):
+                el = el + Polynomial(module.ring, {m: v}) * g1[c]
+        if el:
+            out.append(el)
+    return groebner_basis(out, module=module) if out else []
+
+
+def _reference_divide(el, f):
+    """el / f for an element of f*F, by repeated division of the lead."""
+    module = el.module
+    out = {}
+    fl = f.lead_monomial()
+    flc = f.terms[fl]
+    work = dict(el.terms)
+    while work:
+        c, m = max(work, key=lambda t: term_key(t[0], t[1], module.rank))
+        if not mono_divides(fl, m):
+            raise EngineBugError("exact division failed: element not in f*F")
+        q = mono_div(m, fl)
+        qc = work[(c, m)] / flc
+        out[(c, q)] = qc
+        for fm, fc in f.terms.items():
+            key = (c, mono_mul(q, fm))
+            s = work.get(key, 0) - qc * fc
+            if s:
+                work[key] = s
+            else:
+                work.pop(key, None)
+    return FreeElement(module, out)
+
+
+def _reference_colon(pres, sub_gens, f):
+    module = pres.ambient
+    big_n = [g for g in sub_gens if g] + pres.relation_gens()
+    f_f = [module.inject(f, i) for i in range(module.rank)]
+    out = [_reference_divide(el, f) for el in _reference_intersect(big_n, f_f, module)]
+    return groebner_basis(out, module=module) if out else []
+
+
+def _random_form(rng, ring, deg):
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        terms[_random_mono(rng, ring.n, deg)] = ring.field.from_int(rng.choice([-2, -1, 1, 2, 3]))
+    return Polynomial(ring, terms)
+
+
+def _random_element(rng, ring, module, deg):
+    el = module.zero()
+    for c, t in enumerate(module.twists):
+        if deg >= t and rng.random() < 0.7:
+            el = el + module.inject(_random_form(rng, ring, deg - t), c)
+    return el
+
+
+def _random_presentation(rng, ring, rank):
+    rels = [_random_form(rng, ring, rng.randint(2, 3)) for _ in range(rng.randint(0, 2))]
+    algebra = Algebra(ring, rels)
+    twists = tuple(sorted(rng.randint(0, 1) for _ in range(rank)))
+    ambient = FreeModule(ring, rank, twists)
+    cols = [_random_element(rng, ring, ambient, rng.randint(1, 3)) for _ in range(rng.randint(0, 2))]
+    return Presentation(algebra, rank, twists, cols)
+
+
+def test_colon_matches_reference_colon():
+    rng = random.Random(1404)
+    ring = PolyRing(("x", "y", "z"))
+    for rank in (1, 1, 2):
+        for _ in range(12):
+            pres = _random_presentation(rng, ring, rank)
+            sub = [
+                _random_element(rng, ring, pres.ambient, rng.randint(1, 3))
+                for _ in range(rng.randint(0, 2))
+            ]
+            f = _random_form(rng, ring, rng.randint(1, 2))
+            got = colon_by_element(pres, sub, f)
+            assert submodule_key(got) == submodule_key(_reference_colon(pres, sub, f)), (
+                pres,
+                sub,
+                f,
+            )
+
+
+def test_lift_relations_of_zero_gens_are_units():
+    ring = PolyRing(("x", "y"))
+    mod = FreeModule(ring, 2)
+    rels = lift_relations([mod.zero(), mod.zero()], [])
+    assert set(rels) == {FreeModule(ring, 2).basis(i) for i in range(2)}
