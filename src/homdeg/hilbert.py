@@ -11,7 +11,12 @@ value table.  Nothing is sampled and no sample cap applies.
 
 For non-linear Q the Samuel function n -> l(M / Q^{n+1} M) is sampled, one
 Groebner run per n below a sample cap (PolyRing.sample_cap unless a
-call passes its own); the Samuel polynomial is recovered
+call passes its own).  The powers of Q are built once, in normal form
+modulo the relations: level k + 1 multiplies each entry of level k by the
+generators of Q from its last factor on and reduces the products (see
+SamuelFunction).  A sample adds one level to a copy of the relations'
+basis and reads its length off the Hilbert numerators of the lead
+monomials.  The Samuel polynomial is recovered
 by solving for its coefficients in the binomial basis and confirming the
 fit on a window of further samples, sliding past the postulation number if
 needed.  The sampled fit also serves as the test oracle of the exact route.
@@ -19,10 +24,10 @@ needed.  The sampled fit also serves as the test oracle of the exact route.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
 from math import comb
 
-from .errors import EngineBugError, SampleCapError
+from .errors import EngineBugError, InhomogeneousError, SampleCapError
+from .freemod import FreeElement
 from .groebner import GroebnerEngine, TermOrder
 from .modules import Presentation, ideal_cache_key
 from .monomial_ideals import (
@@ -72,18 +77,27 @@ def hilbert_series(pres):
 class SamuelFunction:
     """Incremental evaluator of n -> l(M / Q^{n+1} M).
 
-    Q is given by homogeneous generators in the polynomial cover.  The
-    Groebner basis of the module relations is computed once; each sample
-    clones that engine state, feeds in the generators of one power of Q,
-    and reads the length off as a standard-monomial count.  When all
-    generators are linear, an initial change of coordinates turns Q into a
-    subset of the variables, so the powers become plain monomial lists.
+    Q is given by homogeneous generators q_0..q_{m-1} in the polynomial
+    cover.  The Groebner basis of the module relations N is computed once.
+    The powers of Q are kept as levels: level k holds the normal forms,
+    modulo that basis, of p e_i for every product p of k generators and
+    every basis vector e_i, each with the index of p's last factor.  Level
+    0 is NF(e_i); level k + 1 is NF(q_j v) for v in level k and every j at
+    least v's last index.  Since q_j (v - p e_i) lies in N, level k + 1
+    and N generate N + Q^{k+1} F; equal normal forms are kept once, with
+    the smaller last index.  A sample clones the base engine, adds one
+    level (one Groebner run) and reads the length off the Hilbert
+    numerators of the lead monomials.  When all generators are linear, an
+    initial change of coordinates turns Q into a subset of the variables.
     """
 
     def __init__(self, pres, q_gens, sample_cap=None):
         q_gens = [g for g in q_gens if g]
         if not q_gens:
             raise ValueError("Samuel function needs a nonzero ideal")
+        for g in q_gens:
+            if not g.is_homogeneous():
+                raise InhomogeneousError(repr(g))
         self.sample_cap = pres.ring.sample_cap if sample_cap is None else sample_cap
         self._values = []
         if all(g.degree() == 1 for g in q_gens):
@@ -94,30 +108,40 @@ class SamuelFunction:
         for r in pres.relation_gens():
             self._base.add(r)
         self._base.compute()
+        reduce = self._base.order.reduce
+        level = []
+        for i in range(pres.rank):
+            nf = reduce(pres.ambient.basis(i).terms, self._base.by_comp)
+            if nf:
+                level.append((nf, 0))
+        self._levels = [level]
 
-    def _power_gens(self, k):
-        """Generators of Q^k: the products of k generators of Q, equal
-        products once.  After the linear change of coordinates these are
-        the monomials of degree k in the pivots."""
-        one = self.pres.ring.one
-        out = []
-        seen = set()
-        for picks in combinations_with_replacement(self.q_gens, k):
-            prod = one
-            for g in picks:
-                prod = prod * g
-            if prod and prod not in seen:
-                seen.add(prod)
-                out.append(prod)
-        return out
+    def _level(self, k):
+        """The normal forms of Q^k F, built from level k - 1 on first use."""
+        reduce = self._base.order.reduce
+        by_comp = self._base.by_comp
+        ambient = self.pres.ambient
+        while len(self._levels) <= k:
+            out = {}
+            for terms, last in self._levels[-1]:
+                v = FreeElement(ambient, terms)
+                for j in range(last, len(self.q_gens)):
+                    nf = reduce((self.q_gens[j] * v).terms, by_comp)
+                    if not nf:
+                        continue
+                    key = frozenset(nf.items())
+                    hit = out.get(key)
+                    if hit is None or hit[1] > j:
+                        out[key] = (nf, j)
+            self._levels.append(list(out.values()))
+        return self._levels[k]
 
     def _sample(self, k):
-        """l(M / Q^{k+1} M) via an incremental Groebner run."""
+        """l(M / Q^{k+1} M): level k + 1 added to the base, one Groebner run."""
         eng = self._base.clone()
         ambient = self.pres.ambient
-        for g in self._power_gens(k + 1):
-            for i in range(ambient.rank):
-                eng.add(ambient.inject(g, i))
+        for terms, _ in self._level(k + 1):
+            eng.add(FreeElement(ambient, terms))
         eng.compute()
         per = [[] for _ in range(ambient.rank)]
         for c, m in eng.leads:

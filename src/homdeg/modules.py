@@ -17,6 +17,7 @@ from .monomial_ideals import (
     poly_add,
     poly_shift,
     reduce_pole,
+    series_length,
 )
 
 #: Krull dimension marker for the zero module.
@@ -115,9 +116,6 @@ class Presentation:
         """Normal form of an ambient element against the relations."""
         return normal_form(el, self.gb())
 
-    def contains_in_relations(self, el):
-        return not self.reduce(el)
-
     def lead_monomials(self):
         """Per-component minimal lead monomials of the relation module."""
         per = [[] for _ in range(self.rank)]
@@ -157,13 +155,7 @@ class Presentation:
 
     def length(self):
         """Length over the base field if finite, else None."""
-        num = self.hilbert_numerator()
-        if not num:
-            return 0
-        p, s = reduce_pole(num, self.ring.n)
-        if s > 0:
-            return None
-        return eval_at_one(p)
+        return series_length(self.hilbert_numerator(), self.ring.n)
 
     def degree_multiplicity(self):
         """Multiplicity with respect to the irrelevant maximal ideal:
@@ -364,12 +356,6 @@ def submodule_gb(pres, gens):
     """Reduced GB of <gens> + relations inside the ambient of pres."""
     full = [g for g in gens if g] + pres.relation_gens()
     return groebner_basis(full, module=pres.ambient) if full else []
-
-
-def submodules_equal(pres, gens1, gens2):
-    return submodule_key(submodule_gb(pres, gens1)) == submodule_key(
-        submodule_gb(pres, gens2)
-    )
 
 
 def minimal_generators(gens):

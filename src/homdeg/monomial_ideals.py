@@ -63,22 +63,30 @@ def hilbert_numerator(monos, _memo=None, weights=None):
 
 
 def _numerator(monos, memo, deg, zero):
+    """Bigatti's pivot recursion.  Pure powers of distinct variables are a
+    complete intersection, N = prod (1 - t^deg m).  Otherwise p = x_v^e,
+    with x_v in the most mixed generators and e the median of their x_v
+    exponents, splits the ideal: N(I) = N(I + p) + t^deg(p) N(I : p).  p
+    strictly divides a mixed generator and lies outside I, so I + p has
+    fewer mixed generators and I : p a smaller total degree."""
     monos = minimalize(monos)
     key = frozenset(monos)
     hit = memo.get(key)
     if hit is not None:
         return hit
-    if not monos:
+    mixed = [m for m in monos if sum(1 for e in m if e) > 1]
+    if not mixed:
         out = {zero: 1}
-    elif len(monos) == 1:
-        out = {zero: 1, deg(monos[0]): -1} if any(monos[0]) else {}
+        for m in monos:
+            out = poly_add(out, poly_shift(out, deg(m)), sign=-1)
     else:
-        rest = monos[:-1]
-        m = monos[-1]
+        n = len(mixed[0])
+        v = max(range(n), key=lambda i: sum(1 for m in mixed if m[i]))
+        exps = sorted(m[v] for m in mixed if m[v])
+        p = tuple(exps[len(exps) // 2] if i == v else 0 for i in range(n))
         out = poly_add(
-            _numerator(rest, memo, deg, zero),
-            poly_shift(_numerator(_colon(rest, m), memo, deg, zero), deg(m)),
-            sign=-1,
+            _numerator(monos + [p], memo, deg, zero),
+            poly_shift(_numerator(_colon(monos, p), memo, deg, zero), deg(p)),
         )
     memo[key] = out
     return out
@@ -100,8 +108,8 @@ def divide_one_minus_t(p):
 
 def reduce_pole(num, n):
     """Cancel (1-t) factors: return (p, s) with num/(1-t)^n = p/(1-t)^s and
-    p(1) != 0, or (p={}, s=0) for the zero series.  s is the Krull dimension
-    of the module the series came from."""
+    p(1) != 0, or (p={}, s=n) for the zero series.  s is the Krull dimension
+    of the nonzero module the series came from."""
     s = n
     p = dict(num)
     while p and s > 0 and eval_at_one(p) == 0:
@@ -114,31 +122,20 @@ def eval_at_one(p):
     return sum(p.values())
 
 
+def series_length(num, n):
+    """Total length of a module with series num/(1-t)^n: 0 for the zero
+    series, None if infinite (a pole survives the cancelled (1-t)
+    factors), else the cancelled numerator at 1."""
+    if not num:
+        return 0
+    p, s = reduce_pole(num, n)
+    return None if s else eval_at_one(p)
+
+
 def count_standard_monomials(monos):
-    """Number of monomials outside the monomial ideal (monos), or None if
-    infinite.  The standard monomials form an order ideal, so a breadth
-    search from 1 enumerates them all."""
-    monos = minimalize(monos)
+    """Number of monomials outside the monomial ideal (monos), read off its
+    Hilbert numerator; None if infinite or for an empty list (the zero
+    ideal)."""
     if not monos:
         return None
-    n = len(monos[0])
-    zero = (0,) * n
-    if zero in monos:
-        return 0
-    # finite iff some pure power of every variable is a generator
-    for i in range(n):
-        if not any(m[i] > 0 and sum(m) == m[i] for m in monos):
-            return None
-    seen = {zero}
-    stack = [zero]
-    while stack:
-        m = stack.pop()
-        for i in range(n):
-            m2 = m[:i] + (m[i] + 1,) + m[i + 1 :]
-            if m2 in seen:
-                continue
-            if any(mono_divides(g, m2) for g in monos):
-                continue
-            seen.add(m2)
-            stack.append(m2)
-    return len(seen)
+    return series_length(hilbert_numerator(monos), len(monos[0]))

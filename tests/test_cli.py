@@ -103,8 +103,9 @@ def test_malformed_corpus_exit_codes(capsys):
         assert ":0:0:" not in err, f.name
 
 
-def test_corpus_json_deterministic(capsys):
-    script = CORPUS / "ex46_l2.hd"
+def _check_corpus_json(capsys, stem):
+    """Two runs of corpus/<stem>.hd reproduce its frozen JSON byte for byte."""
+    script = CORPUS / f"{stem}.hd"
     runs = []
     for _ in range(2):
         code, out, err = run_cli(
@@ -113,8 +114,17 @@ def test_corpus_json_deterministic(capsys):
         assert code == 0
         runs.append(out)
     assert runs[0] == runs[1]
-    expected = (CORPUS / "expected" / "ex46_l2.json").read_text()
+    expected = (CORPUS / "expected" / f"{stem}.json").read_text()
     assert runs[0] == expected
+
+
+def test_corpus_json_deterministic(capsys):
+    _check_corpus_json(capsys, "ex46_l2")
+
+
+def test_nonlinear_corpus_json_deterministic(capsys):
+    """ex46 l = 3 under Q = ((x-y)^2, (x-z)^2): the sampled Samuel route."""
+    _check_corpus_json(capsys, "ex46nl_l3")
 
 
 NONLINEAR_SCRIPT = (

@@ -4,6 +4,7 @@ engine's contracts (descending normal forms, reduced bases) on seeded
 random ideals, rank-2 modules and the corpus."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -137,6 +138,28 @@ def test_count_standard_monomials_infinite():
     assert count_standard_monomials([(0, 0)]) == 0
 
 
+def test_count_standard_monomials_random_artinian():
+    """Seeded finite-length monomial ideals of k[x,y,z]: a pure power of
+    every variable plus random mixed monomials, against a box count."""
+    rng = random.Random(1994)
+    for _ in range(60):
+        pure = [rng.randint(1, 5) for _ in range(3)]
+        monos = [tuple(a * (j == i) for j in range(3)) for i, a in enumerate(pure)]
+        for _ in range(rng.randint(0, 5)):
+            monos.append(tuple(rng.randint(0, 4) for _ in range(3)))
+        rng.shuffle(monos)
+        assert count_standard_monomials(monos) == _brute_standard(monos, 3, max(pure))
+
+
+def test_count_standard_monomials_edge_cases():
+    assert count_standard_monomials([(0, 0, 0)]) == 0  # the unit ideal
+    assert count_standard_monomials([(0, 0, 0), (2, 0, 0)]) == 0
+    assert count_standard_monomials([]) is None  # the zero ideal
+    # non-Artinian: no pure power of z
+    assert count_standard_monomials([(2, 0, 0), (0, 3, 0), (1, 1, 1)]) is None
+    assert count_standard_monomials([(1, 1, 0), (0, 0, 2)]) is None
+
+
 def test_minimalize():
     assert minimalize([(2, 0), (2, 1), (0, 1), (1, 1)]) == [(0, 1), (2, 0)]
 
@@ -153,6 +176,40 @@ def test_hilbert_numerator_vs_enumeration():
     p2, s2 = reduce_pole(num2, 2)
     assert s2 == 0
     assert eval_at_one(p2) == count_standard_monomials([(2, 0), (0, 2)]) == 4
+
+
+@pytest.mark.parametrize(
+    "weights", [None, ((1, 0, 0), (0, 1, 1))], ids=["total", "bigraded"]
+)
+def test_hilbert_numerator_random_ideals(weights):
+    """Seeded monomial ideals of k[x,y,z], of finite length or not: in
+    every degree of total at most 6, the Hilbert function read off the
+    numerator counts the standard monomials."""
+    rows = weights or ((1, 1, 1),)
+
+    def deg(m):
+        return tuple(sum(w * e for w, e in zip(row, m)) for row in rows)
+
+    box = [m for m in product(range(7), repeat=3) if sum(m) <= 6]
+    every = Counter(deg(m) for m in box)
+    rng = random.Random(2014)
+    for _ in range(40):
+        monos = [
+            tuple(rng.randint(0, 3) for _ in range(3))
+            for _ in range(rng.randint(1, 6))
+        ]
+        num = hilbert_numerator(monos, weights=weights)
+        if weights is None:
+            num = {(d,): c for d, c in num.items()}
+        std = Counter(
+            deg(m) for m in box if not any(mono_divides(g, m) for g in monos)
+        )
+        for d in every:
+            total = 0
+            for e, c in num.items():
+                rest = tuple(a - b for a, b in zip(d, e))
+                total += c * every.get(rest, 0)
+            assert total == std.get(d, 0), (monos, d)
 
 
 def test_module_hilbert_series_matches_quotient():

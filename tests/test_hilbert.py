@@ -11,14 +11,16 @@ from homdeg import (
     FreeModule,
     Polynomial,
     PolyRing,
+    PrimeField,
     Presentation,
+    QQ,
     SamuelFunction,
     hilbert_coefficients,
     hilbert_series,
     local_cohomology_duals,
     multiplicity,
 )
-from homdeg.errors import EngineBugError, SampleCapError
+from homdeg.errors import EngineBugError, InhomogeneousError, SampleCapError
 from homdeg.hilbert import exact_coefficients, fitted_coefficients
 from homdeg.modules import minimal_generators
 from homdeg.verify import gen_example_46
@@ -237,3 +239,55 @@ def test_nonlinear_samuel_matches_pruned_powers(l):
     q = [(x - y) ** 2, (x - z) ** 2]
     f = SamuelFunction(inst.pres, q)
     assert [f(n) for n in range(6)] == _pruned_samuel_values(inst.pres, q, 6)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["QQ", "GF32003"])
+def test_nonlinear_samuel_rank2_twisted(field):
+    """A rank-2 cokernel with twists (0, 1) over k[x,y,z]/(xz): every
+    basis vector carries its own chain of levels."""
+    ring = PolyRing(("x", "y", "z"), field=field)
+    x, y, z = ring.gens()
+    algebra = Algebra(ring, [x * z])
+    ambient = FreeModule(ring, 2, (0, 1))
+    cols = [
+        ambient.inject(y**2, 0) + ambient.inject(x - z, 1),
+        ambient.inject(x * y, 1),
+    ]
+    pres = Presentation(algebra, 2, (0, 1), cols)
+    q = [(x - y) ** 2, (x - z) ** 2]
+    f = SamuelFunction(pres, q)
+    assert [f(n) for n in range(5)] == _pruned_samuel_values(pres, q, 5)
+
+
+def test_nonlinear_samuel_repeated_generator():
+    """Equal products of generators: a repeated generator of Q changes
+    nothing."""
+    inst = gen_example_46(2)
+    x, y, z = inst.pres.ring.gens()
+    q = [(x - y) ** 2, (x - z) ** 2, (x - y) ** 2]
+    f = SamuelFunction(inst.pres, q)
+    expected = _pruned_samuel_values(inst.pres, q, 5)
+    assert [f(n) for n in range(5)] == expected
+    g = SamuelFunction(inst.pres, q[:2])
+    assert [g(n) for n in range(5)] == expected
+
+
+def test_nonlinear_samuel_rejects_inhomogeneous_generator():
+    # x^2 + y is inhomogeneous even though its normal form modulo (y) is not
+    ring = PolyRing(("x", "y"))
+    x, y = ring.gens()
+    pres = Algebra(ring, [y]).as_module()
+    with pytest.raises(InhomogeneousError):
+        SamuelFunction(pres, [x**2 + y])(0)
+
+
+def test_nonlinear_samuel_sample_cap():
+    inst = gen_example_46(1)
+    x, y, z = inst.pres.ring.gens()
+    q = [(x - y) ** 2, (x - z) ** 2]
+    f = SamuelFunction(inst.pres, q, sample_cap=3)
+    assert [f(n) for n in range(3)] == _pruned_samuel_values(inst.pres, q, 3)
+    with pytest.raises(SampleCapError):
+        f(3)
+    with pytest.raises(SampleCapError):
+        fitted_coefficients(inst.pres, q, sample_cap=3)
