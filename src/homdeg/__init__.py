@@ -37,7 +37,7 @@ from .invariants import (
     torsion,
     torsions,
 )
-from .koszul import euler_char_1, koszul_homology, koszul_homology_lengths
+from .koszul import euler_char_1, koszul_homology_lengths
 from .modules import Algebra, Presentation
 from .resolution import (
     depth,

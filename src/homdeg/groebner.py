@@ -304,9 +304,8 @@ def lift_relations(gens, modulo):
     <modulo> on the generators gens.  Zero gens contribute unit relations.
 
     This is the one relation-lifting primitive of the engine: submodule
-    presentations, colons and intersections (modules.py), and the cycles
-    and homology of Ext and Koszul complexes (modules.homology) all go
-    through it.
+    presentations, colons and intersections (modules.py) and the cycles
+    and homology of Ext (resolution.py) all go through it.
     """
     if not gens:
         return []

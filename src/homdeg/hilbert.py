@@ -92,12 +92,7 @@ class SamuelFunction:
     """
 
     def __init__(self, pres, q_gens, sample_cap=None):
-        q_gens = [g for g in q_gens if g]
-        if not q_gens:
-            raise ValueError("Samuel function needs a nonzero ideal")
-        for g in q_gens:
-            if not g.is_homogeneous():
-                raise InhomogeneousError(repr(g))
+        q_gens = _ideal_gens(q_gens)
         self.sample_cap = pres.ring.sample_cap if sample_cap is None else sample_cap
         self._values = []
         if all(g.degree() == 1 for g in q_gens):
@@ -160,6 +155,17 @@ class SamuelFunction:
         while len(self._values) <= n:
             self._values.append(self._sample(len(self._values)))
         return self._values[n]
+
+
+def _ideal_gens(q_gens):
+    """The nonzero generators of Q, each checked homogeneous."""
+    gens = [g for g in q_gens if g]
+    if not gens:
+        raise ValueError("Samuel function needs a nonzero ideal")
+    for g in gens:
+        if not g.is_homogeneous():
+            raise InhomogeneousError(repr(g))
+    return gens
 
 
 def _linearize(pres, q_gens):
@@ -228,9 +234,7 @@ def hilbert_coefficients(pres, q_gens, sample_cap=None):
     s = pres.dim()
     if s < 0:
         raise ValueError("the zero module has no Samuel polynomial")
-    gens = [g for g in q_gens if g]
-    if not gens:
-        raise ValueError("Samuel function needs a nonzero ideal")
+    gens = _ideal_gens(q_gens)
     linear = all(g.degree() == 1 for g in gens)
     if sample_cap is None:
         sample_cap = pres.ring.sample_cap
@@ -262,7 +266,7 @@ def exact_coefficients(pres, q_gens):
     so e_i = h^(i)(1) / i! and l(M / Q^(n+1) M) = sum_k h_k C(n - k + s, s).
     """
     s = pres.dim()
-    pres, q_gens = _linearize(pres, q_gens)
+    pres, q_gens = _linearize(pres, _ideal_gens(q_gens))
     nvars = pres.ring.n
     pivot = [0] * nvars
     for g in q_gens:

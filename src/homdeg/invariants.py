@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .errors import EngineBugError
+from .freemod import FreeModule
 from .groebner import groebner_basis, normal_form
 from .hilbert import HilbertCoefficients, hilbert_coefficients, multiplicity
 from .koszul import euler_char_1
@@ -21,7 +22,7 @@ from .modules import (
     submodule_gb,
     submodule_key,
 )
-from .resolution import ext_codims, local_cohomology_duals
+from .resolution import depth as depth_of, ext_codims, local_cohomology_duals
 
 
 class NotDSequenceError(ValueError):
@@ -219,8 +220,6 @@ def is_superficial(pres, a, ideal_gens, c_range=(1, 4), window=4, cap=12):
     if not a:
         raise ValueError("the zero element is never superficial")
     # membership a in I (inside A, so modulo the defining ideal)
-    from .freemod import FreeModule
-
     ring = pres.ring
     one_mod = FreeModule(ring, 1)
     igb = groebner_basis(
@@ -354,8 +353,6 @@ def invariant_report(pres, q_gens):
     """Compute the full report; the internal cross-checks (Serre identity,
     duality of H^0 lengths, Stueckrad-Vogel identity) all run as part of
     the computation and raise EngineBugError on any inconsistency."""
-    from .resolution import depth as depth_of
-
     s = pres.dim()
     dep = depth_of(pres)
     e = hilbert_coefficients(pres, q_gens)

@@ -1,34 +1,27 @@
-"""Koszul homology of a sequence of ring elements acting on a module.
+"""Lengths of the Koszul homology of a sequence of ring elements acting on
+a module.
 
-H_i(a_1, ..., a_d; M) is computed from the explicit Koszul complex
-M otimes wedge^i: the chain module in degree i has one copy of M per
-subset T of {1..d} with |T| = i, twisted by sum of the degrees of the a_t
-so that the differential e_T -> sum_j (-1)^pos a_{t_j} e_{T - t_j} is
-homogeneous of degree zero.  Cycles and boundaries are found by
-modules.homology, the helper Ext (resolution) shares, on top of
-groebner.lift_relations, so everything stays exact.
+The Koszul complex K of a_1, ..., a_d on M has the chain module
+K_i = M otimes wedge^i: one copy of M per subset T of {1..d} with
+|T| = i, twisted by the sum of the degrees of the a_t so that the
+differential e_T -> sum_j (-1)^pos a_{t_j} e_{T - t_j} is homogeneous of
+degree zero.  With C_i = K_i / d(K_{i+1}) the cokernel (C_d = K_d), the
+differential d_i induces the exact sequence of graded modules
+
+    0 -> H_i -> C_i -> K_{i-1} -> C_{i-1} -> 0,
+
+so HS(H_i) = HS(C_i) - HS(K_{i-1}) + HS(C_{i-1}) and H_0 = C_0.  Each
+C_i with i < d is one Presentation (one Groebner basis); HS(K_i) is a sum
+of shifted copies of HS(M).  The lengths are read off these series
+exactly, and no homology module is ever presented.
 """
 
 from itertools import combinations
 
 from .errors import EngineBugError
 from .freemod import FreeElement, FreeModule
-from .modules import homology, ideal_cache_key
-
-
-def koszul_homology(pres, seq):
-    """[H_0, ..., H_d] of the Koszul complex of seq on M, as Presentations.
-
-    M is the cokernel of pres.  Every element of seq must be a nonzero
-    homogeneous ring element.
-    """
-    d = len(seq)
-    degs = []
-    for a in seq:
-        if not a:
-            raise ValueError("Koszul sequence elements must be nonzero")
-        degs.append(a.homogeneous_degree())
-    return [_homology_at(pres, seq, degs, i) for i in range(d + 1)]
+from .modules import Presentation, ideal_cache_key
+from .monomial_ideals import poly_add, poly_shift, series_length
 
 
 def _chain_module(pres, subsets, seq_degs):
@@ -40,17 +33,6 @@ def _chain_module(pres, subsets, seq_degs):
         for t in pres.twists:
             twists.append(t + extra)
     return FreeModule(pres.ring, len(subsets) * pres.rank, tuple(twists))
-
-
-def _chain_relations(pres, chain, copies):
-    """The relations of M placed in every copy inside the chain module."""
-    rank = pres.rank
-    out = []
-    for rel in pres.relation_gens():
-        for k in range(copies):
-            terms = {(k * rank + c, m): v for (c, m), v in rel.terms.items()}
-            out.append(FreeElement(chain, terms))
-    return out
 
 
 def _apply_diff(pres, seq, T, j, target_chain, target_index):
@@ -66,56 +48,66 @@ def _apply_diff(pres, seq, T, j, target_chain, target_index):
     return out
 
 
-def _homology_at(pres, seq, degs, i):
-    d = len(seq)
+def _cokernel_numerator(pres, seq, degs, i):
+    """Hilbert numerator of C_i = K_i / d(K_{i+1}) for i < d: the columns
+    of M copied into every block plus the boundaries; J enters through
+    the presentation's algebra."""
     rank = pres.rank
-    subsets_i = list(combinations(range(d), i))
-    chain_i = _chain_module(pres, subsets_i, degs)
-    chain_rels = _chain_relations(pres, chain_i, len(subsets_i))
-
-    # the images of the (T, j) basis under d_i: the cycles are their
-    # relations modulo the relations of M in the copies of chain i-1
-    images, lower_rels = None, []
-    if i > 0:
-        subsets_im1 = list(combinations(range(d), i - 1))
-        chain_im1 = _chain_module(pres, subsets_im1, degs)
-        lower_index = {T: k for k, T in enumerate(subsets_im1)}
-        lower_rels = _chain_relations(pres, chain_im1, len(subsets_im1))
-        images = [
-            _apply_diff(pres, seq, T, j, chain_im1, lower_index)
-            for T in subsets_i
-            for j in range(rank)
-        ]
-
-    boundaries = []
-    if i < d:
-        index_i = {T: k for k, T in enumerate(subsets_i)}
-        for T in combinations(range(d), i + 1):
-            for j in range(rank):
-                boundaries.append(_apply_diff(pres, seq, T, j, chain_i, index_i))
-
-    return homology(pres.algebra, chain_i, images, lower_rels, boundaries + chain_rels)
+    subsets = list(combinations(range(len(seq)), i))
+    chain = _chain_module(pres, subsets, degs)
+    cols = []
+    for k in range(len(subsets)):
+        for col in pres.columns:
+            terms = {(k * rank + c, m): v for (c, m), v in col.terms.items()}
+            cols.append(FreeElement(chain, terms))
+    index = {T: k for k, T in enumerate(subsets)}
+    for T in combinations(range(len(seq)), i + 1):
+        for j in range(rank):
+            cols.append(_apply_diff(pres, seq, T, j, chain, index))
+    coker = Presentation(pres.algebra, chain.rank, chain.twists, cols)
+    return coker.hilbert_numerator()
 
 
 def koszul_homology_lengths(pres, seq):
-    """Lengths [l(H_0), ..., l(H_d)]; every H_i must have finite length,
-    which holds exactly when seq generates an ideal of definition for M.
+    """Lengths [l(H_0), ..., l(H_d)] of the Koszul homology of seq on the
+    cokernel M of pres; every H_i must have finite length, which holds
+    exactly when seq generates an ideal of definition for M.  Every
+    element of seq must be a nonzero homogeneous ring element.
 
-    The lengths (not the homology modules) are cached on pres, keyed by
-    the sequence up to order (a permuted sequence has an isomorphic
-    Koszul complex)."""
+    The lengths are cached on pres, keyed by the sequence up to order (a
+    permuted sequence has an isomorphic Koszul complex)."""
     key = ideal_cache_key("koszul_lengths", seq)
     cached = pres._cache.get(key)
     if cached is not None:
         return list(cached)
+    d = len(seq)
+    degs = []
+    for a in seq:
+        if not a:
+            raise ValueError("Koszul sequence elements must be nonzero")
+        degs.append(a.homogeneous_degree())
+    num_m = pres.hilbert_numerator()
+    chains = []  # HS numerators of K_0, ..., K_d
+    for i in range(d + 1):
+        num = {}
+        for T in combinations(range(d), i):
+            num = poly_add(num, poly_shift(num_m, sum(degs[t] for t in T)))
+        chains.append(num)
+    cokernels = [_cokernel_numerator(pres, seq, degs, i) for i in range(d)]
+    cokernels.append(chains[d])
     out = []
-    for i, h in enumerate(koszul_homology(pres, seq)):
-        ln = h.length()
+    for i in range(d + 1):
+        num = cokernels[i]
+        if i > 0:
+            num = poly_add(poly_add(num, chains[i - 1], sign=-1), cokernels[i - 1])
+        ln = series_length(num, pres.ring.n)
         if ln is None:
             raise EngineBugError(
                 f"Koszul homology H_{i} has infinite length; "
                 "the sequence is not a system of parameters for the module"
             )
+        if ln < 0:
+            raise EngineBugError(f"Koszul homology H_{i} has negative length {ln}")
         out.append(ln)
     pres._cache[key] = tuple(out)
     return out

@@ -314,28 +314,6 @@ def saturate(pres, sub_gens, ideal_gens):
         current = nxt
 
 
-def homology(algebra, source, outgoing, out_modulo, incoming):
-    """ker / im at the free module source of a complex, as a minimal
-    presentation over algebra.
-
-    The cycles are the relations of outgoing (the images of the basis of
-    source) modulo out_modulo, re-homed to source; outgoing = None makes
-    all of source cycles.  They are presented modulo incoming (boundaries
-    and any relations living in source).  Ext (resolution) and Koszul
-    homology (koszul) are both computed here.
-    """
-    if outgoing is None:
-        cycles = [source.basis(j) for j in range(source.rank)]
-    else:
-        lifted = lift_relations(outgoing, out_modulo)
-        cycles = [FreeElement(source, a.terms) for a in lifted]
-    if not cycles:
-        return Presentation(algebra, 0, (), ())
-    rels = lift_relations(cycles, incoming)
-    twists = tuple(c.homogeneous_degree() for c in cycles)
-    return Presentation(algebra, len(cycles), twists, rels).minimized()
-
-
 def ideal_cache_key(name, gens):
     """Key of a quantity of M cached on pres._cache that depends on an
     ideal (or sequence) given by gens, independent of their order."""

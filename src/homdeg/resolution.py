@@ -5,14 +5,14 @@ Everything is computed over the polynomial cover S; a module over A = S/J
 is just an S-module killed by J.  The resolution is minimal (no constant
 entries in any differential), so its length equals the projective
 dimension and is bounded by the number of variables.  Ext is the homology
-of the dualized resolution, taken by modules.homology (shared with
-koszul) on top of groebner.lift_relations.
+of the dualized resolution, presented by two groebner.lift_relations
+calls: the cycles, then the cycles modulo the boundaries.
 """
 
 from .errors import EngineBugError
 from .freemod import FreeElement, FreeModule
-from .groebner import syzygy_module
-from .modules import Algebra, Presentation, homology, minimal_generators
+from .groebner import lift_relations, syzygy_module
+from .modules import Algebra, Presentation, minimal_generators
 from .ring import Polynomial
 
 
@@ -103,8 +103,7 @@ def ext_modules(pres, max_index=None):
     """Ext^i_S(M, S) for i = 0..max_index as Presentations over S.
 
     Computed as homology of the dualized minimal resolution,
-    Ext^i = ker(d_{i+1}^*) / im(d_i^*), by the helper modules.homology
-    that Koszul homology shares.
+    Ext^i = ker(d_{i+1}^*) / im(d_i^*), as minimal presentations.
     """
     ring = pres.ring
     if max_index is None:
@@ -121,7 +120,11 @@ def ext_modules(pres, max_index=None):
 
 
 def _ext_at(plain, res, i):
-    """Ext^i = ker(d_{i+1}^*) / im(d_i^*) at F_i^*, by modules.homology."""
+    """Ext^i = ker(d_{i+1}^*) / im(d_i^*) at F_i^*, minimally presented.
+
+    The cycles are the relations of the outgoing columns, re-homed to
+    F_i^* (all of F_i^* when i = L); they are presented modulo the
+    boundaries, the incoming columns."""
     L = res.length
     if i > L:
         return Presentation(plain, 0, (), ())
@@ -137,10 +140,16 @@ def _ext_at(plain, res, i):
     else:
         boundaries = []
     # outgoing dual map d_{i+1}^* : F_i^* -> F_{i+1}^*  (kernel = cycles)
-    outgoing = None
     if i < L:
         _, _, outgoing = _transpose_columns(res.diffs[i], res.modules[i + 1], res.modules[i])
-    return homology(plain, dual_fi, outgoing, [], boundaries)
+        cycles = [FreeElement(dual_fi, a.terms) for a in lift_relations(outgoing, [])]
+    else:
+        cycles = [dual_fi.basis(j) for j in range(dual_fi.rank)]
+    if not cycles:
+        return Presentation(plain, 0, (), ())
+    rels = lift_relations(cycles, boundaries)
+    twists = tuple(c.homogeneous_degree() for c in cycles)
+    return Presentation(plain, len(cycles), twists, rels).minimized()
 
 
 def local_cohomology_duals(pres):

@@ -281,6 +281,20 @@ def test_nonlinear_samuel_rejects_inhomogeneous_generator():
         SamuelFunction(pres, [x**2 + y])(0)
 
 
+def test_coefficients_reject_inhomogeneous_linear_generator():
+    # x - y + 1 has degree 1, so it would take the exact (linear) route
+    ring = PolyRing(("x", "y"))
+    x, y = ring.gens()
+    pres = Algebra(ring, [x * y]).as_module()
+    q = [x - y + 1]
+    with pytest.raises(InhomogeneousError):
+        hilbert_coefficients(pres, q)
+    with pytest.raises(InhomogeneousError):
+        exact_coefficients(pres, q)
+    with pytest.raises(InhomogeneousError):
+        multiplicity(pres, q)
+
+
 def test_nonlinear_samuel_sample_cap():
     inst = gen_example_46(1)
     x, y, z = inst.pres.ring.gens()

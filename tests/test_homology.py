@@ -1,19 +1,31 @@
 """Free resolutions, Ext, local-cohomology duals, depth, and Koszul
-homology, checked on instances with known answers."""
+homology lengths, checked on instances with known answers; the Koszul
+lengths also against presented homology modules on seeded draws."""
+
+import random
+from itertools import combinations
 
 import pytest
 
 from homdeg import (
+    QQ,
     Algebra,
+    FreeElement,
+    FreeModule,
+    Polynomial,
     PolyRing,
+    Presentation,
+    PrimeField,
     depth,
     euler_char_1,
     ext_modules,
     free_resolution,
-    koszul_homology,
     koszul_homology_lengths,
+    lift_relations,
     local_cohomology_duals,
 )
+from homdeg.errors import EngineBugError
+from homdeg.modules import colon_by_ideal, minimal_generators
 
 
 def test_resolution_hypersurface():
@@ -122,9 +134,149 @@ def test_koszul_mixed_degrees():
     assert lens == [2, 0, 0]  # regular sequence, l(S/(x, y^2)) = 2
 
 
-def test_koszul_homology_presentations_consistent():
-    ring = PolyRing(("x", "y"))
-    x, y = ring.gens()
-    pres = Algebra(ring, [x**2, x * y]).as_module()
-    hs = koszul_homology(pres, [y, x])
-    assert [h.length() for h in hs] == koszul_homology_lengths(pres, [y, x])
+# ---- Koszul lengths against independent routes ------------------------
+
+
+def _linear(rng, ring):
+    form = ring.zero
+    while not form:
+        for i in range(ring.n):
+            form = form + ring.var(i).scale(ring.field.from_int(rng.randint(-2, 2)))
+    return form
+
+
+def _random_form(rng, ring, deg):
+    """A sum of up to two random monomials of degree deg (0 if deg < 0)."""
+    form = ring.zero
+    if deg < 0:
+        return form
+    for _ in range(rng.randint(1, 2)):
+        m = [0] * ring.n
+        for _ in range(deg):
+            m[rng.randrange(ring.n)] += 1
+        c = ring.field.from_int(rng.choice([-2, -1, 1, 3]))
+        form = form + Polynomial(ring, {tuple(m): c})
+    return form
+
+
+def _sheared_monomial_quotient(rng, ring):
+    """k[x,y,z]/J for a monomial J moved by a unitriangular substitution."""
+    sub = []
+    for i in range(ring.n):
+        form = ring.var(i)
+        for j in range(i + 1, ring.n):
+            form = form + ring.var(j).scale(ring.field.from_int(rng.randint(-2, 2)))
+        sub.append(form)
+    rels = []
+    for _ in range(rng.randint(1, 4)):
+        rels.append(_random_form(rng, ring, rng.randint(1, 3)).substitute(sub))
+    return Algebra(ring, rels).as_module()
+
+
+def _twisted_rank_two(rng, ring):
+    """coker of a random homogeneous 2-row matrix with twists (0, 1)."""
+    algebra = Algebra(ring, [_random_form(rng, ring, 3)] if rng.random() < 0.5 else [])
+    twists = (0, 1)
+    ambient = FreeModule(ring, 2, twists)
+    cols = []
+    for _ in range(rng.randint(2, 4)):
+        deg = rng.randint(1, 3)
+        col = ambient.zero()
+        for c in range(2):
+            col = col + ambient.inject(_random_form(rng, ring, deg - twists[c]), c)
+        cols.append(col)
+    return Presentation(algebra, 2, twists, cols)
+
+
+def _random_instance(rng):
+    field = QQ if rng.random() < 0.5 else PrimeField(32003)
+    ring = PolyRing(("x", "y", "z"), field=field)
+    if rng.random() < 0.5:
+        pres = _sheared_monomial_quotient(rng, ring)
+    else:
+        pres = _twisted_rank_two(rng, ring)
+    seq = [_linear(rng, ring) for _ in range(rng.randint(1, 3))]
+    if rng.random() < 0.4:
+        k = rng.randrange(len(seq))
+        seq[k] = seq[k] * _linear(rng, ring) + _random_form(rng, ring, 2)
+    return pres, [a for a in seq if a]
+
+
+def _reference_lengths(pres, seq):
+    """l(H_i) from explicit presentations: the cycles of the Koszul
+    differential lifted modulo the relations of M, then presented modulo
+    the boundaries plus those relations; None for an infinite length."""
+    ring, rank, d = pres.ring, pres.rank, len(seq)
+    degs = [a.homogeneous_degree() for a in seq]
+    subsets = [list(combinations(range(d), i)) for i in range(d + 1)]
+
+    def chain(i):
+        twists = [t + sum(degs[s] for s in T) for T in subsets[i] for t in pres.twists]
+        return FreeModule(ring, len(twists), twists)
+
+    def relations(i, mod):
+        return [
+            FreeElement(mod, {(k * rank + c, m): v for (c, m), v in rel.terms.items()})
+            for k in range(len(subsets[i]))
+            for rel in pres.relation_gens()
+        ]
+
+    def images(i, target):
+        """d(e_T b_j) in the (i-1)-chains, for every i-subset T and j."""
+        out = []
+        for T in subsets[i]:
+            for j in range(rank):
+                el = target.zero()
+                for pos, t in enumerate(T):
+                    k = subsets[i - 1].index(T[:pos] + T[pos + 1 :])
+                    el = el + target.inject(seq[t] * (-1) ** pos, k * rank + j)
+                out.append(el)
+        return out
+
+    lens = []
+    for i in range(d + 1):
+        mod = chain(i)
+        if i == 0:
+            cycles = [mod.basis(j) for j in range(mod.rank)]
+        else:
+            lower = chain(i - 1)
+            lifted = lift_relations(images(i, lower), relations(i - 1, lower))
+            cycles = minimal_generators([FreeElement(mod, a.terms) for a in lifted])
+        modulo = relations(i, mod) + (images(i + 1, mod) if i < d else [])
+        cols = lift_relations(cycles, modulo) if cycles else []
+        twists = [c.homogeneous_degree() for c in cycles]
+        lens.append(Presentation(Algebra(ring), len(cycles), twists, cols).length())
+    return lens
+
+
+def test_koszul_lengths_match_presented_homology():
+    rng = random.Random(2024)
+    finite = infinite = 0
+    for _ in range(30):
+        pres, seq = _random_instance(rng)
+        want = _reference_lengths(pres, seq)
+        if None in want:
+            infinite += 1
+            with pytest.raises(EngineBugError, match="infinite length"):
+                koszul_homology_lengths(pres, seq)
+        else:
+            finite += 1
+            assert koszul_homology_lengths(pres, seq) == want, (pres, seq)
+    assert finite >= 10 and infinite >= 3
+
+
+def test_koszul_end_lengths_by_quotient_and_annihilator():
+    """l(H_0) = l(M/QM) and l(H_d) = l(0 :_M Q)."""
+    rng = random.Random(17)
+    checked = 0
+    for _ in range(30):
+        pres, seq = _random_instance(rng)
+        h0 = pres.quotient_by_ideal(seq).length()
+        if h0 is None:
+            continue
+        checked += 1
+        lens = koszul_homology_lengths(pres, seq)
+        assert lens[0] == h0
+        top = pres.subquotient(colon_by_ideal(pres, [], seq))
+        assert lens[-1] == top.length(), (pres, seq)
+    assert checked >= 10
