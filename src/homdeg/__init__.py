@@ -15,7 +15,7 @@ from .errors import (
 )
 from .fields import QQ, PrimeField
 from .freemod import FreeElement, FreeModule
-from .groebner import groebner_basis, lift_relations, normal_form, syzygy_module
+from .groebner import groebner_basis, lift_relations, normal_form
 from .hilbert import (
     HilbertCoefficients,
     SamuelFunction,

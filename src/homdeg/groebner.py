@@ -54,12 +54,12 @@ class TermOrder:
         return reduce_by_key(terms, by_comp, self.key)
 
 
-def _monic(nf):
-    """nf scaled to lead coefficient 1, and its lead (comp, mono).  nf is a
-    normal form, so its lead is its first key."""
+def _monic(nf, one):
+    """nf scaled to lead coefficient 1 (one, the field's unit), and its lead
+    (comp, mono).  nf is a normal form, so its lead is its first key."""
     lead = next(iter(nf))
     lc = nf[lead]
-    if str(lc) == "1":
+    if lc == one:
         return nf, lead
     return {t: v / lc for t, v in nf.items()}, lead
 
@@ -108,7 +108,7 @@ class GroebnerEngine:
         deg = self._degree(nf)
         if deg > self.cap:
             raise DegreeCapError(self.cap)
-        terms, (c, m) = _monic(nf)
+        terms, (c, m) = _monic(nf, self.ring.field.one)
         idx = len(self.basis)
         self.basis.append(terms)
         self.leads.append((c, m))
@@ -262,62 +262,49 @@ def normal_form(el, gb, order=None):
     return FreeElement(el.module, order.reduce(el.terms, _by_lead(gb)))
 
 
-def syzygy_module(gens):
-    """Generators of the syzygy module of a list of nonzero homogeneous
-    elements of a common graded free module.
+def lift_relations(gens, modulo):
+    """Relations among the images of gens in F / <modulo>.
 
-    Returned elements live in S^k with twists = the generator degrees, so
-    they are homogeneous with correct bookkeeping.
+    Returns generators of {a in S^k : sum a_i gens_i in <modulo>}, the
+    presentation matrix columns of the subquotient (<gens> + <modulo>) /
+    <modulo> on the generators gens.  They live in S^k with twists = the
+    generator degrees, so they are homogeneous.  Zero gens contribute unit
+    relations; lift_relations(gens, []) is the syzygy module of gens.
+
+    One Groebner run: each nonzero generator and each modulo element g
+    gets its own tag component, g + e_tag in F + S^tags, under the
+    elimination order that puts F first; the basis elements free of F,
+    restricted to the tags of gens, are the relations.
+
+    This is the one relation-lifting primitive of the engine: syzygies and
+    free resolutions, submodule presentations, colons and intersections
+    (modules.py) and the cycles and homology of Ext (resolution.py) all go
+    through it.
     """
     if not gens:
         return []
     ambient = gens[0].module
     ring = ambient.ring
     r = ambient.rank
-    k = len(gens)
-    degs = []
-    for g in gens:
-        if not g:
-            raise ValueError("syzygy_module expects nonzero generators")
-        degs.append(g.homogeneous_degree())
-    big = FreeModule(ring, r + k, ambient.twists + tuple(degs))
-    tagged = []
-    for i, g in enumerate(gens):
-        terms = dict(g.terms)
-        terms[(r + i, ring.zero_mono)] = ring.field.one
-        tagged.append(FreeElement(big, terms))
-    gb = groebner_basis(tagged, module=big, order=TermOrder(r))
-    target = FreeModule(ring, k, tuple(degs))
-    out = []
-    for el in gb:
-        if any(c < r for c, _ in el.terms):
-            continue
-        out.append(FreeElement(target, {(c - r, m): v for (c, m), v in el.terms.items()}))
-    return out
-
-
-def lift_relations(gens, modulo):
-    """Relations among the images of gens in F / <modulo>.
-
-    Returns generators of {a in S^k : sum a_i gens_i in <modulo>}, the
-    presentation matrix columns of the subquotient (<gens> + <modulo>) /
-    <modulo> on the generators gens.  Zero gens contribute unit relations.
-
-    This is the one relation-lifting primitive of the engine: submodule
-    presentations, colons and intersections (modules.py) and the cycles
-    and homology of Ext (resolution.py) all go through it.
-    """
-    if not gens:
-        return []
     degs = tuple(g.homogeneous_degree() if g else 0 for g in gens)
-    target = FreeModule(gens[0].module.ring, len(gens), degs)
+    target = FreeModule(ring, len(gens), degs)
     nonzero = [i for i, g in enumerate(gens) if g]
     out = []
     if nonzero:
         combined = [gens[i] for i in nonzero] + [m for m in modulo if m]
-        for s in syzygy_module(combined):
+        tags = tuple(g.homogeneous_degree() for g in combined)
+        big = FreeModule(ring, r + len(combined), ambient.twists + tags)
+        tagged = []
+        for i, g in enumerate(combined):
+            terms = dict(g.terms)
+            terms[(r + i, ring.zero_mono)] = ring.field.one
+            tagged.append(FreeElement(big, terms))
+        top = r + len(nonzero)
+        for el in groebner_basis(tagged, module=big, order=TermOrder(r)):
+            if any(c < r for c, _ in el.terms):
+                continue
             terms = {
-                (nonzero[c], m): v for (c, m), v in s.terms.items() if c < len(nonzero)
+                (nonzero[c - r], m): v for (c, m), v in el.terms.items() if c < top
             }
             if terms:
                 out.append(FreeElement(target, terms))

@@ -14,7 +14,7 @@ from .hilbert import HilbertCoefficients, hilbert_coefficients, multiplicity
 from .koszul import euler_char_1
 from .modules import (
     Presentation,
-    colon_by_element,
+    colon_by_ideal,
     ideal_cache_key,
     intersect_submodules,
     minimal_generators,
@@ -22,6 +22,7 @@ from .modules import (
     submodule_gb,
     submodule_key,
 )
+from .monomial_ideals import poly_add, series_length
 from .resolution import depth as depth_of, ext_codims, local_cohomology_duals
 
 
@@ -106,10 +107,19 @@ def h0_torsion_module(pres):
     return pres.subquotient(h0_torsion_gens(pres))
 
 
+def _sub_length(quotient, gb):
+    """l(<gb> / N) for quotient = F/N and a reduced basis gb in F of a
+    submodule containing N, read off HS(F/N) - HS(F/<gb>); None if
+    infinite.  No submodule is presented."""
+    outer = Presentation(quotient.algebra, quotient.rank, quotient.twists, gb)
+    num = poly_add(quotient.hilbert_numerator(), outer.hilbert_numerator(), sign=-1)
+    return series_length(num, quotient.ring.n)
+
+
 def h0_length(pres):
-    """l(H^0_m(M)), cached on pres.  Computed once by saturation and
-    cross-checked against the length of the dual module M_0 (duality
-    preserves length)."""
+    """l(H^0_m(M)), cached on pres.  Computed once from the Hilbert series
+    of M and of F/(0 :_M m^infinity), and cross-checked against the length
+    of the dual module M_0 (duality preserves length)."""
     cached = pres._cache.get("h0_length")
     if cached is None:
         cached = pres._cache["h0_length"] = _h0_length(pres)
@@ -119,7 +129,7 @@ def h0_length(pres):
 def _h0_length(pres):
     if pres.is_zero():
         return 0
-    via_sat = h0_torsion_module(pres).length()
+    via_sat = _sub_length(pres, h0_torsion_gens(pres))
     if via_sat is None:
         raise EngineBugError("m-torsion submodule has infinite length")
     via_dual = _duals(pres)[0].length()
@@ -201,8 +211,8 @@ def is_d_sequence(pres, seq):
     for i in range(1, d + 1):
         prefix = _ideal_times_module_gens(pres, seq[: i - 1])
         for j in range(i, d + 1):
-            lhs = colon_by_element(pres, prefix, seq[i - 1] * seq[j - 1])
-            rhs = colon_by_element(pres, prefix, seq[j - 1])
+            lhs = colon_by_ideal(pres, prefix, [seq[i - 1] * seq[j - 1]])
+            rhs = colon_by_ideal(pres, prefix, [seq[j - 1]])
             if submodule_key(lhs) != submodule_key(rhs):
                 return False, (i, j)
     return True, None
@@ -256,7 +266,7 @@ def is_superficial(pres, a, ideal_gens, c_range=(1, 4), window=4, cap=12):
             icm = _ideal_times_module_gens(pres, power(c))
             inm = _ideal_times_module_gens(pres, power(n))
             in1m = _ideal_times_module_gens(pres, power(n + 1))
-            lhs_colon = colon_by_element(pres, in1m, a)
+            lhs_colon = colon_by_ideal(pres, in1m, [a])
             lhs = intersect_submodules(
                 lhs_colon, submodule_gb(pres, icm), pres.ambient
             )
@@ -306,8 +316,8 @@ def dseq_coefficients(pres, seq):
         raise ValueError("the sequence is not a system of parameters")
     details["l_M_QM"] = l_mqm
     prefix = _ideal_times_module_gens(pres, seq[: d - 1])
-    colon = colon_by_element(pres, prefix, seq[d - 1])
-    correction = pres.subquotient(colon, extra_relations=prefix).length()
+    colon = colon_by_ideal(pres, prefix, [seq[d - 1]])
+    correction = _sub_length(quo(d - 1), colon)
     if correction is None:
         raise EngineBugError("colon correction module has infinite length")
     details["l_colon_correction"] = correction

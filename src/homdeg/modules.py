@@ -42,9 +42,6 @@ class Algebra:
         """Generators of the maximal (irrelevant) ideal: the variables."""
         return [self.ring.var(i) for i in range(self.ring.n)]
 
-    def free_module(self, rank, twists=None):
-        return FreeModule(self.ring, rank, twists)
-
     def as_module(self):
         """A as a module over itself."""
         return Presentation(self, 1, (0,), ())
@@ -120,7 +117,7 @@ class Presentation:
         """Per-component minimal lead monomials of the relation module."""
         per = [[] for _ in range(self.rank)]
         for g in self.gb():
-            (c, m), _ = g.lead()
+            c, m = next(iter(g.terms))  # a reduced element leads with its lead
             per[c].append(m)
         return [minimalize(ms) for ms in per]
 
@@ -178,15 +175,13 @@ class Presentation:
                 cols.append(self.ambient.inject(g, i))
         return Presentation(self.algebra, self.rank, self.twists, cols)
 
-    def subquotient(self, gens, extra_relations=()):
+    def subquotient(self, gens):
         """The submodule of M spanned by (the images of) gens, presented on
-        those generators.  extra_relations enlarges the submodule worked
-        modulo, giving (<gens> + N') / N' with N' = N + <extra_relations>."""
+        those generators."""
         gens = [g for g in gens if g]
         if not gens:
             return Presentation(self.algebra, 0, (), ())
-        modulo = self.relation_gens() + [r for r in extra_relations if r]
-        cols = lift_relations(gens, modulo)
+        cols = lift_relations(gens, self.relation_gens())
         twists = tuple(g.homogeneous_degree() for g in gens)
         return Presentation(self.algebra, len(gens), twists, cols)
 
@@ -272,41 +267,43 @@ def intersect_submodules(gens1, gens2, module):
     return groebner_basis(out, module=module) if out else []
 
 
-def colon_by_element(pres, sub_gens, f):
-    """Generators of (N :_M f) = {u in M : f u in N}, for N = <sub_gens>
-    inside M, as a reduced Groebner basis in the ambient of pres: the
-    relations of f e_1, ..., f e_r modulo N and the relations of M.
-    f = 0 returns all of M (documented behaviour)."""
+def colon_by_ideal(pres, sub_gens, ideal_gens):
+    """Generators of (N :_M I) = {u in M : f u in N for every f in I}, for
+    N = <sub_gens> inside M and I = (ideal_gens), as a reduced Groebner
+    basis in the ambient F of pres.  The zero ideal gives all of M.
+
+    One lift_relations: the relations of the images of e_1, ..., e_r under
+    u -> (f_1 u, ..., f_s u) in F^s, modulo a copy of N + relations(M) in
+    every block.  Block k is twisted by D - deg f_k (D = max deg f_k), so
+    every image is homogeneous of degree t_i + D."""
     module = pres.ambient
-    if not f:
+    ideal_gens = [f for f in ideal_gens if f]
+    if not ideal_gens:
         return [module.basis(i) for i in range(module.rank)]
-    if not f.is_homogeneous():
-        raise InhomogeneousError(repr(f))
+    r = module.rank
+    degs = [f.homogeneous_degree() for f in ideal_gens]
+    twists = tuple(t + max(degs) - d for d in degs for t in module.twists)
+    blocks = FreeModule(pres.ring, len(twists), twists)
+    images = [
+        FreeElement(
+            blocks,
+            {(k * r + i, m): v for k, f in enumerate(ideal_gens) for m, v in f.terms.items()},
+        )
+        for i in range(r)
+    ]
     big_n = [g for g in sub_gens if g] + pres.relation_gens()
-    f_f = [module.inject(f, i) for i in range(module.rank)]
-    out = [FreeElement(module, a.terms) for a in lift_relations(f_f, big_n)]
+    copies = [
+        FreeElement(blocks, {(k * r + c, m): v for (c, m), v in g.terms.items()})
+        for k in range(len(ideal_gens))
+        for g in big_n
+    ]
+    out = [FreeElement(module, a.terms) for a in lift_relations(images, copies)]
     return groebner_basis(out, module=module) if out else []
 
 
-def colon_by_ideal(pres, sub_gens, ideal_gens):
-    """(N :_M J) as the intersection of the element colons."""
-    ideal_gens = [f for f in ideal_gens if f]
-    if not ideal_gens:
-        raise ValueError("colon by the empty (zero) ideal is not defined")
-    result = None
-    for f in ideal_gens:
-        part = colon_by_element(pres, sub_gens, f)
-        if result is None:
-            result = part
-        else:
-            result = intersect_submodules(result, part, pres.ambient)
-    return result
-
-
 def saturate(pres, sub_gens, ideal_gens):
-    """(N :_M J^infinity): iterate the colon until it stabilizes."""
-    current = [g for g in sub_gens if g] + pres.relation_gens()
-    current = groebner_basis(current, module=pres.ambient) if current else []
+    """(N :_M I^infinity): iterate the colon until it stabilizes."""
+    current = submodule_gb(pres, sub_gens)
     while True:
         nxt = colon_by_ideal(pres, current, ideal_gens)
         if submodule_key(nxt) == submodule_key(current):
@@ -321,13 +318,9 @@ def ideal_cache_key(name, gens):
 
 
 def submodule_key(gb_gens):
-    """Canonical key of a submodule given by a reduced Groebner basis."""
-    return tuple(
-        sorted(
-            tuple(sorted((c, m, str(v)) for (c, m), v in g.terms.items()))
-            for g in gb_gens
-        )
-    )
+    """Key of a submodule given by a reduced Groebner basis, for equality
+    tests only: two reduced bases of one submodule have equal keys."""
+    return frozenset(frozenset(g.terms.items()) for g in gb_gens)
 
 
 def submodule_gb(pres, gens):

@@ -4,14 +4,15 @@ local-cohomology duals obtained from them.
 Everything is computed over the polynomial cover S; a module over A = S/J
 is just an S-module killed by J.  The resolution is minimal (no constant
 entries in any differential), so its length equals the projective
-dimension and is bounded by the number of variables.  Ext is the homology
-of the dualized resolution, presented by two groebner.lift_relations
+dimension and is bounded by the number of variables.  Each syzygy step
+is groebner.lift_relations(columns, []), minimally generated.  Ext is the
+homology of the dualized resolution, presented by two more lift_relations
 calls: the cycles, then the cycles modulo the boundaries.
 """
 
 from .errors import EngineBugError
 from .freemod import FreeElement, FreeModule
-from .groebner import lift_relations, syzygy_module
+from .groebner import lift_relations
 from .modules import Algebra, Presentation, minimal_generators
 from .ring import Polynomial
 
@@ -60,7 +61,7 @@ def free_resolution(pres):
         diffs.append(cols)
         degs = tuple(g.homogeneous_degree() for g in current)
         modules.append(FreeModule(ring, len(current), degs))
-        current = minimal_generators(syzygy_module(current))
+        current = minimal_generators(lift_relations(current, []))
     res = FreeResolution(modules, diffs)
     _check_complex(res)
     pres._cache["resolution"] = res

@@ -1,6 +1,6 @@
 """Free resolutions, Ext, local-cohomology duals, depth, and Koszul
 homology lengths, checked on instances with known answers; the Koszul
-lengths also against presented homology modules on seeded draws."""
+lengths and l(H^0) also against presented modules on seeded draws."""
 
 import random
 from itertools import combinations
@@ -25,6 +25,7 @@ from homdeg import (
     local_cohomology_duals,
 )
 from homdeg.errors import EngineBugError
+from homdeg.invariants import h0_length, h0_torsion_module
 from homdeg.modules import colon_by_ideal, minimal_generators
 
 
@@ -280,3 +281,18 @@ def test_koszul_end_lengths_by_quotient_and_annihilator():
         top = pres.subquotient(colon_by_ideal(pres, [], seq))
         assert lens[-1] == top.length(), (pres, seq)
     assert checked >= 10
+
+
+def test_h0_length_by_series_matches_presented_torsion(corpus):
+    """l(H^0(M)) read off HS(M) - HS(F/(0 :_M m^infinity)) equals the
+    length of the presented m-torsion submodule."""
+    for inst in corpus:
+        assert h0_length(inst.pres) == h0_torsion_module(inst.pres).length(), inst.name
+    rng = random.Random(4300)
+    nonzero = 0
+    for _ in range(30):
+        pres, _ = _random_instance(rng)
+        want = h0_torsion_module(pres).length()
+        assert h0_length(pres) == want, pres
+        nonzero += want > 0
+    assert nonzero >= 5

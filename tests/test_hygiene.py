@@ -1,0 +1,39 @@
+"""Source hygiene: every module-level import in the package is used."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "homdeg"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _module_level_imports(tree):
+    """(bound name, line) for each import at module level, including the
+    branches of a top-level try (optional dependencies)."""
+    stmts = list(tree.body)
+    for node in tree.body:
+        if isinstance(node, ast.Try):
+            stmts += node.body + node.orelse + node.finalbody
+            for handler in node.handlers:
+                stmts += handler.body
+    out = []
+    for node in stmts:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                out.append((name, node.lineno))
+    return out
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_level_imports_are_used(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = [
+        f"{name} (line {line})"
+        for name, line in _module_level_imports(tree)
+        if name not in used
+    ]
+    assert not unused, f"{path.name} imports names it never uses: {unused}"

@@ -1,14 +1,24 @@
 """Submodule calculus: colons, intersections and lifted relations, checked
 against monomial combinatorics and against a reference colon that
-intersects with f*F and divides f back out."""
+intersects with f*F and divides f back out (and, for an ideal, intersects
+those element colons)."""
 
 import random
 
-from homdeg import Algebra, FreeElement, FreeModule, Polynomial, PolyRing, Presentation
+from homdeg import (
+    QQ,
+    Algebra,
+    FreeElement,
+    FreeModule,
+    Polynomial,
+    PolyRing,
+    Presentation,
+    PrimeField,
+)
 from homdeg.errors import EngineBugError
-from homdeg.groebner import groebner_basis, lift_relations, syzygy_module
+from homdeg.groebner import groebner_basis, lift_relations
 from homdeg.kernel import mono_div, mono_divides, mono_lcm, mono_mul, term_key
-from homdeg.modules import colon_by_element, intersect_submodules, submodule_key
+from homdeg.modules import colon_by_ideal, intersect_submodules, submodule_key
 
 
 def _monomial(ring, m):
@@ -40,7 +50,7 @@ def test_monomial_colon_is_lcm_over_f():
     for _ in range(60):
         j = _random_monomial_ideal(rng, ring.n)
         f = _random_mono(rng, ring.n, rng.randint(0, 3))
-        got = colon_by_element(pres, [mod.inject(_monomial(ring, g)) for g in j], _monomial(ring, f))
+        got = colon_by_ideal(pres, [mod.inject(_monomial(ring, g)) for g in j], [_monomial(ring, f)])
         want = [mono_div(mono_lcm(g, f), f) for g in j]
         assert submodule_key(got) == _key_of_monomials(mod, want), (j, f)
         # the colon comes back as a reduced Groebner basis
@@ -71,7 +81,7 @@ def _reference_intersect(gens1, gens2, module):
     g1 = [g for g in gens1 if g]
     g2 = [g for g in gens2 if g]
     out = []
-    for s in syzygy_module(g1 + g2):
+    for s in lift_relations(g1 + g2, []):
         el = module.zero()
         for (c, m), v in s.terms.items():
             if c < len(g1):
@@ -148,7 +158,7 @@ def test_colon_matches_reference_colon():
                 for _ in range(rng.randint(0, 2))
             ]
             f = _random_form(rng, ring, rng.randint(1, 2))
-            got = colon_by_element(pres, sub, f)
+            got = colon_by_ideal(pres, sub, [f])
             assert submodule_key(got) == submodule_key(_reference_colon(pres, sub, f)), (
                 pres,
                 sub,
@@ -161,3 +171,64 @@ def test_lift_relations_of_zero_gens_are_units():
     mod = FreeModule(ring, 2)
     rels = lift_relations([mod.zero(), mod.zero()], [])
     assert set(rels) == {FreeModule(ring, 2).basis(i) for i in range(2)}
+
+
+def _element_colon(pres, sub_gens, f):
+    """(N :_M f) as the relations of f e_1, ..., f e_r modulo N and the
+    relations of M (one element, so no blocks and no twist shifts)."""
+    module = pres.ambient
+    big_n = [g for g in sub_gens if g] + pres.relation_gens()
+    f_f = [module.inject(f, i) for i in range(module.rank)]
+    out = [FreeElement(module, a.terms) for a in lift_relations(f_f, big_n)]
+    return groebner_basis(out, module=module) if out else []
+
+
+def test_colon_by_ideal_matches_intersected_element_colons():
+    """(N :_M (f_1..f_s)) is the intersection of the (N :_M f_k); ideals
+    mix a linear form with a quadric, so the blocks of the colon need
+    their twist shifts."""
+    rng = random.Random(2718)
+    mixed = 0
+    for field in (QQ, PrimeField(32003)):
+        ring = PolyRing(("x", "y", "z"), field=field)
+        for rank in (1, 1, 2):
+            for _ in range(6):
+                pres = _random_presentation(rng, ring, rank)
+                sub = [
+                    _random_element(rng, ring, pres.ambient, rng.randint(1, 3))
+                    for _ in range(rng.randint(0, 2))
+                ]
+                ideal = [_random_form(rng, ring, 1), _random_form(rng, ring, 2)]
+                if rng.random() < 0.5:
+                    ideal.append(_random_form(rng, ring, rng.randint(1, 2)))
+                mixed += len({f.homogeneous_degree() for f in ideal}) > 1
+                want = None
+                for f in ideal:
+                    part = _element_colon(pres, sub, f)
+                    want = part if want is None else _reference_intersect(want, part, pres.ambient)
+                got = colon_by_ideal(pres, sub, ideal)
+                assert submodule_key(got) == submodule_key(want), (pres, sub, ideal)
+                assert got == groebner_basis(got, module=pres.ambient)
+    assert mixed == 36
+
+
+def test_colon_by_zero_ideal_is_all_of_m():
+    ring = PolyRing(("x", "y"))
+    x, y = ring.gens()
+    pres = Presentation(Algebra(ring, [x * y]), 2, (0, 1), [])
+    every = submodule_key([pres.ambient.basis(i) for i in range(2)])
+    sub = [pres.ambient.inject(x, 0)]
+    assert submodule_key(colon_by_ideal(pres, sub, [])) == every
+    assert submodule_key(colon_by_ideal(pres, sub, [ring.zero])) == every
+
+
+def test_submodule_key_takes_huge_coefficients():
+    """A reduced basis with a coefficient past Python's 4300-digit string
+    limit still gets a key."""
+    ring = PolyRing(("x", "y"))
+    x, y = ring.gens()
+    mod = FreeModule(ring, 1)
+    big = Polynomial(ring, {(0, 1): ring.field.from_int(10**5000)})
+    gb = groebner_basis([mod.inject(x + big)], module=mod)
+    assert submodule_key(gb) == submodule_key(groebner_basis(gb, module=mod))
+    assert submodule_key(gb) != submodule_key(groebner_basis([mod.inject(x)], module=mod))
