@@ -11,14 +11,12 @@ from .errors import (
     HomdegError,
     InhomogeneousError,
     RingMismatchError,
-    SampleCapError,
 )
 from .fields import QQ, PrimeField
 from .freemod import FreeElement, FreeModule
 from .groebner import groebner_basis, lift_relations, normal_form
 from .hilbert import (
     HilbertCoefficients,
-    SamuelFunction,
     hilbert_coefficients,
     hilbert_series,
     multiplicity,

@@ -37,7 +37,6 @@ class SessionConfig:
     fmt: str = "text"
     seed: int = 0
     degree_cap: int = 64
-    sample_cap: int = 50
 
 
 def _parse_field(text):
@@ -68,13 +67,6 @@ def build_arg_parser():
     ap.add_argument("--format", choices=("text", "json"), default="text")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--degree-cap", type=int, default=64)
-    ap.add_argument(
-        "--sample-cap",
-        type=int,
-        default=50,
-        help="most Samuel samples taken when Q has a non-linear generator "
-        "(default 50); linear Q is computed exactly and never sampled",
-    )
     return ap
 
 
@@ -103,8 +95,6 @@ def _check_parameters(pres, q_gens, stmt):
 
 def run_script(script, cfg):
     """Execute a parsed script; returns (report dict, failure flag)."""
-    if cfg.sample_cap < 1:
-        raise ValueError("sample cap must be positive")
     report = report_mod.empty_report()
     current_pres = None
     current_params = None
@@ -114,7 +104,6 @@ def run_script(script, cfg):
     for stmt in script.statements:
         if isinstance(stmt, RingDecl):
             stmt.ring.degree_cap = cfg.degree_cap
-            stmt.ring.sample_cap = cfg.sample_cap
         elif isinstance(stmt, AlgebraDecl):
             current_pres = stmt.algebra.as_module()
             current_meta = {"family": "script", "params": {"name": stmt.name}}
@@ -130,7 +119,6 @@ def run_script(script, cfg):
             else:
                 inst = gen_example_46(args["l"], field=cfg.field)
             inst.pres.ring.degree_cap = cfg.degree_cap
-            inst.pres.ring.sample_cap = cfg.sample_cap
             current_pres = inst.pres
             current_params = inst.q_gens
             current_meta = inst.metadata
@@ -175,7 +163,6 @@ def main(argv=None):
         fmt=args.format,
         seed=args.seed,
         degree_cap=args.degree_cap,
-        sample_cap=args.sample_cap,
     )
     try:
         with open(args.input, encoding="utf-8") as fh:

@@ -26,14 +26,6 @@ class DegreeCapError(HomdegError):
         super().__init__(f"computation exceeded the degree cap {cap}")
 
 
-class SampleCapError(HomdegError):
-    """Hilbert-Samuel fitting did not stabilize within the sample cap."""
-
-    def __init__(self, cap):
-        self.cap = cap
-        super().__init__(f"Hilbert-Samuel fit did not stabilize within {cap} samples")
-
-
 class EngineBugError(HomdegError):
     """Two independent computations of the same value disagree, or a proven
     inequality failed.  This always signals a bug in the engine, never bad

@@ -1,7 +1,7 @@
 """Graded free modules S^r with degree twists, and their elements."""
 
 from .errors import InhomogeneousError, RingMismatchError
-from .kernel import mono_deg, mono_mul, term_key
+from .kernel import mono_mul, term_key
 from .ring import Polynomial
 
 
@@ -119,11 +119,12 @@ class FreeElement:
         """Twisted degree; -1 (unset marker) for zero."""
         if not self.terms:
             return -1
-        return max(mono_deg(m) + self.module.twists[c] for c, m in self.terms)
+        deg, twists = self.module.ring.mono_degree, self.module.twists
+        return max(deg(m) + twists[c] for c, m in self.terms)
 
     def is_homogeneous(self):
-        degs = {mono_deg(m) + self.module.twists[c] for c, m in self.terms}
-        return len(degs) <= 1
+        deg, twists = self.module.ring.mono_degree, self.module.twists
+        return len({deg(m) + twists[c] for c, m in self.terms}) <= 1
 
     def homogeneous_degree(self):
         if not self.is_homogeneous():

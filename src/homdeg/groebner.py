@@ -15,7 +15,6 @@ import heapq
 from .errors import DegreeCapError, EngineBugError, InhomogeneousError
 from .freemod import FreeElement, FreeModule
 from .kernel import (
-    mono_deg,
     mono_div,
     mono_divides,
     mono_lcm,
@@ -73,26 +72,12 @@ class GroebnerEngine:
         self.ring = module.ring
         self.order = TermOrder(module.rank) if order is None else order
         self.cap = self.ring.degree_cap
+        self.deg = self.ring.mono_degree
         self.basis = []      # monic term dicts
         self.leads = []      # (comp, mono) per basis element
         self.by_comp = {}    # comp -> [(mono, terms)] view for the kernel
         self.pairs = []      # heap of (degree, i, j)
         self.pending = set()
-
-    def clone(self):
-        """Snapshot of the engine state; term dicts are shared (they are
-        never mutated after insertion), bookkeeping is copied."""
-        out = GroebnerEngine.__new__(GroebnerEngine)
-        out.module = self.module
-        out.ring = self.ring
-        out.order = self.order
-        out.cap = self.cap
-        out.basis = list(self.basis)
-        out.leads = list(self.leads)
-        out.by_comp = {c: list(v) for c, v in self.by_comp.items()}
-        out.pairs = list(self.pairs)
-        out.pending = set(self.pending)
-        return out
 
     def add(self, el):
         if not isinstance(el, FreeElement) or el.module != self.module:
@@ -117,13 +102,13 @@ class GroebnerEngine:
             if jc != c:
                 continue
             lcm = mono_lcm(jm, m)
-            pdeg = mono_deg(lcm) + self.module.twists[c]
+            pdeg = self.deg(lcm) + self.module.twists[c]
             heapq.heappush(self.pairs, (pdeg, j, idx))
             self.pending.add((j, idx))
 
     def _degree(self, terms):
         c, m = next(iter(terms))
-        return mono_deg(m) + self.module.twists[c]
+        return self.deg(m) + self.module.twists[c]
 
     def compute(self):
         rank_one = self.module.rank == 1

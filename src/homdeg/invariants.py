@@ -291,7 +291,7 @@ def dseq_coefficients(pres, seq):
         (-1)^i e_i = l(H^0(M/Q_{d-i}M)) - l(H^0(M/Q_{d-i-1}M)),  1 <= i <= d-1
         (-1)^d e_d = l(H^0(M))
 
-    The result is checked exactly against the fitted Samuel polynomial; a
+    The result is checked against the Samuel polynomial, which is exact; a
     mismatch is fatal.  Returns (HilbertCoefficients, details dict).
     """
     d = len(seq)
@@ -303,7 +303,7 @@ def dseq_coefficients(pres, seq):
         raise ValueError(f"sequence length {d} differs from dim M = {s}")
     details = {}
 
-    quotients = {}
+    quotients = {0: pres}  # M itself, with its cached resolution and H^0
 
     def quo(i):
         # M / Q_i M
@@ -333,13 +333,13 @@ def dseq_coefficients(pres, seq):
         details["h0_M"] = h0m
         if d > 0 and len(e) == d:
             e.append((-1) ** d * h0m)
-    fitted = hilbert_coefficients(pres, seq)
-    if tuple(e) != fitted.e:
+    samuel = hilbert_coefficients(pres, seq)
+    if tuple(e) != samuel.e:
         raise EngineBugError(
-            f"d-sequence coefficient formulas give {tuple(e)} but the fitted "
-            f"Samuel polynomial has {fitted.e}"
+            f"d-sequence coefficient formulas give {tuple(e)} but the "
+            f"Samuel polynomial has {samuel.e}"
         )
-    return fitted, details
+    return samuel, details
 
 
 @dataclass

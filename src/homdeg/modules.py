@@ -6,6 +6,8 @@ defining ideal J (pulled into each free-module component) to every
 relation computation.
 """
 
+from collections import Counter
+
 from .errors import EngineBugError, InhomogeneousError
 from .freemod import FreeElement, FreeModule
 from .groebner import GroebnerEngine, groebner_basis, lift_relations, normal_form
@@ -313,8 +315,10 @@ def saturate(pres, sub_gens, ideal_gens):
 
 def ideal_cache_key(name, gens):
     """Key of a quantity of M cached on pres._cache that depends on an
-    ideal (or sequence) given by gens, independent of their order."""
-    return (name, tuple(sorted(repr(g) for g in gens)))
+    ideal (or sequence) given by gens: the multiset of their term maps,
+    independent of their order but not of repeats, since the Koszul
+    complex of (f, f) is not that of (f)."""
+    return (name, frozenset(Counter(frozenset(g.terms.items()) for g in gens).items()))
 
 
 def submodule_key(gb_gens):

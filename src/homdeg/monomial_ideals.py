@@ -130,12 +130,3 @@ def series_length(num, n):
         return 0
     p, s = reduce_pole(num, n)
     return None if s else eval_at_one(p)
-
-
-def count_standard_monomials(monos):
-    """Number of monomials outside the monomial ideal (monos), read off its
-    Hilbert numerator; None if infinite or for an empty list (the zero
-    ideal)."""
-    if not monos:
-        return None
-    return series_length(hilbert_numerator(monos), len(monos[0]))

@@ -1,5 +1,7 @@
 """Multivariate polynomial rings over an exact field, grevlex order."""
 
+from operator import mul
+
 from .errors import InhomogeneousError, RingMismatchError
 from .fields import QQ
 from .kernel import mono_deg, mono_key, mono_mul
@@ -9,16 +11,25 @@ class PolyRing:
     """k[x_1, ..., x_n] with the degree-reverse-lexicographic order.
 
     degree_cap bounds every Groebner computation over this ring; exceeding
-    it raises DegreeCapError rather than hanging.  sample_cap bounds the
-    Samuel samples of a non-linear Q (SampleCapError past it).
+    it raises DegreeCapError rather than hanging.  degrees gives each
+    variable a positive degree (all 1 by default); `mono_degree` is the
+    degree of an exponent tuple under them, a plain `sum` in the standard
+    grading.  Only the Samuel route sets degrees, when it adjoins a
+    variable u_j = f_j for a non-linear generator f_j of Q.
     """
 
-    def __init__(self, names, field=QQ, degree_cap=64, sample_cap=50):
+    def __init__(self, names, field=QQ, degree_cap=64, degrees=None):
         self.names = tuple(names)
         self.n = len(self.names)
         self.field = field
         self.degree_cap = degree_cap
-        self.sample_cap = sample_cap
+        self.degrees = (1,) * self.n if degrees is None else tuple(degrees)
+        if len(self.degrees) != self.n:
+            raise ValueError("one degree per variable")
+        if all(d == 1 for d in self.degrees):
+            self.mono_degree = sum
+        else:
+            self.mono_degree = lambda m, degs=self.degrees: sum(map(mul, degs, m))
         self.zero_mono = (0,) * self.n
 
     def var(self, i):
@@ -47,10 +58,11 @@ class PolyRing:
             isinstance(other, PolyRing)
             and self.names == other.names
             and self.field == other.field
+            and self.degrees == other.degrees
         )
 
     def __hash__(self):
-        return hash((self.names, self.field))
+        return hash((self.names, self.field, self.degrees))
 
     def __repr__(self):
         return f"{self.field}[{', '.join(self.names)}]"
@@ -158,14 +170,14 @@ class Polynomial:
         return Polynomial(self.ring, {m: c * v for m, v in self.terms.items()})
 
     def degree(self):
-        """Total degree; -1 for the zero polynomial."""
+        """Degree under the ring's variable degrees; -1 for the zero
+        polynomial."""
         if not self.terms:
             return -1
-        return max(mono_deg(m) for m in self.terms)
+        return max(map(self.ring.mono_degree, self.terms))
 
     def is_homogeneous(self):
-        degs = {mono_deg(m) for m in self.terms}
-        return len(degs) <= 1
+        return len(set(map(self.ring.mono_degree, self.terms))) <= 1
 
     def homogeneous_degree(self):
         if not self.is_homogeneous():

@@ -21,6 +21,7 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass, field
+from itertools import permutations
 
 from .errors import EngineBugError
 from .freemod import FreeModule
@@ -29,6 +30,7 @@ from .hilbert import hilbert_coefficients
 from .invariants import (
     _duals,
     _ideal_times_module_gens,
+    _sub_length,
     h0_length,
     h0_torsion_gens,
     hdeg,
@@ -37,7 +39,7 @@ from .invariants import (
     torsions,
 )
 from .koszul import euler_char_1
-from .modules import Algebra, intersect_submodules, submodule_key
+from .modules import Algebra, submodule_key
 from .ring import PolyRing
 
 
@@ -102,58 +104,76 @@ def _q_kills_dual(pres, q_gens, i):
 
 
 def _qm_meets_h0(pres, q_gens):
-    """True iff QM cap H^0(M) = 0 inside M."""
-    qm = _ideal_times_module_gens(pres, q_gens) + pres.relation_gens()
-    inter = intersect_submodules(qm, h0_torsion_gens(pres), pres.ambient)
-    gb = pres.gb()
-    return all(not normal_form(el, gb) for el in inter)
+    """True iff QM cap H^0(M) = 0 inside M.
+
+    H^0(M) = sat/N (sat the m-saturation of N) maps onto (sat + QF)/(N + QF)
+    inside M/QM with kernel QM cap H^0(M), so the intersection is zero iff
+    the two have one length."""
+    image = _sub_length(
+        pres.quotient_by_ideal(q_gens),
+        list(h0_torsion_gens(pres)) + _ideal_times_module_gens(pres, q_gens),
+    )
+    return image == h0_length(pres)
 
 
 def find_dseq_generators(pres, q_gens, seed=0, trials=20, metadata=None):
     """Search for generators of Q forming a d-sequence on M.
 
-    The given generators are tried first, then up to `trials` random linear
-    recombinations over small integers, seeded deterministically from the
+    The given generators are tried first, then the same generators with
+    their degree blocks (the generators of one degree, in their given
+    order) in every other order, then up to `trials` random recombinations
+    over small integers within each block, each tried under every block
+    order.  Only generators of equal degree are mixed, so every candidate
+    is homogeneous.  The draws are seeded deterministically from the
     instance metadata and the session seed.  Returns the generator list or
     None if the search fails.
     """
     ok, _ = is_d_sequence(pres, q_gens)
     if ok:
         return list(q_gens)
+    blocks = {}
+    for g in q_gens:
+        blocks.setdefault(g.degree(), []).append(g)
+    orders = list(permutations(sorted(blocks)))
+    for order in orders:
+        cand = [g for deg in order for g in blocks[deg]]
+        if cand != list(q_gens) and is_d_sequence(pres, cand)[0]:
+            return cand
     ring = pres.ring
     one_mod = FreeModule(ring, 1)
     j_gens = list(pres.algebra.relations)
-    target = submodule_key(
-        groebner_basis(
-            [one_mod.inject(g) for g in list(q_gens) + j_gens], module=one_mod
+
+    def ideal_key(gens):
+        return submodule_key(
+            groebner_basis([one_mod.inject(g) for g in gens + j_gens], module=one_mod)
         )
-    )
+
+    target = ideal_key(list(q_gens))
     material = json.dumps(metadata or {}, sort_keys=True, default=str) + f"#{seed}"
     rng = random.Random(
         int.from_bytes(hashlib.sha256(material.encode()).digest()[:8], "big")
     )
-    k = len(q_gens)
     for _ in range(trials):
-        coeffs = [[rng.randrange(0, 20) for _ in range(k)] for _ in range(k)]
-        cand = []
-        for row in coeffs:
-            b = ring.zero
-            for c, g in zip(row, q_gens):
-                if c:
-                    b = b + g.scale(ring.field.from_int(c))
-            cand.append(b)
-        if any(not b for b in cand):
+        drawn = {}
+        for deg in sorted(blocks):
+            gens = blocks[deg]
+            k = len(gens)
+            coeffs = [[rng.randrange(0, 20) for _ in range(k)] for _ in range(k)]
+            drawn[deg] = [
+                sum(
+                    (g.scale(ring.field.from_int(c)) for c, g in zip(row, gens) if c),
+                    ring.zero,
+                )
+                for row in coeffs
+            ]
+        if any(not b for block in drawn.values() for b in block):
             continue
-        key = submodule_key(
-            groebner_basis(
-                [one_mod.inject(g) for g in cand + j_gens], module=one_mod
-            )
-        )
-        if key != target:
+        if ideal_key([b for block in drawn.values() for b in block]) != target:
             continue
-        ok, _ = is_d_sequence(pres, cand)
-        if ok:
-            return cand
+        for order in orders:
+            cand = [b for deg in order for b in drawn[deg]]
+            if is_d_sequence(pres, cand)[0]:
+                return cand
     return None
 
 
@@ -275,10 +295,9 @@ def gen_example_39(l, m, field=None):
     xs = [ring.var(i) for i in range(l)]
     ys = [ring.var(l + i) for i in range(l)]
     zs = [ring.var(2 * l + j) for j in range(m)]
+    # (X) cap (Y) of two monomial ideals is spanned by the lcms x_i y_j
     one_mod = FreeModule(ring, 1)
-    inter = intersect_submodules(
-        [one_mod.inject(x) for x in xs], [one_mod.inject(y) for y in ys], one_mod
-    )
+    inter = groebner_basis([one_mod.inject(x * y) for x in xs for y in ys], module=one_mod)
     j_gens = [el.component(0) for el in inter]
     pres = Algebra(ring, j_gens).as_module()
     q = [x - y for x, y in zip(xs, ys)] + zs

@@ -103,7 +103,7 @@ def test_criterion_4_metatheorem_consistency(corpus):
 
 def test_criterion_5_oracle_equivalences(corpus):
     """Independent routes to the same number agree exactly: the colon /
-    m-torsion length formulas vs the fitted Samuel polynomial, the Koszul
+    m-torsion length formulas vs the exact Samuel polynomial, the Koszul
     Euler characteristic vs l(M/QM) - e0, the two H^0 lengths, and
     e1 = -l(H^0) in dimension one."""
     dseq_hits = 0
@@ -119,10 +119,10 @@ def test_criterion_5_oracle_equivalences(corpus):
             assert e[1] == -h0, inst.name
         if len(q) == pres.dim():
             try:
-                fitted, _ = dseq_coefficients(pres, q)
+                samuel, _ = dseq_coefficients(pres, q)
             except (NotDSequenceError, HomdegError, ValueError):
                 continue
-            assert fitted.e == e.e, inst.name
+            assert samuel.e == e.e, inst.name
             dseq_hits += 1
     assert dseq_hits >= 5
 

@@ -6,9 +6,7 @@ import pathlib
 
 import pytest
 
-from homdeg import hilbert_coefficients
 from homdeg.cli import main
-from homdeg.verify import gen_example_46
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
@@ -123,8 +121,17 @@ def test_corpus_json_deterministic(capsys):
 
 
 def test_nonlinear_corpus_json_deterministic(capsys):
-    """ex46 l = 3 under Q = ((x-y)^2, (x-z)^2): the sampled Samuel route."""
+    """ex46 l = 3 under Q = ((x-y)^2, (x-z)^2): Samuel through adjoined
+    variables u_j = f_j."""
     _check_corpus_json(capsys, "ex46nl_l3")
+
+
+def test_mixed_degree_dseq_corpus_json(capsys):
+    """Q = (y, z^2): the d-sequence search mixes only generators of one
+    degree and finds (z^2, y) by reordering the degree blocks."""
+    _check_corpus_json(capsys, "mixed_dseq")
+    report = json.loads((CORPUS / "expected" / "mixed_dseq.json").read_text())
+    assert report["thm1"]["consequences"]["d_sequence"] == ["z^2", "y"]
 
 
 NONLINEAR_SCRIPT = (
@@ -136,22 +143,13 @@ NONLINEAR_SCRIPT = (
 )
 
 
-def test_sample_cap_stays_with_the_run(tmp_path, capsys):
-    """--sample-cap bounds the samples of the script's own rings, and a
-    library call on a fresh ring afterwards samples under the ring's
-    default cap: the flag leaves no session-wide setting behind."""
+def test_sample_cap_flag_is_gone(tmp_path, capsys):
+    """Samuel is exact for every Q, so there is no sample cap to set."""
     script = tmp_path / "nl.hd"
     script.write_text(NONLINEAR_SCRIPT)
     code, out, err = run_cli(capsys, "--input", str(script), "--sample-cap", "2")
     assert code == 2
-    assert "within 2 samples" in err
-
-    pres = gen_example_46(1).pres
-    x, y, z = pres.ring.gens()
-    assert pres.ring.sample_cap == 50
-    e = hilbert_coefficients(pres, [(x - y) ** 2, (x - z) ** 2])
-    assert e.s == 2
-
-    code, out, err = run_cli(capsys, "--input", str(script), "--sample-cap", "0")
-    assert code == 2
-    assert "sample cap must be positive" in err
+    assert "unrecognized arguments: --sample-cap" in err
+    code, out, err = run_cli(capsys, "--input", str(script), "--format", "json")
+    assert code == 0
+    assert json.loads(out)["hilbert_coefficients"] == ["4", "-2", "0"]

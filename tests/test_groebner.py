@@ -24,7 +24,6 @@ from homdeg.groebner import GroebnerEngine, TermOrder, interreduce
 from homdeg import kernel
 from homdeg.kernel import mono_divides
 from homdeg.monomial_ideals import (
-    count_standard_monomials,
     eval_at_one,
     hilbert_numerator,
     minimalize,
@@ -132,43 +131,6 @@ def _brute_standard(monos, n, box):
     return count
 
 
-def test_count_standard_monomials_oracle():
-    cases = [
-        [(2, 0), (0, 2)],
-        [(1, 1), (3, 0), (0, 3)],
-        [(2, 1), (1, 2), (4, 0), (0, 4)],
-    ]
-    for monos in cases:
-        assert count_standard_monomials(monos) == _brute_standard(monos, 2, 8)
-
-
-def test_count_standard_monomials_infinite():
-    assert count_standard_monomials([(1, 0)]) is None  # y-axis survives
-    assert count_standard_monomials([(0, 0)]) == 0
-
-
-def test_count_standard_monomials_random_artinian():
-    """Seeded finite-length monomial ideals of k[x,y,z]: a pure power of
-    every variable plus random mixed monomials, against a box count."""
-    rng = random.Random(1994)
-    for _ in range(60):
-        pure = [rng.randint(1, 5) for _ in range(3)]
-        monos = [tuple(a * (j == i) for j in range(3)) for i, a in enumerate(pure)]
-        for _ in range(rng.randint(0, 5)):
-            monos.append(tuple(rng.randint(0, 4) for _ in range(3)))
-        rng.shuffle(monos)
-        assert count_standard_monomials(monos) == _brute_standard(monos, 3, max(pure))
-
-
-def test_count_standard_monomials_edge_cases():
-    assert count_standard_monomials([(0, 0, 0)]) == 0  # the unit ideal
-    assert count_standard_monomials([(0, 0, 0), (2, 0, 0)]) == 0
-    assert count_standard_monomials([]) is None  # the zero ideal
-    # non-Artinian: no pure power of z
-    assert count_standard_monomials([(2, 0, 0), (0, 3, 0), (1, 1, 1)]) is None
-    assert count_standard_monomials([(1, 1, 0), (0, 0, 2)]) is None
-
-
 def test_minimalize():
     assert minimalize([(2, 0), (2, 1), (0, 1), (1, 1)]) == [(0, 1), (2, 0)]
 
@@ -184,7 +146,7 @@ def test_hilbert_numerator_vs_enumeration():
     num2 = hilbert_numerator([(2, 0), (0, 2)])
     p2, s2 = reduce_pole(num2, 2)
     assert s2 == 0
-    assert eval_at_one(p2) == count_standard_monomials([(2, 0), (0, 2)]) == 4
+    assert eval_at_one(p2) == _brute_standard([(2, 0), (0, 2)], 2, 2) == 4
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
-"""Hilbert series, Samuel functions, and the Samuel polynomial: exact for
-linear Q, fitted for non-linear Q."""
+"""Hilbert series, Samuel functions, and the Samuel polynomial, exact for
+every homogeneous Q, checked against brute-force lengths l(M / Q^(n+1) M)
+from pruned powers of Q."""
 
 import random
 from math import comb
@@ -14,14 +15,13 @@ from homdeg import (
     PrimeField,
     Presentation,
     QQ,
-    SamuelFunction,
     hilbert_coefficients,
     hilbert_series,
     local_cohomology_duals,
     multiplicity,
 )
-from homdeg.errors import EngineBugError, InhomogeneousError, SampleCapError
-from homdeg.hilbert import exact_coefficients, fitted_coefficients
+from homdeg.errors import EngineBugError, InhomogeneousError
+from homdeg.hilbert import exact_coefficients
 from homdeg.modules import minimal_generators
 from homdeg.verify import gen_example_46
 
@@ -48,9 +48,10 @@ def test_samuel_function_polynomial_ring():
     # l(S/m^{n+1}) = C(n+3, 3) in three variables
     ring = PolyRing(("x", "y", "z"))
     pres = Algebra(ring, ()).as_module()
-    f = SamuelFunction(pres, list(ring.gens()))
-    for n in range(5):
-        assert f(n) == comb(n + 3, 3)
+    e = hilbert_coefficients(pres, list(ring.gens()))
+    for n in range(10):
+        assert e.value_at(n) == comb(n + 3, 3)
+    assert e.samples == tuple(comb(n + 3, 3) for n in range(len(e.samples)))
 
 
 def test_samuel_function_nonlinear_generators():
@@ -58,19 +59,12 @@ def test_samuel_function_nonlinear_generators():
     ring = PolyRing(("x", "y"))
     x, y = ring.gens()
     pres = Algebra(ring, ()).as_module()
-    f = SamuelFunction(pres, [x**2, y])
-    # S/(x^2, y) has length 2; the function is the full Samuel function
-    assert f(0) == 2
     e = hilbert_coefficients(pres, [x**2, y])
-    assert e[0] == 2  # e(Q) = 2
-
-
-def test_sample_cap_enforced():
-    ring = PolyRing(("x",))
-    pres = Algebra(ring, ()).as_module()
-    f = SamuelFunction(pres, [ring.var(0)], sample_cap=3)
-    with pytest.raises(SampleCapError):
-        f(3)
+    # S/(x^2, y) has length 2; S is free of rank 2 over k[x^2, y]
+    assert e.samples[0] == 2
+    assert e.e == (2, 0, 0)  # l(S/Q^(n+1)) = 2 C(n+2, 2)
+    assert e.postulation == 0
+    _agree(pres, [x**2, y])
 
 
 def test_coefficients_polynomial_ring():
@@ -119,24 +113,42 @@ def test_samuel_values_match_koszul_h0():
     ring = PolyRing(("x", "y", "z"))
     x, y, z = ring.gens()
     pres = Algebra(ring, [x * y, x * z]).as_module()
-    q = [x - y, z]
-    f = SamuelFunction(pres, q)
-    assert f(0) == koszul_homology_lengths(pres, q)[0]
+    for q in ([x - y, z], [(x - y) ** 2, z]):
+        e = hilbert_coefficients(pres, q)
+        assert e.samples[0] == koszul_homology_lengths(pres, q)[0]
 
 
-# ---- the exact route for linear Q against the sampled oracle ----------
+# ---- the exact route against brute-force lengths ------------------------
+
+
+def _pruned_samuel_values(pres, q, count):
+    """Oracle: l(M / Q^(n+1) M) for n < count, each power of Q built from
+    the previous one and pruned to minimal generators."""
+    line = FreeModule(pres.ring, 1)
+    power = [e.component(0) for e in minimal_generators([line.inject(g) for g in q])]
+    out = []
+    for _ in range(count):
+        out.append(pres.quotient_by_ideal(power).length())
+        products = [line.inject(p * g) for p in power for g in q]
+        power = [e.component(0) for e in minimal_generators(products)]
+    return out
 
 
 def _agree(pres, q):
-    exact = exact_coefficients(pres, q)
-    fitted = fitted_coefficients(pres, q)
-    assert (exact.s, exact.e, exact.postulation) == (
-        fitted.s,
-        fitted.e,
-        fitted.postulation,
-    )
-    common = min(len(exact.samples), len(fitted.samples))
-    assert exact.samples[:common] == fitted.samples[:common]
+    """hilbert_coefficients against the brute-force lengths: every value of
+    its table, and the polynomial from the postulation number on (s + 1
+    values pin e), but not just below it."""
+    exact = hilbert_coefficients(pres, q)
+    assert exact == exact_coefficients(pres, q)
+    brute = _pruned_samuel_values(pres, q, len(exact.samples))
+    assert list(exact.samples) == brute
+    post = exact.postulation
+    assert len(brute) >= post + exact.s + 1
+    for n in range(post, len(brute)):
+        assert exact.value_at(n) == brute[n]
+    if post:
+        assert exact.value_at(post - 1) != brute[post - 1]
+    return exact
 
 
 def test_exact_route_matches_sampled_oracle(corpus):
@@ -159,29 +171,37 @@ def test_exact_route_matches_sampled_oracle(corpus):
             raise AssertionError(name) from exc
 
 
-def _twisted_rank2_draw(rng):
-    """A random rank-2 cokernel over k[x,y,z] with twists (0,1) or (0,2)
-    and a random linear Q of dim M forms that is an ideal of definition,
-    or None when the draw has no such Q."""
-    ring = PolyRing(("x", "y", "z"))
+def _form(ring, rng, deg):
+    """A random form of k[x,y,z] of degree deg: up to three terms with
+    small integer coefficients (zero if they all cancel)."""
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        a = rng.randint(0, deg)
+        b = rng.randint(0, deg - a)
+        terms[(a, b, deg - a - b)] = ring.field.from_int(rng.randint(-3, 3))
+    return Polynomial(ring, {m: c for m, c in terms.items() if c})
+
+
+def _twisted_rank2_module(rng, ring):
+    """A random rank-2 cokernel over k[x,y,z] with twists (0,1) or (0,2)."""
     twists = (0, rng.choice((1, 2)))
     ambient = FreeModule(ring, 2, twists)
-
-    def form(deg):
-        terms = {}
-        for _ in range(rng.randint(1, 3)):
-            a = rng.randint(0, deg)
-            b = rng.randint(0, deg - a)
-            terms[(a, b, deg - a - b)] = ring.field.from_int(rng.randint(-3, 3))
-        return Polynomial(ring, {m: c for m, c in terms.items() if c})
-
     cols = []
     for _ in range(rng.randint(2, 3)):
         deg = twists[1] + rng.randint(0, 2)
-        col = ambient.inject(form(deg), 0) + ambient.inject(form(deg - twists[1]), 1)
+        col = ambient.inject(_form(ring, rng, deg), 0) + ambient.inject(
+            _form(ring, rng, deg - twists[1]), 1
+        )
         if col:
             cols.append(col)
-    pres = Presentation(Algebra(ring, ()), 2, twists, cols)
+    return Presentation(Algebra(ring, ()), 2, twists, cols)
+
+
+def _twisted_rank2_draw(rng):
+    """A random rank-2 cokernel with a random linear Q of dim M forms that
+    is an ideal of definition, or None when the draw has no such Q."""
+    ring = PolyRing(("x", "y", "z"))
+    pres = _twisted_rank2_module(rng, ring)
     s = pres.dim()
     if s < 1:
         return None
@@ -216,35 +236,20 @@ def test_exact_route_rejects_non_parameter_ideal():
         hilbert_coefficients(pres, [x])
 
 
-# ---- non-linear Q: unpruned powers against pruned ones --------------------
-
-
-def _pruned_samuel_values(pres, q, count):
-    """Oracle: l(M / Q^(n+1) M) for n < count, each power of Q built from
-    the previous one and pruned to minimal generators."""
-    line = FreeModule(pres.ring, 1)
-    power = [e.component(0) for e in minimal_generators([line.inject(g) for g in q])]
-    out = []
-    for _ in range(count):
-        out.append(pres.quotient_by_ideal(power).length())
-        products = [line.inject(p * g) for p in power for g in q]
-        power = [e.component(0) for e in minimal_generators(products)]
-    return out
+# ---- non-linear and mixed Q ---------------------------------------------
 
 
 @pytest.mark.parametrize("l", [1, 2, 3])
 def test_nonlinear_samuel_matches_pruned_powers(l):
     inst = gen_example_46(l)
     x, y, z = inst.pres.ring.gens()
-    q = [(x - y) ** 2, (x - z) ** 2]
-    f = SamuelFunction(inst.pres, q)
-    assert [f(n) for n in range(6)] == _pruned_samuel_values(inst.pres, q, 6)
+    _agree(inst.pres, [(x - y) ** 2, (x - z) ** 2])
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["QQ", "GF32003"])
 def test_nonlinear_samuel_rank2_twisted(field):
-    """A rank-2 cokernel with twists (0, 1) over k[x,y,z]/(xz): every
-    basis vector carries its own chain of levels."""
+    """A rank-2 cokernel with twists (0, 1) over k[x,y,z]/(xz): u_j - f_j
+    enters in every component."""
     ring = PolyRing(("x", "y", "z"), field=field)
     x, y, z = ring.gens()
     algebra = Algebra(ring, [x * z])
@@ -254,22 +259,104 @@ def test_nonlinear_samuel_rank2_twisted(field):
         ambient.inject(x * y, 1),
     ]
     pres = Presentation(algebra, 2, (0, 1), cols)
-    q = [(x - y) ** 2, (x - z) ** 2]
-    f = SamuelFunction(pres, q)
-    assert [f(n) for n in range(5)] == _pruned_samuel_values(pres, q, 5)
+    _agree(pres, [(x - y) ** 2, (x - z) ** 2])
 
 
 def test_nonlinear_samuel_repeated_generator():
-    """Equal products of generators: a repeated generator of Q changes
-    nothing."""
+    """A repeated generator of Q adjoins a second variable for the same
+    form and changes nothing."""
     inst = gen_example_46(2)
     x, y, z = inst.pres.ring.gens()
     q = [(x - y) ** 2, (x - z) ** 2, (x - y) ** 2]
-    f = SamuelFunction(inst.pres, q)
-    expected = _pruned_samuel_values(inst.pres, q, 5)
-    assert [f(n) for n in range(5)] == expected
-    g = SamuelFunction(inst.pres, q[:2])
-    assert [g(n) for n in range(5)] == expected
+    assert _agree(inst.pres, q) == _agree(inst.pres, q[:2])
+
+
+def test_nonlinear_samuel_dimension_zero():
+    """M = k[x,y,z]/(x^2, y^2, z^2) has length 8; the polynomial is the
+    constant 8, reached once Q^(n+1) M = 0: every quartic vanishes in M,
+    so Q^2 M = 0 while M/QM has length 5."""
+    ring = PolyRing(("x", "y", "z"))
+    x, y, z = ring.gens()
+    pres = Algebra(ring, [x**2, y**2, z**2]).as_module()
+    e = _agree(pres, [x * y + y * z, x * z])
+    assert (e.s, e.e) == (0, (8,))
+    assert e.samples[:2] == (5, 8)
+    assert e.postulation == 1
+
+
+@pytest.mark.parametrize("l", [1, 2, 3])
+def test_mixed_degree_samuel(l):
+    """One linear and one quadratic generator: the linear one becomes a
+    variable, the quadric is adjoined."""
+    inst = gen_example_46(l)
+    x, y, z = inst.pres.ring.gens()
+    _agree(inst.pres, [x - y, (x - z) ** 2])
+    _agree(inst.pres, [(x - y) ** 2, x - z])
+
+
+def test_mixed_degree_samuel_corpus_module():
+    """k[x,y,z]/(x^2, xy), the module of corpus/mixed_dseq.hd, under
+    Q = (y, z^2) and Q = (y^2, z^2)."""
+    ring = PolyRing(("x", "y", "z"))
+    x, y, z = ring.gens()
+    pres = Algebra(ring, [x**2, x * y]).as_module()
+    e = _agree(pres, [y, z**2])
+    assert e.e == (2, -2, 0)
+    assert e.postulation == 0
+    e = _agree(pres, [y**2, z**2])
+    assert e.e[0] == 4
+
+
+@pytest.mark.parametrize("l", [1, 2, 3])
+def test_nonlinear_samuel_fields_agree(l):
+    """GF(32003) = QQ on the ex46 family under non-linear and mixed Q."""
+    out = []
+    for field in (QQ, PrimeField(32003)):
+        inst = gen_example_46(l, field=field)
+        x, y, z = inst.pres.ring.gens()
+        out.append(
+            [
+                hilbert_coefficients(inst.pres, q)
+                for q in ([(x - y) ** 2, (x - z) ** 2], [x - y, (x - z) ** 3])
+            ]
+        )
+    assert out[0] == out[1]
+
+
+def _nonlinear_draw(rng):
+    """A random monomial quotient of k[x,y,z] or rank-2 twisted cokernel,
+    over QQ or GF(32003), with dim M random forms of degree 1 or 2, not all
+    linear, generating an ideal of definition; None if the draw has none."""
+    ring = PolyRing(("x", "y", "z"), field=rng.choice((QQ, PrimeField(32003))))
+    if rng.random() < 0.6:
+        monos = []
+        for _ in range(rng.randint(1, 3)):
+            m = [rng.randint(0, 2) for _ in range(3)]
+            m[rng.randrange(3)] += not any(m)
+            monos.append(Polynomial(ring, {tuple(m): ring.field.one}))
+        pres = Algebra(ring, monos).as_module()
+    else:
+        pres = _twisted_rank2_module(rng, ring)
+    s = pres.dim()
+    if s < 1:
+        return None
+    degrees = [rng.choice((1, 2)) for _ in range(s)]
+    degrees[rng.randrange(s)] = 2
+    q = [_form(ring, rng, d) for d in degrees]
+    if any(not g for g in q) or pres.quotient_by_ideal(q).length() is None:
+        return None
+    return pres, q
+
+
+def test_nonlinear_samuel_random_draws():
+    rng = random.Random(1404245)
+    drawn = 0
+    while drawn < 30:
+        draw = _nonlinear_draw(rng)
+        if draw is None:
+            continue
+        drawn += 1
+        _agree(*draw)
 
 
 def test_nonlinear_samuel_rejects_inhomogeneous_generator():
@@ -278,7 +365,7 @@ def test_nonlinear_samuel_rejects_inhomogeneous_generator():
     x, y = ring.gens()
     pres = Algebra(ring, [y]).as_module()
     with pytest.raises(InhomogeneousError):
-        SamuelFunction(pres, [x**2 + y])(0)
+        hilbert_coefficients(pres, [x**2 + y])
 
 
 def test_coefficients_reject_inhomogeneous_linear_generator():
@@ -295,13 +382,9 @@ def test_coefficients_reject_inhomogeneous_linear_generator():
         multiplicity(pres, q)
 
 
-def test_nonlinear_samuel_sample_cap():
-    inst = gen_example_46(1)
-    x, y, z = inst.pres.ring.gens()
-    q = [(x - y) ** 2, (x - z) ** 2]
-    f = SamuelFunction(inst.pres, q, sample_cap=3)
-    assert [f(n) for n in range(3)] == _pruned_samuel_values(inst.pres, q, 3)
-    with pytest.raises(SampleCapError):
-        f(3)
-    with pytest.raises(SampleCapError):
-        fitted_coefficients(inst.pres, q, sample_cap=3)
+def test_coefficients_reject_unit_ideal():
+    ring = PolyRing(("x", "y"))
+    x, y = ring.gens()
+    pres = Algebra(ring, [x * y]).as_module()
+    with pytest.raises(ValueError, match="contains a unit"):
+        hilbert_coefficients(pres, [ring.one])

@@ -14,11 +14,18 @@ from homdeg import (
     PolyRing,
     Presentation,
     PrimeField,
+    hdeg,
+    koszul_homology_lengths,
 )
 from homdeg.errors import EngineBugError
 from homdeg.groebner import groebner_basis, lift_relations
 from homdeg.kernel import mono_div, mono_divides, mono_lcm, mono_mul, term_key
-from homdeg.modules import colon_by_ideal, intersect_submodules, submodule_key
+from homdeg.modules import (
+    colon_by_ideal,
+    ideal_cache_key,
+    intersect_submodules,
+    submodule_key,
+)
 
 
 def _monomial(ring, m):
@@ -232,3 +239,29 @@ def test_submodule_key_takes_huge_coefficients():
     gb = groebner_basis([mod.inject(x + big)], module=mod)
     assert submodule_key(gb) == submodule_key(groebner_basis(gb, module=mod))
     assert submodule_key(gb) != submodule_key(groebner_basis([mod.inject(x)], module=mod))
+
+
+def test_ideal_cache_key_takes_huge_coefficients():
+    """hdeg (cached under ideal_cache_key) of k[x,y]/(xy) for a generator
+    of Q with a coefficient past Python's 4300-digit string limit."""
+    ring = PolyRing(("x", "y"))
+    x, y = ring.gens()
+    pres = Algebra(ring, [x * y]).as_module()
+    big = Polynomial(ring, {(0, 1): ring.field.from_int(10**5000)})
+    assert hdeg(pres, [x + big]) == 2
+    assert ideal_cache_key("hdeg", [x + big]) != ideal_cache_key("hdeg", [x + y])
+
+
+def test_ideal_cache_key_is_a_multiset():
+    """Order does not matter, repeats do: the Koszul complex of (f, f) is
+    not that of (f)."""
+    ring = PolyRing(("x", "y"))
+    x, y = ring.gens()
+    f, g = x - y, x * y
+    assert ideal_cache_key("k", [f, g]) == ideal_cache_key("k", [g, f])
+    assert ideal_cache_key("k", [f, f]) != ideal_cache_key("k", [f])
+    assert ideal_cache_key("k", [f, f, g]) != ideal_cache_key("k", [f, g, g])
+    assert ideal_cache_key("k", [f]) != ideal_cache_key("h", [f])
+    pres = Algebra(ring, [x * y]).as_module()
+    assert koszul_homology_lengths(pres, [f]) == [2, 0]
+    assert koszul_homology_lengths(pres, [f, f]) == [2, 2, 0]

@@ -1,9 +1,16 @@
 """Theorem checkers, benchmark families, and the inequality audit."""
 
+import random
+
 import pytest
 
+from homdeg import QQ, Algebra, Polynomial, PolyRing, PrimeField
 from homdeg.errors import EngineBugError
+from homdeg.groebner import normal_form
+from homdeg.invariants import _ideal_times_module_gens, h0_torsion_gens
+from homdeg.modules import intersect_submodules
 from homdeg.verify import (
+    _qm_meets_h0,
     audit_inequalities,
     check_thm1,
     check_thm2,
@@ -78,3 +85,86 @@ def test_thm1_requires_positive_dimension():
     pres = Algebra(ring, [x]).as_module()
     with pytest.raises(ValueError):
         check_thm1(ProblemInstance(pres, [x]))
+
+
+def _qm_meets_h0_by_intersection(pres, q_gens):
+    """Oracle: QM cap H^0(M) = 0, by intersecting QF + N with the
+    m-saturation of N and reducing the result modulo N."""
+    qm = _ideal_times_module_gens(pres, q_gens) + pres.relation_gens()
+    inter = intersect_submodules(qm, h0_torsion_gens(pres), pres.ambient)
+    gb = pres.gb()
+    return all(not normal_form(el, gb) for el in inter)
+
+
+def _random_monomial_quotient_with_q(rng):
+    """k[x,y,z]/J for 2-4 random monomials over QQ or GF(32003), with dim M
+    random forms of degree 1 or 2 generating an ideal of definition; None
+    if the draw has none."""
+    ring = PolyRing(("x", "y", "z"), field=rng.choice((QQ, PrimeField(32003))))
+
+    def mono(deg):
+        m = [0] * 3
+        for _ in range(deg):
+            m[rng.randrange(3)] += 1
+        return tuple(m)
+
+    j = [Polynomial(ring, {mono(rng.randint(1, 3)): ring.field.one})
+         for _ in range(rng.randint(2, 4))]
+    pres = Algebra(ring, j).as_module()
+    s = pres.dim()
+    if s < 1:
+        return None
+    q = []
+    for _ in range(s):
+        deg = rng.choice((1, 1, 2))
+        terms = {mono(deg): ring.field.from_int(rng.randint(-2, 2))
+                 for _ in range(rng.randint(1, 3))}
+        q.append(Polynomial(ring, {m: c for m, c in terms.items() if c}))
+    if any(not g for g in q) or pres.quotient_by_ideal(q).length() is None:
+        return None
+    return pres, q
+
+
+def test_qm_meets_h0_matches_intersection():
+    """The length identity l(H^0) = l((sat + QF)/(N + QF)) against the
+    intersection on 60 seeded draws and one module where QM meets H^0:
+    H^0 of k[x,y,z]/(z^2, xz, y^2 z) is (z), and yz lies in (x, y)M."""
+    ring = PolyRing(("x", "y", "z"))
+    x, y, z = ring.gens()
+    pres = Algebra(ring, [z**2, x * z, y**2 * z]).as_module()
+    assert not _qm_meets_h0(pres, [x, y])
+    assert not _qm_meets_h0_by_intersection(pres, [x, y])
+    rng = random.Random(1404)
+    drawn = meets = 0
+    while drawn < 60:
+        draw = _random_monomial_quotient_with_q(rng)
+        if draw is None:
+            continue
+        drawn += 1
+        got = _qm_meets_h0(*draw)
+        assert got == _qm_meets_h0_by_intersection(*draw), draw
+        meets += not got
+    assert meets >= 1
+
+
+def test_find_dseq_generators_mixes_only_equal_degrees(monkeypatch):
+    """ex46 l = 3 under Q = (x - y, (x - z)^2) has no d-sequence
+    generators: the search tries both block orders, of the given
+    generators and of random draws, and every candidate is homogeneous
+    and keeps the degrees."""
+    from homdeg import verify
+
+    seen = []
+    test = verify.is_d_sequence
+
+    def recording(pres, seq):
+        assert all(g.is_homogeneous() for g in seq)
+        seen.append([g.degree() for g in seq])
+        return test(pres, seq)
+
+    monkeypatch.setattr(verify, "is_d_sequence", recording)
+    inst = gen_example_46(3)
+    x, y, z = inst.pres.ring.gens()
+    assert find_dseq_generators(inst.pres, [x - y, (x - z) ** 2], trials=3) is None
+    assert seen[:2] == [[1, 2], [2, 1]]
+    assert len(seen) > 2 and seen[2:4] == [[1, 2], [2, 1]]
