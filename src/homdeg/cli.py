@@ -71,10 +71,16 @@ def build_arg_parser():
 
 
 def _check_parameters(pres, q_gens, stmt):
-    """Raise a DslError at stmt unless Q is a parameter ideal of M: exactly
-    dim M generators and l(M/QM) finite.  A module of dimension <= 0 takes
-    any Q: its invariants do not depend on Q, and a script cannot write
-    the empty parameter list."""
+    """Raise a DslError at stmt unless Q is a parameter ideal of M: a
+    proper ideal, exactly dim M generators and l(M/QM) finite.  A module
+    of dimension <= 0 takes any proper Q: its invariants do not depend on
+    Q, and a script cannot write the empty parameter list."""
+    if any(g and g.degree() == 0 for g in q_gens):
+        raise DslError(
+            "not a parameter ideal of the module: Q contains a unit",
+            stmt.line,
+            stmt.col,
+        )
     d = pres.dim()
     if d <= 0:
         return

@@ -250,16 +250,20 @@ def normal_form(el, gb, order=None):
 def lift_relations(gens, modulo):
     """Relations among the images of gens in F / <modulo>.
 
-    Returns generators of {a in S^k : sum a_i gens_i in <modulo>}, the
-    presentation matrix columns of the subquotient (<gens> + <modulo>) /
-    <modulo> on the generators gens.  They live in S^k with twists = the
-    generator degrees, so they are homogeneous.  Zero gens contribute unit
-    relations; lift_relations(gens, []) is the syzygy module of gens.
+    Returns {a in S^k : sum a_i gens_i in <modulo>} as a reduced Groebner
+    basis in canonical order: the presentation matrix columns of the
+    subquotient (<gens> + <modulo>) / <modulo> on the generators gens.
+    They live in S^k with twists = the generator degrees, so they are
+    homogeneous.  lift_relations(gens, []) is the syzygy module of gens.
 
-    One Groebner run: each nonzero generator and each modulo element g
-    gets its own tag component, g + e_tag in F + S^tags, under the
-    elimination order that puts F first; the basis elements free of F,
-    restricted to the tags of gens, are the relations.
+    One Groebner run in F + S^k: only gens are tagged, g_i + e_{r+i} (a
+    zero g_i leaves e_{r+i}, its unit relation), and the modulo elements
+    go in untagged, in F alone.  Under the elimination order that puts F
+    first, the reduced basis elements whose lead lies in S^k are free of
+    F, and they are the reduced basis of the relations: an element a of
+    S^k lies in the span iff sum a_i g_i + sum b_j m_j = 0 for some b.
+    The kernel key ignores twists and keeps the order of the tag
+    components, so re-homed to S^k they stay reduced and in order.
 
     This is the one relation-lifting primitive of the engine: syzygies and
     free resolutions, submodule presentations, colons and intersections
@@ -273,25 +277,15 @@ def lift_relations(gens, modulo):
     r = ambient.rank
     degs = tuple(g.homogeneous_degree() if g else 0 for g in gens)
     target = FreeModule(ring, len(gens), degs)
-    nonzero = [i for i, g in enumerate(gens) if g]
+    big = FreeModule(ring, r + len(gens), ambient.twists + degs)
+    zero, one = ring.zero_mono, ring.field.one
+    inputs = [
+        FreeElement(big, {**g.terms, (r + i, zero): one}) for i, g in enumerate(gens)
+    ]
+    inputs += [FreeElement(big, m.terms) for m in modulo if m]
     out = []
-    if nonzero:
-        combined = [gens[i] for i in nonzero] + [m for m in modulo if m]
-        tags = tuple(g.homogeneous_degree() for g in combined)
-        big = FreeModule(ring, r + len(combined), ambient.twists + tags)
-        tagged = []
-        for i, g in enumerate(combined):
-            terms = dict(g.terms)
-            terms[(r + i, ring.zero_mono)] = ring.field.one
-            tagged.append(FreeElement(big, terms))
-        top = r + len(nonzero)
-        for el in groebner_basis(tagged, module=big, order=TermOrder(r)):
-            if any(c < r for c, _ in el.terms):
-                continue
-            terms = {
-                (nonzero[c - r], m): v for (c, m), v in el.terms.items() if c < top
-            }
-            if terms:
-                out.append(FreeElement(target, terms))
-    out.extend(target.basis(i) for i, g in enumerate(gens) if not g)
+    for el in groebner_basis(inputs, module=big, order=TermOrder(r)):
+        if next(iter(el.terms))[0] >= r:
+            terms = {(c - r, m): v for (c, m), v in el.terms.items()}
+            out.append(FreeElement(target, terms))
     return out

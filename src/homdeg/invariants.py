@@ -303,28 +303,20 @@ def dseq_coefficients(pres, seq):
         raise ValueError(f"sequence length {d} differs from dim M = {s}")
     details = {}
 
-    quotients = {0: pres}  # M itself, with its cached resolution and H^0
-
-    def quo(i):
-        # M / Q_i M
-        if i not in quotients:
-            quotients[i] = pres.quotient_by_ideal(seq[:i])
-        return quotients[i]
-
-    l_mqm = quo(d).length()
+    l_mqm = pres.quotient_by_ideal(seq).length()
     if l_mqm is None:
         raise ValueError("the sequence is not a system of parameters")
     details["l_M_QM"] = l_mqm
     prefix = _ideal_times_module_gens(pres, seq[: d - 1])
     colon = colon_by_ideal(pres, prefix, [seq[d - 1]])
-    correction = _sub_length(quo(d - 1), colon)
+    correction = _sub_length(pres.quotient_by_ideal(seq[: d - 1]), colon)
     if correction is None:
         raise EngineBugError("colon correction module has infinite length")
     details["l_colon_correction"] = correction
     e = [l_mqm - correction]
     for i in range(1, d):
-        hi = h0_length(quo(d - i))
-        lo = h0_length(quo(d - i - 1))
+        hi = h0_length(pres.quotient_by_ideal(seq[: d - i]))
+        lo = h0_length(pres.quotient_by_ideal(seq[: d - i - 1]))
         details[f"h0_M_Q{d - i}M"] = hi
         details[f"h0_M_Q{d - i - 1}M"] = lo
         e.append((-1) ** i * (hi - lo))

@@ -51,7 +51,10 @@ def _apply_diff(pres, seq, T, j, target_chain, target_index):
 def _cokernel_numerator(pres, seq, degs, i):
     """Hilbert numerator of C_i = K_i / d(K_{i+1}) for i < d: the columns
     of M copied into every block plus the boundaries; J enters through
-    the presentation's algebra."""
+    the presentation's algebra.  C_0 is M/QM, shared with the other users
+    of M/QM through pres.quotient_by_ideal."""
+    if i == 0:
+        return pres.quotient_by_ideal(seq).hilbert_numerator()
     rank = pres.rank
     subsets = list(combinations(range(len(seq)), i))
     chain = _chain_module(pres, subsets, degs)

@@ -168,14 +168,22 @@ class Presentation:
     # ---- derived modules ---------------------------------------------
 
     def quotient_by_ideal(self, ideal_gens):
-        """M / (ideal) M."""
-        cols = list(self.columns)
-        for g in ideal_gens:
-            if not g:
-                continue
-            for i in range(self.rank):
-                cols.append(self.ambient.inject(g, i))
-        return Presentation(self.algebra, self.rank, self.twists, cols)
+        """M / (ideal) M: M itself for the zero ideal, else one presentation
+        cached on M under ideal_cache_key, so that every user of M/QM
+        shares its Groebner basis and series."""
+        ideal_gens = [g for g in ideal_gens if g]
+        if not ideal_gens:
+            return self
+        key = ideal_cache_key("quotient", ideal_gens)
+        quo = self._cache.get(key)
+        if quo is None:
+            cols = list(self.columns)
+            for g in ideal_gens:
+                for i in range(self.rank):
+                    cols.append(self.ambient.inject(g, i))
+            quo = Presentation(self.algebra, self.rank, self.twists, cols)
+            self._cache[key] = quo
+        return quo
 
     def subquotient(self, gens):
         """The submodule of M spanned by (the images of) gens, presented on
@@ -277,7 +285,10 @@ def colon_by_ideal(pres, sub_gens, ideal_gens):
     One lift_relations: the relations of the images of e_1, ..., e_r under
     u -> (f_1 u, ..., f_s u) in F^s, modulo a copy of N + relations(M) in
     every block.  Block k is twisted by D - deg f_k (D = max deg f_k), so
-    every image is homogeneous of degree t_i + D."""
+    every image is homogeneous of degree t_i + D.  The lift returns the
+    reduced basis of the colon in S^r twisted by t_i + D; the term order
+    ignores twists, so re-homed to F it is the reduced basis there, in
+    the same order."""
     module = pres.ambient
     ideal_gens = [f for f in ideal_gens if f]
     if not ideal_gens:
@@ -299,8 +310,7 @@ def colon_by_ideal(pres, sub_gens, ideal_gens):
         for k in range(len(ideal_gens))
         for g in big_n
     ]
-    out = [FreeElement(module, a.terms) for a in lift_relations(images, copies)]
-    return groebner_basis(out, module=module) if out else []
+    return [FreeElement(module, a.terms) for a in lift_relations(images, copies)]
 
 
 def saturate(pres, sub_gens, ideal_gens):

@@ -89,15 +89,11 @@ def _transpose_columns(cols, source, target):
     """
     dual_source = FreeModule(target.ring, target.rank, tuple(-t for t in target.twists))
     dual_target = FreeModule(source.ring, source.rank, tuple(-t for t in source.twists))
-    out = []
-    for j in range(target.rank):
-        terms = {}
-        for i, col in enumerate(cols):
-            for (c, m), v in col.terms.items():
-                if c == j:
-                    terms[(i, m)] = v
-        out.append(FreeElement(dual_target, terms))
-    return dual_source, dual_target, out
+    rows = [{} for _ in range(target.rank)]
+    for i, col in enumerate(cols):
+        for (c, m), v in col.terms.items():
+            rows[c][(i, m)] = v
+    return dual_source, dual_target, [FreeElement(dual_target, t) for t in rows]
 
 
 def ext_modules(pres, max_index=None):

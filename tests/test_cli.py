@@ -92,7 +92,7 @@ def test_field_flag_rejects_bad_prime(tmp_path, capsys, p):
 
 def test_malformed_corpus_exit_codes(capsys):
     files = sorted((CORPUS / "malformed").glob("*.hd"))
-    assert len(files) == 14
+    assert len(files) == 15
     for f in files:
         code, out, err = run_cli(capsys, "--input", str(f))
         assert code == 2, f.name

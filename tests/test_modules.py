@@ -18,7 +18,7 @@ from homdeg import (
     koszul_homology_lengths,
 )
 from homdeg.errors import EngineBugError
-from homdeg.groebner import groebner_basis, lift_relations
+from homdeg.groebner import TermOrder, groebner_basis, lift_relations
 from homdeg.kernel import mono_div, mono_divides, mono_lcm, mono_mul, term_key
 from homdeg.modules import (
     colon_by_ideal,
@@ -178,6 +178,72 @@ def test_lift_relations_of_zero_gens_are_units():
     mod = FreeModule(ring, 2)
     rels = lift_relations([mod.zero(), mod.zero()], [])
     assert set(rels) == {FreeModule(ring, 2).basis(i) for i in range(2)}
+
+
+def _tagged_modulo_lift(gens, modulo):
+    """Reference lift that tags every nonzero generator and every modulo
+    element: the relations are the basis elements free of F, restricted to
+    the tags of gens.  Not a reduced basis in general."""
+    ambient = gens[0].module
+    ring, r = ambient.ring, ambient.rank
+    degs = tuple(g.homogeneous_degree() if g else 0 for g in gens)
+    target = FreeModule(ring, len(gens), degs)
+    nonzero = [i for i, g in enumerate(gens) if g]
+    combined = [gens[i] for i in nonzero] + [m for m in modulo if m]
+    out = [target.basis(i) for i, g in enumerate(gens) if not g]
+    if not nonzero:
+        return out
+    tags = tuple(g.homogeneous_degree() for g in combined)
+    big = FreeModule(ring, r + len(combined), ambient.twists + tags)
+    tagged = [
+        FreeElement(big, {**g.terms, (r + i, ring.zero_mono): ring.field.one})
+        for i, g in enumerate(combined)
+    ]
+    top = r + len(nonzero)
+    for el in groebner_basis(tagged, module=big, order=TermOrder(r)):
+        if any(c < r for c, _ in el.terms):
+            continue
+        terms = {(nonzero[c - r], m): v for (c, m), v in el.terms.items() if c < top}
+        if terms:
+            out.append(FreeElement(target, terms))
+    return out
+
+
+def test_lift_relations_is_the_reduced_basis_of_the_tagged_lift():
+    """The lift with untagged modulo elements spans what the fully tagged
+    lift spans, and comes out as its own reduced basis, term for term and
+    in order, so callers need no second Groebner basis."""
+    rng = random.Random(4242)
+    with_zero = 0
+    for field in (QQ, PrimeField(32003)):
+        ring = PolyRing(("x", "y", "z"), field=field)
+        for rank in (1, 2, 3):
+            for _ in range(8):
+                twists = tuple(rng.randint(0, 2) for _ in range(rank))
+                ambient = FreeModule(ring, rank, twists)
+
+                def draw():
+                    return _random_element(rng, ring, ambient, rng.randint(2, 4))
+
+                gens = [draw() for _ in range(rng.randint(1, 4))]
+                if rng.random() < 0.3:
+                    gens.insert(rng.randrange(len(gens) + 1), ambient.zero())
+                modulo = [draw() for _ in range(rng.randint(0, 3))]
+                got = lift_relations(gens, modulo)
+                target = FreeModule(
+                    ring, len(gens), tuple(g.homogeneous_degree() if g else 0 for g in gens)
+                )
+                want = _tagged_modulo_lift(gens, modulo)
+                assert submodule_key(got) == submodule_key(
+                    groebner_basis(want, module=target)
+                ), (gens, modulo)
+                gb = groebner_basis(got, module=target)
+                assert [list(g.terms.items()) for g in got] == [
+                    list(g.terms.items()) for g in gb
+                ], (gens, modulo)
+                assert all(g.module == target for g in got)
+                with_zero += not all(gens)
+    assert with_zero == 25
 
 
 def _element_colon(pres, sub_gens, f):
