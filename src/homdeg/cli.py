@@ -15,7 +15,6 @@ from .dsl import (
     ExampleCmd,
     ModuleDecl,
     ParamsDecl,
-    RingDecl,
     parse_input,
 )
 from .errors import DslError, EngineBugError, HomdegError
@@ -108,9 +107,7 @@ def run_script(script, cfg):
     checked = (None, None)  # the (module, Q) pair _check_parameters last passed
     failed = False
     for stmt in script.statements:
-        if isinstance(stmt, RingDecl):
-            stmt.ring.degree_cap = cfg.degree_cap
-        elif isinstance(stmt, AlgebraDecl):
+        if isinstance(stmt, AlgebraDecl):
             current_pres = stmt.algebra.as_module()
             current_meta = {"family": "script", "params": {"name": stmt.name}}
         elif isinstance(stmt, ModuleDecl):
@@ -120,11 +117,11 @@ def run_script(script, cfg):
             current_params = list(stmt.gens)
         elif isinstance(stmt, ExampleCmd):
             args = dict(stmt.args)
+            ring_args = {"field": cfg.field, "degree_cap": cfg.degree_cap}
             if stmt.family == "ex39":
-                inst = gen_example_39(args["l"], args["m"], field=cfg.field)
+                inst = gen_example_39(args["l"], args["m"], **ring_args)
             else:
-                inst = gen_example_46(args["l"], field=cfg.field)
-            inst.pres.ring.degree_cap = cfg.degree_cap
+                inst = gen_example_46(args["l"], **ring_args)
             current_pres = inst.pres
             current_params = inst.q_gens
             current_meta = inst.metadata
@@ -177,7 +174,7 @@ def main(argv=None):
         print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
         return 2
     try:
-        script = parse_input(text)
+        script = parse_input(text, degree_cap=cfg.degree_cap)
     except DslError as exc:
         print(f"{args.input}:{exc.line}:{exc.col}: error: {exc.msg}", file=sys.stderr)
         return 2

@@ -212,8 +212,9 @@ def _dedupe(polys):
 
 
 class _Parser:
-    def __init__(self, text):
+    def __init__(self, text, degree_cap):
         self.toks = _tokenize(text)
+        self.degree_cap = degree_cap
         self.pos = 0
         self.rings = {}
         self.ideals = {}
@@ -308,7 +309,7 @@ class _Parser:
         self.expect("]")
         if len(set(names)) != len(names):
             raise DslError("duplicate variable name", ntok.line, ntok.col)
-        ring = PolyRing(names, field=fld)
+        ring = PolyRing(names, field=fld, degree_cap=self.degree_cap)
         self.rings[name] = ring
         self.current_ring = ring
         return RingDecl(name, ring)
@@ -582,6 +583,7 @@ class _Parser:
         raise DslError(f"expected a polynomial, found {t.text!r}", t.line, t.col)
 
 
-def parse_input(text):
-    """Parse a script; raises DslError with line/column on any problem."""
-    return _Parser(text).parse()
+def parse_input(text, degree_cap=64):
+    """Parse a script; raises DslError with line/column on any problem.
+    Every ring it declares bounds its Groebner runs by degree_cap."""
+    return _Parser(text, degree_cap).parse()

@@ -11,7 +11,8 @@ weight first) presents gr_Q(M) by its initial module, and the bigraded
 Hilbert series of that monomial module (pivot degree, other degree) gives
 the Samuel polynomial exactly: its coefficients, its postulation number
 and its value table.  Nothing is sampled.  When every generator is
-linear, no variable is adjoined.
+linear, no variable is adjoined.  The same basis presents gr_Q(M) itself
+(associated_graded), on which superficiality is decided.
 """
 
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ from math import comb
 from .errors import EngineBugError, InhomogeneousError
 from .freemod import FreeElement, FreeModule
 from .groebner import GroebnerEngine, TermOrder
-from .modules import Presentation, ideal_cache_key
+from .modules import Algebra, Presentation, ideal_cache_key
 from .monomial_ideals import (
     divide_one_minus_t,
     eval_at_one,
@@ -28,7 +29,7 @@ from .monomial_ideals import (
     poly_add,
     reduce_pole,
 )
-from .ring import PolyRing
+from .ring import PolyRing, Polynomial
 
 
 @dataclass(frozen=True)
@@ -82,9 +83,9 @@ def _linearize(pres, linear, others):
     """Change coordinates so that every linear generator of Q becomes a
     variable.
 
-    Returns (isomorphic presentation, pivot indices, the other generators
-    under the same change).  Redundant linear generators are dropped by
-    row reduction.
+    Returns (isomorphic presentation, pivot indices, the polynomials in
+    others under the same change).  Redundant linear generators are
+    dropped by row reduction.
     """
     if not linear:
         return pres, [], others
@@ -175,6 +176,36 @@ def hilbert_coefficients(pres, q_gens):
     return cached
 
 
+def _gr_basis(pres, q_gens, carry=()):
+    """The one weighted Groebner basis that presents gr_Q(M).
+
+    _linearize and _adjoin turn Q into (x_p : p in P) + (u_j); the
+    relations of M' go into one engine under TermOrder(rank, pivot), pivot
+    the weight 1 on the x_p and the u_j.  The polynomials in carry take
+    the same change of coordinates.  Returns (computed engine, pivot,
+    carried polynomials, still over the ring of M).
+    """
+    gens = _ideal_gens(q_gens)
+    others = [g for g in gens if g.degree() != 1]
+    pres, pivots, moved = _linearize(
+        pres, [g for g in gens if g.degree() == 1], others + list(carry)
+    )
+    others, carried = moved[: len(others)], moved[len(others) :]
+    if others:
+        ambient, rels = _adjoin(pres, others)
+    else:
+        ambient, rels = pres.ambient, pres.relation_gens()
+    nvars = ambient.ring.n
+    pivot = [0] * nvars
+    for p in pivots + list(range(pres.ring.n, nvars)):
+        pivot[p] = 1
+    eng = GroebnerEngine(ambient, TermOrder(pres.rank, pivot))
+    for rel in rels:
+        eng.add(rel)
+    eng.compute()
+    return eng, pivot, carried
+
+
 def exact_coefficients(pres, q_gens):
     """The Samuel polynomial of Q on M from one weighted Groebner basis.
 
@@ -191,25 +222,9 @@ def exact_coefficients(pres, q_gens):
     e_i = h^(i)(1) / i! and l(M / Q^(n+1) M) = sum_k h_k C(n - k + s, s).
     """
     s = pres.dim()
-    gens = _ideal_gens(q_gens)
-    pres, pivots, others = _linearize(
-        pres,
-        [g for g in gens if g.degree() == 1],
-        [g for g in gens if g.degree() != 1],
-    )
-    if others:
-        ambient, rels = _adjoin(pres, others)
-    else:
-        ambient, rels = pres.ambient, pres.relation_gens()
-    nvars = ambient.ring.n
-    pivot = [0] * nvars
-    for p in pivots + list(range(pres.ring.n, nvars)):
-        pivot[p] = 1
+    eng, pivot, _ = _gr_basis(pres, q_gens)
+    nvars = len(pivot)
     other = [1 - w for w in pivot]
-    eng = GroebnerEngine(ambient, TermOrder(pres.rank, pivot))
-    for rel in rels:
-        eng.add(rel)
-    eng.compute()
     per = [[] for _ in range(pres.rank)]
     for c, m in eng.leads:
         per[c].append(m)
@@ -247,6 +262,39 @@ def exact_coefficients(pres, q_gens):
             break
     samples = tuple(value(n) for n in range(post + 2 * s + 3))
     return HilbertCoefficients(s, e, post, samples)
+
+
+def associated_graded(pres, q_gens, a):
+    """(G, a*): G = gr_Q(M) presented over the ring of the weighted basis
+    (the x_p, the u_j and the other variables), and a* in Q/Q^2 the
+    initial form of a in Q + J, as a polynomial over that ring.
+
+    G = F'/in_w(N') is presented by the lowest-weight parts of the
+    weighted reduced basis, which generate in_w(N').  a* is the weight-1
+    part of the normal form of a modulo J + (u_j - f_j), whose basis is
+    the weighted basis of A itself.  Reduction under the weighted order
+    never lowers the weight of the term it reduces, so a term of weight 0
+    survives iff a is not in Q + J: then ValueError.
+    """
+    eng, pivot, (a,) = _gr_basis(pres, q_gens, [a])
+    j_basis, _, _ = _gr_basis(pres.algebra.as_module(), q_gens)
+    ring = eng.ring
+
+    def weight(m):
+        return sum(w * e for w, e in zip(pivot, m))
+
+    pad = (0,) * (ring.n - pres.ring.n)
+    lifted = {(0, m + pad): v for m, v in a.terms.items()}
+    nf = j_basis.order.reduce(lifted, j_basis.by_comp)
+    if any(weight(m) == 0 for _, m in nf):
+        raise ValueError("element does not lie in the given ideal")
+    a_star = Polynomial(ring, {m: v for (_, m), v in nf.items() if weight(m) == 1})
+    cols = []
+    for g in eng.reduced_elements():
+        low = weight(next(iter(g.terms))[1])
+        terms = {(c, m): v for (c, m), v in g.terms.items() if weight(m) == low}
+        cols.append(FreeElement(eng.module, terms))
+    return Presentation(Algebra(ring, ()), pres.rank, pres.twists, cols), a_star
 
 
 def _eval_samuel(coeffs, n, s):

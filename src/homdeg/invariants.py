@@ -2,24 +2,29 @@
 m-torsion length, and the structural predicates built on them: generalized
 Cohen-Macaulayness, unmixedness, d-sequences, superficial elements, and the
 length formulas expressing Samuel coefficients of a d-sequence.
+
+Superficiality is exact: for I an ideal of definition of M (M/IM of finite
+length), a in I is superficial for M iff (0 :_G a*) has finite length, G =
+gr_I(M) and a* the initial form of a, both read off the Samuel route's
+weighted Groebner basis.
 """
 
 from dataclasses import dataclass
 from math import comb
 
 from .errors import EngineBugError
-from .freemod import FreeModule
-from .groebner import groebner_basis, normal_form
-from .hilbert import HilbertCoefficients, hilbert_coefficients, multiplicity
+from .hilbert import (
+    HilbertCoefficients,
+    associated_graded,
+    hilbert_coefficients,
+    multiplicity,
+)
 from .koszul import euler_char_1
 from .modules import (
     Presentation,
     colon_by_ideal,
     ideal_cache_key,
-    intersect_submodules,
-    minimal_generators,
     saturate,
-    submodule_gb,
     submodule_key,
 )
 from .monomial_ideals import poly_add, series_length
@@ -189,15 +194,8 @@ def is_unmixed(pres):
     return True
 
 
-def _ideal_times_module_gens(pres, ideal_gens):
-    """Generators of (ideal) M inside the ambient free module."""
-    out = []
-    for g in ideal_gens:
-        if not g:
-            continue
-        for i in range(pres.rank):
-            out.append(pres.ambient.inject(g, i))
-    return out
+# Generators of (ideal) M in the ambient of M, for callers importing this name.
+_ideal_times_module_gens = Presentation.ideal_times_ambient
 
 
 def is_d_sequence(pres, seq):
@@ -209,7 +207,7 @@ def is_d_sequence(pres, seq):
     """
     d = len(seq)
     for i in range(1, d + 1):
-        prefix = _ideal_times_module_gens(pres, seq[: i - 1])
+        prefix = pres.ideal_times_ambient(seq[: i - 1])
         for j in range(i, d + 1):
             lhs = colon_by_ideal(pres, prefix, [seq[i - 1] * seq[j - 1]])
             rhs = colon_by_ideal(pres, prefix, [seq[j - 1]])
@@ -218,68 +216,24 @@ def is_d_sequence(pres, seq):
     return True, None
 
 
-def is_superficial(pres, a, ideal_gens, c_range=(1, 4), window=4, cap=12):
-    """Windowed test of superficiality of a for M with respect to I:
-    look for c with (I^{n+1}M : a) cap I^c M = I^n M for n = c .. c+window.
+def is_superficial(pres, a, ideal_gens):
+    """True iff a in I is superficial for M with respect to I, decided
+    exactly on G = gr_I(M) (Rossi and Valla, Hilbert Functions of Filtered
+    Modules, 2010): a is superficial iff (0 :_G a*) vanishes in high
+    degree, a* the initial form of a in I/I^2.  I must be an ideal of
+    definition (M/IM of finite length); then every graded piece of G has
+    finite length, and the criterion is that (0 :_G a*) has finite length.
 
-    Returns "yes", "no", or "indeterminate".  The definition quantifies
-    over all large n, so a sampled check can only refute within the cap;
-    "indeterminate" is returned when the cap forecloses every window.
+    G and a* come from the weighted basis of the Samuel route.  Raises
+    ValueError for a = 0, for M/IM of infinite length and for a not in
+    I + J.
     """
-    ideal_gens = [g for g in ideal_gens if g]
     if not a:
         raise ValueError("the zero element is never superficial")
-    # membership a in I (inside A, so modulo the defining ideal)
-    ring = pres.ring
-    one_mod = FreeModule(ring, 1)
-    igb = groebner_basis(
-        [one_mod.inject(g) for g in ideal_gens + list(pres.algebra.relations)],
-        module=one_mod,
-    )
-    if normal_form(one_mod.inject(a), igb):
-        raise ValueError("element does not lie in the given ideal")
-
-    powers = {1: list(ideal_gens)}
-
-    def power(k):
-        while max(powers) < k:
-            top = max(powers)
-            nxt = []
-            seen = set()
-            for p in powers[top]:
-                for g in ideal_gens:
-                    q = p * g
-                    if q and q not in seen:
-                        seen.add(q)
-                        nxt.append(q)
-            kept = minimal_generators([one_mod.inject(q) for q in nxt])
-            powers[top + 1] = [e.component(0) for e in kept]
-        return powers[k]
-
-    saw_violation = False
-    tested_any = False
-    for c in range(c_range[0], c_range[1] + 1):
-        if c + window > cap:
-            break
-        ok = True
-        for n in range(c, c + window + 1):
-            icm = _ideal_times_module_gens(pres, power(c))
-            inm = _ideal_times_module_gens(pres, power(n))
-            in1m = _ideal_times_module_gens(pres, power(n + 1))
-            lhs_colon = colon_by_ideal(pres, in1m, [a])
-            lhs = intersect_submodules(
-                lhs_colon, submodule_gb(pres, icm), pres.ambient
-            )
-            if submodule_key(lhs) != submodule_key(submodule_gb(pres, inm)):
-                ok = False
-                saw_violation = True
-                break
-        tested_any = True
-        if ok:
-            return "yes"
-    if tested_any and saw_violation:
-        return "no"
-    return "indeterminate"
+    if pres.quotient_by_ideal(ideal_gens).length() is None:
+        raise ValueError("M/IM has infinite length: I is not an ideal of definition")
+    gr, a_star = associated_graded(pres, ideal_gens, a)
+    return _sub_length(gr, colon_by_ideal(gr, [], [a_star])) is not None
 
 
 def dseq_coefficients(pres, seq):
@@ -307,7 +261,7 @@ def dseq_coefficients(pres, seq):
     if l_mqm is None:
         raise ValueError("the sequence is not a system of parameters")
     details["l_M_QM"] = l_mqm
-    prefix = _ideal_times_module_gens(pres, seq[: d - 1])
+    prefix = pres.ideal_times_ambient(seq[: d - 1])
     colon = colon_by_ideal(pres, prefix, [seq[d - 1]])
     correction = _sub_length(pres.quotient_by_ideal(seq[: d - 1]), colon)
     if correction is None:

@@ -93,13 +93,15 @@ class Presentation:
 
     # ---- relation calculus -------------------------------------------
 
+    def ideal_times_ambient(self, ideal_gens):
+        """Generators of I F inside the ambient F = S^rank: each nonzero
+        generator of I in every component, generator by generator."""
+        inject = self.ambient.inject
+        return [inject(g, i) for g in ideal_gens if g for i in range(self.rank)]
+
     def relation_gens(self):
         """Matrix columns plus the defining ideal in every component."""
-        out = list(self.columns)
-        for g in self.algebra.relations:
-            for i in range(self.rank):
-                out.append(self.ambient.inject(g, i))
-        return out
+        return list(self.columns) + self.ideal_times_ambient(self.algebra.relations)
 
     def gb(self):
         """Reduced Groebner basis of the relation submodule."""
@@ -177,10 +179,7 @@ class Presentation:
         key = ideal_cache_key("quotient", ideal_gens)
         quo = self._cache.get(key)
         if quo is None:
-            cols = list(self.columns)
-            for g in ideal_gens:
-                for i in range(self.rank):
-                    cols.append(self.ambient.inject(g, i))
+            cols = list(self.columns) + self.ideal_times_ambient(ideal_gens)
             quo = Presentation(self.algebra, self.rank, self.twists, cols)
             self._cache[key] = quo
         return quo
@@ -197,12 +196,9 @@ class Presentation:
 
     def minimized(self):
         """An isomorphic presentation with no constant matrix entries."""
-        cols = list(self.columns) + [
-            self.ambient.inject(g, i)
-            for g in self.algebra.relations
-            for i in range(self.rank)
-        ]
-        rank, twists, cols = _prune_constants(self.ring, self.rank, self.twists, cols)
+        rank, twists, cols = _prune_constants(
+            self.ring, self.rank, self.twists, self.relation_gens()
+        )
         # J re-enters via Presentation's relation_gens; stripping duplicate
         # copies of it here is only an optimization, not required.
         return Presentation(self.algebra, rank, twists, cols)

@@ -120,8 +120,8 @@ def _ext_at(plain, res, i):
     """Ext^i = ker(d_{i+1}^*) / im(d_i^*) at F_i^*, minimally presented.
 
     The cycles are the relations of the outgoing columns, re-homed to
-    F_i^* (all of F_i^* when i = L); they are presented modulo the
-    boundaries, the incoming columns."""
+    F_i^* (all of F_i^* when i = L); Ext^i is the subquotient they span
+    in F_i^* modulo the boundaries, the incoming columns."""
     L = res.length
     if i > L:
         return Presentation(plain, 0, (), ())
@@ -142,11 +142,8 @@ def _ext_at(plain, res, i):
         cycles = [FreeElement(dual_fi, a.terms) for a in lift_relations(outgoing, [])]
     else:
         cycles = [dual_fi.basis(j) for j in range(dual_fi.rank)]
-    if not cycles:
-        return Presentation(plain, 0, (), ())
-    rels = lift_relations(cycles, boundaries)
-    twists = tuple(c.homogeneous_degree() for c in cycles)
-    return Presentation(plain, len(cycles), twists, rels).minimized()
+    f_dual = Presentation(plain, dual_fi.rank, dual_fi.twists, boundaries)
+    return f_dual.subquotient(cycles).minimized()
 
 
 def local_cohomology_duals(pres):

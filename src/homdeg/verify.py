@@ -25,11 +25,10 @@ from itertools import permutations
 
 from .errors import EngineBugError
 from .freemod import FreeModule
-from .groebner import groebner_basis, normal_form
+from .groebner import groebner_basis
 from .hilbert import hilbert_coefficients
 from .invariants import (
     _duals,
-    _ideal_times_module_gens,
     _sub_length,
     h0_length,
     h0_torsion_gens,
@@ -95,12 +94,7 @@ def _q_kills_dual(pres, q_gens, i):
     mi = duals[i]
     if mi.is_zero():
         return True
-    gb = mi.gb()
-    for q in q_gens:
-        for j in range(mi.rank):
-            if normal_form(mi.ambient.inject(q, j), gb):
-                return False
-    return True
+    return not any(mi.reduce(el) for el in mi.ideal_times_ambient(q_gens))
 
 
 def _qm_meets_h0(pres, q_gens):
@@ -111,7 +105,7 @@ def _qm_meets_h0(pres, q_gens):
     the two have one length."""
     image = _sub_length(
         pres.quotient_by_ideal(q_gens),
-        list(h0_torsion_gens(pres)) + _ideal_times_module_gens(pres, q_gens),
+        list(h0_torsion_gens(pres)) + pres.ideal_times_ambient(q_gens),
     )
     return image == h0_length(pres)
 
@@ -280,9 +274,10 @@ def check_thm2(inst, seed=0):
     )
 
 
-def gen_example_39(l, m, field=None):
+def gen_example_39(l, m, field=None, degree_cap=64):
     """The intersection-of-linear-ideals family: A = S/(X_1..X_l) cap
-    (Y_1..Y_l) in 2l + m variables, Q = (x_i - y_i; z_j)."""
+    (Y_1..Y_l) in 2l + m variables, Q = (x_i - y_i; z_j), over a ring
+    whose Groebner runs are bounded by degree_cap."""
     if l < 2 or m < 1:
         raise ValueError("family requires l >= 2 and m >= 1")
     names = (
@@ -291,7 +286,7 @@ def gen_example_39(l, m, field=None):
         + [f"z{j}" for j in range(1, m + 1)]
     )
     kwargs = {} if field is None else {"field": field}
-    ring = PolyRing(names, **kwargs)
+    ring = PolyRing(names, degree_cap=degree_cap, **kwargs)
     xs = [ring.var(i) for i in range(l)]
     ys = [ring.var(l + i) for i in range(l)]
     zs = [ring.var(2 * l + j) for j in range(m)]
@@ -304,13 +299,14 @@ def gen_example_39(l, m, field=None):
     return ProblemInstance(pres, q, {"family": "ex39", "params": {"l": l, "m": m}})
 
 
-def gen_example_46(l, field=None):
+def gen_example_46(l, field=None, degree_cap=64):
     """The mixed-ring family: A = k[x,y,z]/((X) cap (Y^l, Z)), with the
-    parameter ideal Q = (x - y, x - z)."""
+    parameter ideal Q = (x - y, x - z), over a ring whose Groebner runs
+    are bounded by degree_cap."""
     if l < 1:
         raise ValueError("family requires l >= 1")
     kwargs = {} if field is None else {"field": field}
-    ring = PolyRing(["x", "y", "z"], **kwargs)
+    ring = PolyRing(["x", "y", "z"], degree_cap=degree_cap, **kwargs)
     x, y, z = ring.gens()
     pres = Algebra(ring, [x * y**l, x * z]).as_module()
     q = [x - y, x - z]

@@ -153,3 +153,24 @@ def test_sample_cap_flag_is_gone(tmp_path, capsys):
     code, out, err = run_cli(capsys, "--input", str(script), "--format", "json")
     assert code == 0
     assert json.loads(out)["hilbert_coefficients"] == ["4", "-2", "0"]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "ring S = QQ[x, y, z];\nideal J = (x*y^2, x*z);\nalgebra A = S / J;\n"
+        "params Q = (x - y, x - z);\ncheck invariants;\n",
+        "example ex46 l=2;\ncheck invariants;\n",
+    ],
+    ids=["declared-ring", "example"],
+)
+def test_degree_cap_reaches_the_engine(tmp_path, capsys, text):
+    """--degree-cap bounds the Groebner runs over a declared ring and over
+    a built-in example's ring alike."""
+    script = tmp_path / "cap.hd"
+    script.write_text(text)
+    code, out, err = run_cli(capsys, "--input", str(script), "--degree-cap", "2")
+    assert code == 2
+    assert "error: computation exceeded the degree cap 2" in err
+    code, out, err = run_cli(capsys, "--input", str(script), "--degree-cap", "64")
+    assert code == 0, err

@@ -1,11 +1,19 @@
 """Homological degree, torsions, m-torsion lengths, and the structural
 predicates (generalized CM, unmixed, d-sequence, superficial)."""
 
+import random
+from collections import Counter
+
 import pytest
 
 from homdeg import (
+    QQ,
     Algebra,
+    FreeModule,
+    Polynomial,
     PolyRing,
+    Presentation,
+    PrimeField,
     dseq_coefficients,
     h0_length,
     hdeg,
@@ -19,6 +27,13 @@ from homdeg import (
     torsions,
 )
 from homdeg.invariants import NotDSequenceError
+from homdeg.modules import (
+    colon_by_ideal,
+    intersect_submodules,
+    minimal_generators,
+    submodule_gb,
+    submodule_key,
+)
 
 
 @pytest.fixture
@@ -121,7 +136,7 @@ def test_superficial_yes():
     ring = PolyRing(("x",))
     (x,) = ring.gens()
     pres = Algebra(ring, ()).as_module()
-    assert is_superficial(pres, x, [x]) == "yes"
+    assert is_superficial(pres, x, [x]) is True
 
 
 def test_superficial_no():
@@ -129,8 +144,8 @@ def test_superficial_no():
     ring = PolyRing(("x", "y"))
     x, y = ring.gens()
     pres = Algebra(ring, [x * y]).as_module()
-    assert is_superficial(pres, x, [x, y]) == "no"
-    assert is_superficial(pres, x - y, [x, y]) == "yes"
+    assert is_superficial(pres, x, [x, y]) is False
+    assert is_superficial(pres, x - y, [x, y]) is True
 
 
 def test_superficial_requires_membership():
@@ -180,3 +195,210 @@ def test_invariant_report_low_depth(low_depth):
     assert inv.chi1 == 1
     assert inv.generalized_cm
     assert not inv.unmixed
+
+
+# ---- exact superficiality against the windowed test ---------------------
+
+
+def _power_gens(pres, ideal_gens):
+    """k -> generators of I^k M in the ambient of M, with the powers of I
+    built by hand and pruned to minimal generators."""
+    one_mod = FreeModule(pres.ring, 1)
+    powers = {1: list(ideal_gens)}
+
+    def power_gens(k):
+        while max(powers) < k:
+            top = max(powers)
+            nxt, seen = [], set()
+            for p in powers[top]:
+                for g in ideal_gens:
+                    q = p * g
+                    if q and q not in seen:
+                        seen.add(q)
+                        nxt.append(q)
+            kept = minimal_generators([one_mod.inject(q) for q in nxt])
+            powers[top + 1] = [e.component(0) for e in kept]
+        return pres.ideal_times_ambient(powers[k])
+
+    return power_gens
+
+
+def _equality_fails(pres, a, power_gens, c, n):
+    """True iff (I^(n+1) M : a) cap I^c M differs from I^n M."""
+    lhs = intersect_submodules(
+        colon_by_ideal(pres, power_gens(n + 1), [a]),
+        submodule_gb(pres, power_gens(c)),
+        pres.ambient,
+    )
+    return submodule_key(lhs) != submodule_key(submodule_gb(pres, power_gens(n)))
+
+
+def _windowed_superficial(pres, a, ideal_gens, c_range=(1, 4), window=4, cap=12):
+    """Oracle: the sampled definition.  Look for c with
+    (I^(n+1) M : a) cap I^c M = I^n M for n = c .. c + window.  Returns
+    "yes", "no", or "indeterminate" when the cap forecloses every window.
+    Neither answer is a proof: a failure past the window is missed."""
+    power_gens = _power_gens(pres, [g for g in ideal_gens if g])
+    saw_violation = tested_any = False
+    for c in range(c_range[0], c_range[1] + 1):
+        if c + window > cap:
+            break
+        ok = True
+        for n in range(c, c + window + 1):
+            if _equality_fails(pres, a, power_gens, c, n):
+                ok = False
+                saw_violation = True
+                break
+        tested_any = True
+        if ok:
+            return "yes"
+    return "no" if tested_any and saw_violation else "indeterminate"
+
+
+def _fails_past_the_window(pres, a, ideal_gens):
+    """True iff for some n in 5..8 an element of I^(n-1) M outside I^n M
+    is carried by a into I^(n+1) M: the equality then fails at n for every
+    c < n, so no c <= 4 of the windowed test holds for all n >= c."""
+    power_gens = _power_gens(pres, [g for g in ideal_gens if g])
+    return any(_equality_fails(pres, a, power_gens, n - 1, n) for n in range(5, 9))
+
+
+def _mono(rng, deg):
+    m = [0] * 3
+    for _ in range(deg):
+        m[rng.randrange(3)] += 1
+    return tuple(m)
+
+
+def _form(ring, rng, deg):
+    """A random form of degree deg in k[x,y,z] (zero if it cancels)."""
+    terms = {
+        _mono(rng, deg): ring.field.from_int(rng.randint(-2, 2))
+        for _ in range(rng.randint(1, 3))
+    }
+    return Polynomial(ring, {m: c for m, c in terms.items() if c})
+
+
+def _combination(ring, rng, gens):
+    return sum((g.scale(ring.field.from_int(rng.randint(-2, 2))) for g in gens), ring.zero)
+
+
+def _superficial_draw(rng):
+    """(M, a, I, kind) with I an ideal of definition of M and a in I, or
+    None.  M is a monomial quotient of k[x,y,z] or a rank-2 twisted
+    cokernel; I is linear, quadric or mixed; a is a generator of I (often
+    a zero-divisor, so not superficial) or a combination of generators."""
+    ring = PolyRing(("x", "y", "z"), field=rng.choice((QQ, PrimeField(32003))))
+    if rng.random() < 0.6:
+        j = [
+            Polynomial(ring, {_mono(rng, rng.randint(2, 3)): ring.field.one})
+            for _ in range(rng.randint(1, 3))
+        ]
+        pres = Algebra(ring, j).as_module()
+    else:
+        twists = (0, rng.choice((1, 2)))
+        ambient = FreeModule(ring, 2, twists)
+        cols = []
+        for _ in range(rng.randint(2, 3)):
+            deg = twists[1] + rng.randint(0, 2)
+            cols.append(
+                ambient.inject(_form(ring, rng, deg), 0)
+                + ambient.inject(_form(ring, rng, deg - twists[1]), 1)
+            )
+        pres = Presentation(Algebra(ring, ()), 2, twists, cols)
+    x, y, z = ring.gens()
+    kind = rng.choice(("linear", "quadric", "mixed"))
+    if kind == "linear":
+        ideal = [x, y, z]
+    elif kind == "quadric":
+        ideal = [x * x, y * y, z * z]
+    else:
+        ideal = [x, y * y, z * z]
+    if kind == "mixed" and rng.random() < 0.5:
+        a = ideal[1] - ideal[2] + x * rng.choice((x, y, z))
+    elif rng.random() < 0.5:
+        a = rng.choice(ideal)
+    else:
+        a = _combination(ring, rng, ideal if kind != "mixed" else ideal[1:])
+    if not a or pres.is_zero() or pres.quotient_by_ideal(ideal).length() is None:
+        return None
+    return pres, a, ideal, kind
+
+
+def test_superficial_matches_windowed_oracle():
+    """The exact test agrees with the windowed one on 40 seeded draws over
+    QQ and GF(32003), monomial quotients and rank-2 twisted cokernels,
+    linear, quadric and mixed I, with both answers well represented."""
+    rng = random.Random(20140913)
+    answers = Counter()
+    shapes = set()
+    late_failures = 0
+    while sum(answers.values()) < 40:
+        draw = _superficial_draw(rng)
+        if draw is None:
+            continue
+        pres, a, ideal, kind = draw
+        expected = _windowed_superficial(pres, a, ideal)
+        if expected == "indeterminate":
+            continue
+        got = is_superficial(pres, a, ideal)
+        if got is not (expected == "yes"):
+            # a window's "yes" can miss a failure at a larger n
+            assert expected == "yes" and _fails_past_the_window(pres, a, ideal)
+            late_failures += 1
+        answers[got] += 1
+        shapes.add((pres.rank, kind, pres.ring.field))
+    assert answers[False] >= 10 and answers[True] >= 10
+    assert late_failures <= 2
+    assert {rank for rank, _, _ in shapes} == {1, 2}
+    assert {kind for _, kind, _ in shapes} == {"linear", "quadric", "mixed"}
+    assert len({field for _, _, field in shapes}) == 2
+
+
+def test_superficial_element_of_the_square():
+    """a in I^2 has a* = 0, so (0 :_G a*) = G: not superficial when
+    dim M >= 1, superficial when M has finite length."""
+    ring = PolyRing(("x", "y"))
+    x, y = ring.gens()
+    line = Algebra(ring, [x * y]).as_module()
+    assert is_superficial(line, x * x, [x, y]) is False
+    assert is_superficial(line, x * x - y * y, [x, y]) is False
+    point = Algebra(ring, [x**2, y**3]).as_module()
+    assert point.dim() == 0
+    assert is_superficial(point, x * y, [x, y]) is True
+
+
+def test_superficial_nonlinear_ideal():
+    # on k[x,y]/(xy) under I = (x^2, y^2): x^2 kills y^2, x^2 - y^2 does not
+    ring = PolyRing(("x", "y"))
+    x, y = ring.gens()
+    pres = Algebra(ring, [x * y]).as_module()
+    assert is_superficial(pres, x * x, [x * x, y * y]) is False
+    assert is_superficial(pres, x * x - y * y, [x * x, y * y]) is True
+
+
+def test_superficial_rejects_element_outside_ideal():
+    # y is not in I + J = (x, y^2), though I is an ideal of definition
+    ring = PolyRing(("x", "y"))
+    x, y = ring.gens()
+    pres = Algebra(ring, ()).as_module()
+    with pytest.raises(ValueError, match="does not lie"):
+        is_superficial(pres, y, [x, y * y])
+    assert is_superficial(pres, y * y, [x, y * y]) is True
+
+
+def test_superficial_needs_ideal_of_definition():
+    # k[x,y] / (x) k[x,y] = k[y] has infinite length
+    ring = PolyRing(("x", "y"))
+    x, y = ring.gens()
+    pres = Algebra(ring, ()).as_module()
+    with pytest.raises(ValueError, match="infinite length"):
+        is_superficial(pres, x, [x])
+
+
+def test_superficial_rejects_zero():
+    ring = PolyRing(("x", "y"))
+    x, y = ring.gens()
+    pres = Algebra(ring, [x * y]).as_module()
+    with pytest.raises(ValueError, match="zero element"):
+        is_superficial(pres, ring.zero, [x, y])
