@@ -1,7 +1,7 @@
 """Graded free modules S^r with degree twists, and their elements."""
 
 from .errors import InhomogeneousError, RingMismatchError
-from .kernel import mono_mul, term_key
+from .kernel import mono_mul
 from .ring import Polynomial
 
 
@@ -131,23 +131,10 @@ class FreeElement:
             raise InhomogeneousError(str(self))
         return self.degree()
 
-    def lead(self, split=None):
-        """((comp, mono), coeff) of the largest term."""
-        if not self.terms:
-            raise ValueError("zero element has no lead term")
-        if split is None:
-            split = self.module.rank
-        t = max(self.terms, key=lambda t: term_key(t[0], t[1], split))
-        return t, self.terms[t]
-
     def component(self, i):
         """The polynomial entry at component i."""
         terms = {m: c for (c_, m), c in self.terms.items() if c_ == i}
         return Polynomial(self.module.ring, terms)
-
-    def components(self):
-        """All entries as a list of polynomials (dense, length = rank)."""
-        return [self.component(i) for i in range(self.module.rank)]
 
     def map_monos(self, f):
         """Apply f to every monomial (used by ring substitutions)."""

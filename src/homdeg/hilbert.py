@@ -21,7 +21,7 @@ from math import comb
 from .errors import EngineBugError, InhomogeneousError
 from .freemod import FreeElement, FreeModule
 from .groebner import GroebnerEngine, TermOrder
-from .modules import Algebra, Presentation, ideal_cache_key
+from .modules import Algebra, Presentation
 from .monomial_ideals import (
     divide_one_minus_t,
     eval_at_one,
@@ -169,11 +169,7 @@ def hilbert_coefficients(pres, q_gens):
     """The Samuel polynomial of Q on M in binomial form, cached on pres."""
     if pres.dim() < 0:
         raise ValueError("the zero module has no Samuel polynomial")
-    cache_key = ideal_cache_key("samuel", q_gens)
-    cached = pres._cache.get(cache_key)
-    if cached is None:
-        cached = pres._cache[cache_key] = exact_coefficients(pres, q_gens)
-    return cached
+    return pres.cached("samuel", lambda: exact_coefficients(pres, q_gens), q_gens)
 
 
 def _gr_basis(pres, q_gens, carry=()):

@@ -23,7 +23,6 @@ from .koszul import euler_char_1
 from .modules import (
     Presentation,
     colon_by_ideal,
-    ideal_cache_key,
     saturate,
     submodule_key,
 )
@@ -41,11 +40,8 @@ class NotDSequenceError(ValueError):
 
 
 def _duals(pres):
-    duals = pres._cache.get("duals")
-    if duals is None:
-        duals = local_cohomology_duals(pres)
-        pres._cache["duals"] = duals
-    return duals
+    """The local-cohomology duals [M_0, ..., M_d] of M, cached on pres."""
+    return pres.cached("duals", lambda: local_cohomology_duals(pres))
 
 
 def hdeg(pres, q_gens):
@@ -60,19 +56,17 @@ def hdeg(pres, q_gens):
     """
     if pres.is_zero():
         return 0
-    key = ideal_cache_key("hdeg", q_gens)
-    hit = pres._cache.get(key)
-    if hit is not None:
-        return hit
+    return pres.cached("hdeg", lambda: _hdeg(pres, q_gens), q_gens)
+
+
+def _hdeg(pres, q_gens):
     s = pres.dim()
     if s <= 0:
-        out = pres.length()
-    else:
-        out = multiplicity(pres, q_gens)
-        duals = _duals(pres)
-        for j in range(s):
-            out += comb(s - 1, j) * hdeg(duals[j], q_gens)
-    pres._cache[key] = out
+        return pres.length()
+    out = multiplicity(pres, q_gens)
+    duals = _duals(pres)
+    for j in range(s):
+        out += comb(s - 1, j) * hdeg(duals[j], q_gens)
     return out
 
 
@@ -100,11 +94,7 @@ def torsions(pres, q_gens):
 def h0_torsion_gens(pres):
     """Reduced Groebner basis of (0 :_M m^infinity) + relations inside the
     ambient of pres, cached on pres."""
-    sat = pres._cache.get("h0_sat")
-    if sat is None:
-        m_gens = pres.algebra.irrelevant_gens()
-        sat = pres._cache["h0_sat"] = saturate(pres, [], m_gens)
-    return sat
+    return pres.cached("h0_sat", lambda: saturate(pres, [], pres.algebra.irrelevant_gens()))
 
 
 def h0_torsion_module(pres):
@@ -125,10 +115,7 @@ def h0_length(pres):
     """l(H^0_m(M)), cached on pres.  Computed once from the Hilbert series
     of M and of F/(0 :_M m^infinity), and cross-checked against the length
     of the dual module M_0 (duality preserves length)."""
-    cached = pres._cache.get("h0_length")
-    if cached is None:
-        cached = pres._cache["h0_length"] = _h0_length(pres)
-    return cached
+    return pres.cached("h0_length", lambda: _h0_length(pres))
 
 
 def _h0_length(pres):
@@ -192,10 +179,6 @@ def is_unmixed(pres):
         if codim < i + 1:
             return False
     return True
-
-
-# Generators of (ideal) M in the ambient of M, for callers importing this name.
-_ideal_times_module_gens = Presentation.ideal_times_ambient
 
 
 def is_d_sequence(pres, seq):

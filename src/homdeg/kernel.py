@@ -44,26 +44,18 @@ def mono_deg(a):
     return sum(a)
 
 
-def mono_key(m):
-    """Sort key for grevlex; max() picks the lead monomial."""
-    return (sum(m), tuple(-e for e in reversed(m)))
-
-
-def term_key(c, m, split):
-    """Sort key for module terms under the (possibly block) order."""
-    return (c < split, sum(m), tuple(-e for e in reversed(m)), -c)
-
-
 def order_key(split, weight=None):
     """Sort key on (comp, mono) pairs that puts the largest term first:
     min() picks the lead term, and a min-heap pops it first.
 
-    Without a weight it orders like term_key, reversed.  With one (an int
-    per variable), a term of smaller weight is larger, and the unweighted
-    order breaks ties.
+    Without a weight it is the order above: a component below split beats
+    one at or above it, then the higher degree wins, then grevlex (the
+    smaller exponent at the last variable that differs), then the lower
+    component.  With a weight (an int per variable), a term of smaller
+    weight is larger, and the unweighted order breaks ties.  This is the
+    one definition of the term order.
     """
     if weight is None:
-        # term_key negated and inlined: one Python call per term
         def key(t):
             c, m = t
             return (c >= split, -sum(m), m[::-1], c)

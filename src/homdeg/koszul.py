@@ -20,7 +20,7 @@ from itertools import combinations
 
 from .errors import EngineBugError
 from .freemod import FreeElement, FreeModule
-from .modules import Presentation, ideal_cache_key
+from .modules import Presentation
 from .monomial_ideals import poly_add, poly_shift, series_length
 
 
@@ -79,10 +79,10 @@ def koszul_homology_lengths(pres, seq):
 
     The lengths are cached on pres, keyed by the sequence up to order (a
     permuted sequence has an isomorphic Koszul complex)."""
-    key = ideal_cache_key("koszul_lengths", seq)
-    cached = pres._cache.get(key)
-    if cached is not None:
-        return list(cached)
+    return list(pres.cached("koszul_lengths", lambda: _homology_lengths(pres, seq), seq))
+
+
+def _homology_lengths(pres, seq):
     d = len(seq)
     degs = []
     for a in seq:
@@ -112,8 +112,7 @@ def koszul_homology_lengths(pres, seq):
         if ln < 0:
             raise EngineBugError(f"Koszul homology H_{i} has negative length {ln}")
         out.append(ln)
-    pres._cache[key] = tuple(out)
-    return out
+    return tuple(out)
 
 
 def euler_char_1(pres, seq, multiplicity=None):

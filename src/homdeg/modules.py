@@ -68,7 +68,9 @@ class Presentation:
     """A finitely generated graded module M = F / N, with F = S^rank
     (twisted) and N spanned by the matrix columns plus J copies.
 
-    Immutable; all derived data is cached on first use.
+    Immutable.  Every quantity derived from M (its Groebner basis, its
+    Hilbert series, M/QM, resolutions, duals, hdeg, ...) is computed on
+    first use through `cached`, the one cache.
     """
 
     def __init__(self, algebra, rank, twists, columns):
@@ -87,9 +89,19 @@ class Presentation:
                 raise InhomogeneousError(repr(c))
             cols.append(c)
         self.columns = tuple(cols)
-        self._gb = None
-        self._series = None
         self._cache = {}
+
+    def cached(self, name, compute, ideal=None):
+        """The derived quantity name of M: compute() on first use, stored
+        and returned on every later call.  A quantity that depends on an
+        ideal (or sequence) given by ideal is keyed by
+        ideal_cache_key(name, ideal)."""
+        key = name if ideal is None else ideal_cache_key(name, ideal)
+        try:
+            return self._cache[key]
+        except KeyError:
+            value = self._cache[key] = compute()
+            return value
 
     # ---- relation calculus -------------------------------------------
 
@@ -105,13 +117,12 @@ class Presentation:
 
     def gb(self):
         """Reduced Groebner basis of the relation submodule."""
-        if self._gb is None:
+
+        def compute():
             rels = self.relation_gens()
-            if rels:
-                self._gb = tuple(groebner_basis(rels, module=self.ambient))
-            else:
-                self._gb = ()
-        return self._gb
+            return tuple(groebner_basis(rels, module=self.ambient)) if rels else ()
+
+        return self.cached("gb", compute)
 
     def reduce(self, el):
         """Normal form of an ambient element against the relations."""
@@ -130,14 +141,16 @@ class Presentation:
     def hilbert_numerator(self):
         """Numerator of the graded Hilbert series over (1-t)^n, twists
         included; {} for the zero module."""
-        if self._series is None:
+
+        def compute():
             total = {}
             memo = {}
             for c, monos in enumerate(self.lead_monomials()):
                 num = hilbert_numerator(monos, memo)
                 total = poly_add(total, poly_shift(num, self.twists[c]))
-            self._series = total
-        return self._series
+            return total
+
+        return self.cached("series", compute)
 
     def hilbert_series(self):
         """(numerator, n): series = numerator / (1-t)^n."""
@@ -171,18 +184,17 @@ class Presentation:
 
     def quotient_by_ideal(self, ideal_gens):
         """M / (ideal) M: M itself for the zero ideal, else one presentation
-        cached on M under ideal_cache_key, so that every user of M/QM
-        shares its Groebner basis and series."""
+        cached on M, so that every user of M/QM shares its Groebner basis
+        and series."""
         ideal_gens = [g for g in ideal_gens if g]
         if not ideal_gens:
             return self
-        key = ideal_cache_key("quotient", ideal_gens)
-        quo = self._cache.get(key)
-        if quo is None:
+
+        def compute():
             cols = list(self.columns) + self.ideal_times_ambient(ideal_gens)
-            quo = Presentation(self.algebra, self.rank, self.twists, cols)
-            self._cache[key] = quo
-        return quo
+            return Presentation(self.algebra, self.rank, self.twists, cols)
+
+        return self.cached("quotient", compute, ideal_gens)
 
     def subquotient(self, gens):
         """The submodule of M spanned by (the images of) gens, presented on
@@ -320,9 +332,9 @@ def saturate(pres, sub_gens, ideal_gens):
 
 
 def ideal_cache_key(name, gens):
-    """Key of a quantity of M cached on pres._cache that depends on an
-    ideal (or sequence) given by gens: the multiset of their term maps,
-    independent of their order but not of repeats, since the Koszul
+    """Key of a quantity of M cached by Presentation.cached that depends
+    on an ideal (or sequence) given by gens: the multiset of their term
+    maps, independent of their order but not of repeats, since the Koszul
     complex of (f, f) is not that of (f)."""
     return (name, frozenset(Counter(frozenset(g.terms.items()) for g in gens).items()))
 

@@ -42,9 +42,10 @@ def free_resolution(pres):
     The input module is taken over S (its algebra's relations are folded
     into the first syzygy step).  Cached on the presentation.
     """
-    cached = pres._cache.get("resolution")
-    if cached is not None:
-        return cached
+    return pres.cached("resolution", lambda: _resolve(pres))
+
+
+def _resolve(pres):
     ring = pres.ring
     mini = pres.minimized()
     f0 = mini.ambient
@@ -64,7 +65,6 @@ def free_resolution(pres):
         current = minimal_generators(lift_relations(current, []))
     res = FreeResolution(modules, diffs)
     _check_complex(res)
-    pres._cache["resolution"] = res
     return res
 
 
@@ -96,24 +96,20 @@ def _transpose_columns(cols, source, target):
     return dual_source, dual_target, [FreeElement(dual_target, t) for t in rows]
 
 
-def ext_modules(pres, max_index=None):
-    """Ext^i_S(M, S) for i = 0..max_index as Presentations over S.
+def ext_modules(pres):
+    """The tuple of Ext^i_S(M, S) for i = 0..n as Presentations over S,
+    cached on pres.
 
     Computed as homology of the dualized minimal resolution,
     Ext^i = ker(d_{i+1}^*) / im(d_i^*), as minimal presentations.
     """
-    ring = pres.ring
-    if max_index is None:
-        max_index = ring.n
-    cached = pres._cache.setdefault("ext", {})
-    plain = Algebra(ring, ())
-    res = free_resolution(pres)
-    out = []
-    for i in range(max_index + 1):
-        if i not in cached:
-            cached[i] = _ext_at(plain, res, i)
-        out.append(cached[i])
-    return out
+
+    def compute():
+        plain = Algebra(pres.ring, ())
+        res = free_resolution(pres)
+        return tuple(_ext_at(plain, res, i) for i in range(pres.ring.n + 1))
+
+    return pres.cached("ext", compute)
 
 
 def _ext_at(plain, res, i):
@@ -156,7 +152,7 @@ def local_cohomology_duals(pres):
     ring = pres.ring
     n = ring.n
     d = pres.dim()
-    exts = ext_modules(pres, max_index=n)
+    exts = ext_modules(pres)
     duals = [exts[n - j] for j in range(d + 1)]
     for j, mj in enumerate(duals):
         if mj.dim() > j:
@@ -183,7 +179,7 @@ def depth(pres):
     if pres.is_zero():
         raise ValueError("depth of the zero module is undefined")
     ring = pres.ring
-    exts = ext_modules(pres, max_index=ring.n)
+    exts = ext_modules(pres)
     nonzero = [i for i, e in enumerate(exts) if not e.is_zero()]
     if not nonzero:
         raise EngineBugError("nonzero module with all Ext groups zero")
@@ -193,7 +189,7 @@ def depth(pres):
 def ext_codims(pres):
     """codim Ext^i = n - dim Ext^i for i = 0..n (None where Ext^i = 0)."""
     ring = pres.ring
-    exts = ext_modules(pres, max_index=ring.n)
+    exts = ext_modules(pres)
     out = []
     for e in exts:
         if e.is_zero():

@@ -4,7 +4,7 @@ from operator import mul
 
 from .errors import InhomogeneousError, RingMismatchError
 from .fields import QQ
-from .kernel import mono_deg, mono_key, mono_mul
+from .kernel import mono_deg, mono_mul, order_key
 
 
 class PolyRing:
@@ -184,20 +184,6 @@ class Polynomial:
             raise InhomogeneousError(str(self))
         return self.degree()
 
-    def lead_monomial(self):
-        if not self.terms:
-            raise ValueError("zero polynomial has no lead monomial")
-        return max(self.terms, key=mono_key)
-
-    def lead_coefficient(self):
-        return self.terms[self.lead_monomial()]
-
-    def monic(self):
-        if not self.terms:
-            return self
-        lc = self.lead_coefficient()
-        return Polynomial(self.ring, {m: c / lc for m, c in self.terms.items()})
-
     def substitute(self, sub):
         """Apply the map x_i -> sub[i] (a Polynomial, or None to keep x_i)."""
         ring = self.ring
@@ -236,7 +222,8 @@ class Polynomial:
         if not self.terms:
             return "0"
         parts = []
-        for m in sorted(self.terms, key=mono_key, reverse=True):
+        key = order_key(1)
+        for m in sorted(self.terms, key=lambda m: key((0, m))):
             c = self.terms[m]
             mono = "*".join(
                 f"{name}^{e}" if e > 1 else name

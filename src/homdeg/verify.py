@@ -82,10 +82,6 @@ def _core_numbers(inst):
     return d, e, h, chi1, t, h0
 
 
-def _polynomial_exact_from_zero(e):
-    return e.postulation == 0
-
-
 def _q_kills_dual(pres, q_gens, i):
     """True iff Q annihilates the dual module M_i."""
     duals = _duals(pres)
@@ -171,10 +167,28 @@ def find_dseq_generators(pres, q_gens, seed=0, trials=20, metadata=None):
     return None
 
 
+def _shared_consequences(inst, d, seed, consequences, witnesses, meets_h0):
+    """Record the consequences both theorems draw: d-sequence generators
+    of Q and Q H^i(M) = 0 for 1 <= i <= d-2, with QM cap H^0(M) = 0
+    between them when meets_h0 (thm1).  A failure adds its witness."""
+    pres, q = inst.pres, inst.q_gens
+    gens = find_dseq_generators(pres, q, seed=seed, metadata=inst.metadata)
+    consequences["d_sequence"] = "unverified" if gens is None else [repr(g) for g in gens]
+    if gens is None:
+        witnesses.append("no d-sequence generators found within the trial budget")
+    if meets_h0:
+        consequences["qm_cap_h0_zero"] = _qm_meets_h0(pres, q)
+        if not consequences["qm_cap_h0_zero"]:
+            witnesses.append("QM cap H^0(M) != 0")
+    kills = all(_q_kills_dual(pres, q, i) for i in range(1, max(d - 1, 1)))
+    consequences["q_kills_hi"] = kills
+    if not kills:
+        witnesses.append("Q does not annihilate some H^i(M), 1 <= i <= d-2")
+
+
 def check_thm1(inst, seed=0):
     """Verdict for the chi_1 = hdeg - e0 equivalence theorem."""
-    pres, q = inst.pres, inst.q_gens
-    if pres.dim() < 1:
+    if inst.pres.dim() < 1:
         raise ValueError("the theorem concerns modules of positive dimension")
     d, e, h, chi1, t, h0 = _core_numbers(inst)
     witnesses = []
@@ -191,7 +205,7 @@ def check_thm1(inst, seed=0):
     per_i.append(ok_d)
     if not ok_d:
         witnesses.append(f"(-1)^{d} e_{d} = {(-1) ** d * e[d]} != l(H^0) = {h0}")
-    cond2b = _polynomial_exact_from_zero(e)
+    cond2b = e.postulation == 0
     if not cond2b:
         witnesses.append(f"Samuel function differs from polynomial below n = {e.postulation}")
     cond2 = all(per_i) and cond2b
@@ -202,20 +216,7 @@ def check_thm1(inst, seed=0):
         )
     consequences = {}
     if cond1:
-        gens = find_dseq_generators(pres, q, seed=seed, metadata=inst.metadata)
-        if gens is None:
-            consequences["d_sequence"] = "unverified"
-            witnesses.append("no d-sequence generators found within the trial budget")
-        else:
-            consequences["d_sequence"] = [repr(g) for g in gens]
-        qm_h0 = _qm_meets_h0(pres, q)
-        consequences["qm_cap_h0_zero"] = qm_h0
-        if not qm_h0:
-            witnesses.append("QM cap H^0(M) != 0")
-        kills = all(_q_kills_dual(pres, q, i) for i in range(1, max(d - 1, 1)))
-        consequences["q_kills_hi"] = kills
-        if not kills:
-            witnesses.append("Q does not annihilate some H^i(M), 1 <= i <= d-2")
+        _shared_consequences(inst, d, seed, consequences, witnesses, meets_h0=True)
     return TheoremVerdict(
         theorem="thm1",
         condition1=cond1,
@@ -229,11 +230,10 @@ def check_thm1(inst, seed=0):
 
 def check_thm2(inst, seed=0):
     """Verdict for the e_1 = -T^1 equivalence theorem (unmixed, dim >= 2)."""
-    pres, q = inst.pres, inst.q_gens
-    if pres.dim() < 2:
+    if inst.pres.dim() < 2:
         raise ValueError("the theorem requires dim M >= 2")
     d, e, h, chi1, t, h0 = _core_numbers(inst)
-    unmixed = is_unmixed(pres)
+    unmixed = is_unmixed(inst.pres)
     witnesses = []
     cond1 = chi1 == h - e[0]
     cond2 = e[1] == -t[0]
@@ -250,19 +250,10 @@ def check_thm2(inst, seed=0):
         consequences["higher_coefficients"] = per_i and e[d] == 0
         if not consequences["higher_coefficients"]:
             witnesses.append("consequence (i) fails: higher coefficients or e_d")
-        consequences["polynomial_exact"] = _polynomial_exact_from_zero(e)
+        consequences["polynomial_exact"] = e.postulation == 0
         if not consequences["polynomial_exact"]:
             witnesses.append("consequence fails: Samuel polynomial not exact from n = 0")
-        gens = find_dseq_generators(pres, q, seed=seed, metadata=inst.metadata)
-        consequences["d_sequence"] = (
-            "unverified" if gens is None else [repr(g) for g in gens]
-        )
-        if gens is None:
-            witnesses.append("no d-sequence generators found within the trial budget")
-        kills = all(_q_kills_dual(pres, q, i) for i in range(1, max(d - 1, 1)))
-        consequences["q_kills_hi"] = kills
-        if not kills:
-            witnesses.append("Q does not annihilate some H^i(M), 1 <= i <= d-2")
+        _shared_consequences(inst, d, seed, consequences, witnesses, meets_h0=False)
     return TheoremVerdict(
         theorem="thm2",
         condition1=cond1,

@@ -213,12 +213,13 @@ def _homogeneous_terms(rng, n, twists, deg):
 
 def _lead_key(split, weight):
     """Oracle: a max()-key of the order, written apart from
-    kernel.order_key: smaller weight first, then term_key."""
+    kernel.order_key: smaller weight first, then components below split,
+    then degree, then grevlex, then the lower component."""
 
     def key(t):
         c, m = t
         w = 0 if weight is None else sum(a * e for a, e in zip(weight, m))
-        return (-w, kernel.term_key(c, m, split))
+        return (-w, c < split, sum(m), tuple(-e for e in reversed(m)), -c)
 
     return key
 

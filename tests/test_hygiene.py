@@ -1,4 +1,5 @@
-"""Source hygiene: every module-level import in the package is used."""
+"""Source hygiene: every module-level import in the package is used, and
+only modules.py touches the cache behind Presentation.cached."""
 
 import ast
 from pathlib import Path
@@ -37,3 +38,18 @@ def test_module_level_imports_are_used(path):
         if name not in used
     ]
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "modules.py"], ids=lambda p: p.name
+)
+def test_only_modules_touches_the_cache(path):
+    """Derived quantities go through Presentation.cached: no other module
+    reads or writes an attribute named _cache."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "_cache"
+    ]
+    assert not lines, f"{path.name} touches _cache at lines {lines}"

@@ -26,6 +26,7 @@ from homdeg import (
     stuckrad_vogel,
     torsions,
 )
+from homdeg.groebner import GroebnerEngine
 from homdeg.invariants import NotDSequenceError
 from homdeg.modules import (
     colon_by_ideal,
@@ -34,6 +35,7 @@ from homdeg.modules import (
     submodule_gb,
     submodule_key,
 )
+from homdeg.verify import audit_inequalities, gen_example_39, gen_example_46
 
 
 @pytest.fixture
@@ -65,6 +67,34 @@ def test_hdeg_cached_per_ideal(low_depth):
     assert hdeg(pres, q) == 2
     assert hdeg(pres, [y**2]) == 3  # e0 = 2 for Q = (y^2), plus l(H^0) = 1
     assert hdeg(pres, q) == 2
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["QQ", "GF32003"])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda f: gen_example_39(2, 1, field=f),
+        lambda f: gen_example_46(2, field=f),
+        lambda f: gen_example_46(3, field=f),
+    ],
+    ids=["ex39_2_1", "ex46_2", "ex46_3"],
+)
+def test_each_quantity_computed_once(make, field, monkeypatch):
+    """After one invariant_report, a second one and the inequality audit
+    read every quantity from the cache: no Groebner basis is computed."""
+    inst = make(field)
+    invariant_report(inst.pres, inst.q_gens)
+    runs = Counter()
+    compute = GroebnerEngine.compute
+
+    def counted(eng):
+        runs["compute"] += 1
+        return compute(eng)
+
+    monkeypatch.setattr(GroebnerEngine, "compute", counted)
+    invariant_report(inst.pres, inst.q_gens)
+    audit_inequalities(inst)
+    assert runs["compute"] == 0
 
 
 def test_hdeg_finite_length_is_length():

@@ -19,7 +19,7 @@ from homdeg import (
 )
 from homdeg.errors import EngineBugError
 from homdeg.groebner import TermOrder, groebner_basis, lift_relations
-from homdeg.kernel import mono_div, mono_divides, mono_lcm, mono_mul, term_key
+from homdeg.kernel import mono_div, mono_divides, mono_lcm, mono_mul
 from homdeg.modules import (
     colon_by_ideal,
     ideal_cache_key,
@@ -98,15 +98,22 @@ def _reference_intersect(gens1, gens2, module):
     return groebner_basis(out, module=module) if out else []
 
 
+def _term_key(t):
+    """A max()-key of the module order, written apart from the engine's:
+    higher degree, then grevlex, then the lower component."""
+    c, m = t
+    return (sum(m), tuple(-e for e in reversed(m)), -c)
+
+
 def _reference_divide(el, f):
     """el / f for an element of f*F, by repeated division of the lead."""
     module = el.module
     out = {}
-    fl = f.lead_monomial()
+    fl = max(f.terms, key=lambda m: _term_key((0, m)))
     flc = f.terms[fl]
     work = dict(el.terms)
     while work:
-        c, m = max(work, key=lambda t: term_key(t[0], t[1], module.rank))
+        c, m = max(work, key=_term_key)
         if not mono_divides(fl, m):
             raise EngineBugError("exact division failed: element not in f*F")
         q = mono_div(m, fl)

@@ -7,7 +7,7 @@ import pytest
 from homdeg import QQ, Algebra, Polynomial, PolyRing, PrimeField
 from homdeg.errors import EngineBugError
 from homdeg.groebner import normal_form
-from homdeg.invariants import _ideal_times_module_gens, h0_torsion_gens
+from homdeg.invariants import h0_torsion_gens
 from homdeg.modules import intersect_submodules
 from homdeg.verify import (
     _qm_meets_h0,
@@ -90,7 +90,7 @@ def test_thm1_requires_positive_dimension():
 def _qm_meets_h0_by_intersection(pres, q_gens):
     """Oracle: QM cap H^0(M) = 0, by intersecting QF + N with the
     m-saturation of N and reducing the result modulo N."""
-    qm = _ideal_times_module_gens(pres, q_gens) + pres.relation_gens()
+    qm = pres.ideal_times_ambient(q_gens) + pres.relation_gens()
     inter = intersect_submodules(qm, h0_torsion_gens(pres), pres.ambient)
     gb = pres.gb()
     return all(not normal_form(el, gb) for el in inter)
