@@ -273,7 +273,8 @@ def associated_graded(pres, q_gens, a):
     survives iff a is not in Q + J: then ValueError.
     """
     eng, pivot, (a,) = _gr_basis(pres, q_gens, [a])
-    j_basis, _, _ = _gr_basis(pres.algebra.as_module(), q_gens)
+    same = pres.rank == 1 and not pres.columns  # M = A: one basis serves both
+    j_basis = eng if same else _gr_basis(pres.algebra.as_module(), q_gens)[0]
     ring = eng.ring
 
     def weight(m):

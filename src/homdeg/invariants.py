@@ -6,7 +6,8 @@ length formulas expressing Samuel coefficients of a d-sequence.
 Superficiality is exact: for I an ideal of definition of M (M/IM of finite
 length), a in I is superficial for M iff (0 :_G a*) has finite length, G =
 gr_I(M) and a* the initial form of a, both read off the Samuel route's
-weighted Groebner basis.
+weighted Groebner basis.  d-sequences are tested via Hilbert series, with
+each colon (Q_{i-1}M : f) read off those of M/Q_{i-1}M and M/(Q_{i-1}, f)M.
 """
 
 from dataclasses import dataclass
@@ -14,19 +15,11 @@ from math import comb
 
 from .errors import EngineBugError
 from .hilbert import (
-    HilbertCoefficients,
-    associated_graded,
-    hilbert_coefficients,
-    multiplicity,
+    HilbertCoefficients, associated_graded, hilbert_coefficients, multiplicity
 )
 from .koszul import euler_char_1
-from .modules import (
-    Presentation,
-    colon_by_ideal,
-    saturate,
-    submodule_key,
-)
-from .monomial_ideals import poly_add, series_length
+from .modules import Presentation, colon_by_ideal, saturate
+from .monomial_ideals import poly_add, poly_shift, series_length
 from .resolution import depth as depth_of, ext_codims, local_cohomology_duals
 
 
@@ -102,13 +95,19 @@ def h0_torsion_module(pres):
     return pres.subquotient(h0_torsion_gens(pres))
 
 
+def _series_drop(quotient, cut):
+    """HS(F/N) - HS(F/N') as a numerator, for quotient = F/N, cut = F/N' and
+    N in N'.  For N' = N + fF it is t^(deg f) HS(F/(N : f)), f homogeneous:
+    0 -> F/(N : f)(-deg f) -> F/N -> F/(N + fF) -> 0 (times f) is exact."""
+    return poly_add(quotient.hilbert_numerator(), cut.hilbert_numerator(), sign=-1)
+
+
 def _sub_length(quotient, gb):
     """l(<gb> / N) for quotient = F/N and a reduced basis gb in F of a
     submodule containing N, read off HS(F/N) - HS(F/<gb>); None if
     infinite.  No submodule is presented."""
     outer = Presentation(quotient.algebra, quotient.rank, quotient.twists, gb)
-    num = poly_add(quotient.hilbert_numerator(), outer.hilbert_numerator(), sign=-1)
-    return series_length(num, quotient.ring.n)
+    return series_length(_series_drop(quotient, outer), quotient.ring.n)
 
 
 def h0_length(pres):
@@ -187,14 +186,22 @@ def is_d_sequence(pres, seq):
         ((a_1..a_{i-1})M : a_i a_j) = ((a_1..a_{i-1})M : a_j),  1 <= i <= j <= d.
 
     Returns (True, None) or (False, (i, j)) with the first failing pair.
+    No colon is presented: for N = relations + Q_{i-1}F, (N : a_j) lies in
+    (N : a_i a_j), so they are equal iff their quotients of F have one
+    Hilbert series, by _series_drop iff t^(deg a_i) (HS(M/Q_{i-1}M) -
+    HS(M/(Q_{i-1}, a_j)M)) = HS(M/Q_{i-1}M) - HS(M/(Q_{i-1}, a_i a_j)M),
+    the last quotient used once and not cached.
     """
     d = len(seq)
     for i in range(1, d + 1):
-        prefix = pres.ideal_times_ambient(seq[: i - 1])
+        a = seq[i - 1]
+        quotient = pres.quotient_by_ideal(seq[: i - 1])
         for j in range(i, d + 1):
-            lhs = colon_by_ideal(pres, prefix, [seq[i - 1] * seq[j - 1]])
-            rhs = colon_by_ideal(pres, prefix, [seq[j - 1]])
-            if submodule_key(lhs) != submodule_key(rhs):
+            cut = pres.quotient_by_ideal([*seq[: i - 1], seq[j - 1]])
+            rhs = poly_shift(_series_drop(quotient, cut), a.homogeneous_degree())
+            cols = quotient.columns + tuple(pres.ideal_times_ambient([a * seq[j - 1]]))
+            by_product = Presentation(pres.algebra, pres.rank, pres.twists, cols)
+            if _series_drop(quotient, by_product) != rhs:
                 return False, (i, j)
     return True, None
 
@@ -228,8 +235,10 @@ def dseq_coefficients(pres, seq):
         (-1)^i e_i = l(H^0(M/Q_{d-i}M)) - l(H^0(M/Q_{d-i-1}M)),  1 <= i <= d-1
         (-1)^d e_d = l(H^0(M))
 
-    The result is checked against the Samuel polynomial, which is exact; a
-    mismatch is fatal.  Returns (HilbertCoefficients, details dict).
+    The colon correction is l((N : a_d)/N), N = Q_{d-1}F + relations, the
+    kernel of a_d on M' = M/Q_{d-1}M; by _series_drop its series times
+    t^(deg a_d) is t^(deg a_d) HS(M') - (HS(M') - HS(M/QM)).  A mismatch
+    with the exact Samuel polynomial is fatal.  Returns (HilbertCoefficients, details).
     """
     d = len(seq)
     ok, pair = is_d_sequence(pres, seq)
@@ -240,28 +249,23 @@ def dseq_coefficients(pres, seq):
         raise ValueError(f"sequence length {d} differs from dim M = {s}")
     details = {}
 
-    l_mqm = pres.quotient_by_ideal(seq).length()
+    l_mqm = details["l_M_QM"] = pres.quotient_by_ideal(seq).length()
     if l_mqm is None:
         raise ValueError("the sequence is not a system of parameters")
-    details["l_M_QM"] = l_mqm
-    prefix = pres.ideal_times_ambient(seq[: d - 1])
-    colon = colon_by_ideal(pres, prefix, [seq[d - 1]])
-    correction = _sub_length(pres.quotient_by_ideal(seq[: d - 1]), colon)
+    quotient = pres.quotient_by_ideal(seq[: d - 1])
+    shifted = poly_shift(quotient.hilbert_numerator(), seq[d - 1].homogeneous_degree())
+    kernel = poly_add(shifted, _series_drop(quotient, pres.quotient_by_ideal(seq)), sign=-1)
+    correction = series_length(kernel, pres.ring.n)
     if correction is None:
         raise EngineBugError("colon correction module has infinite length")
     details["l_colon_correction"] = correction
     e = [l_mqm - correction]
     for i in range(1, d):
-        hi = h0_length(pres.quotient_by_ideal(seq[: d - i]))
-        lo = h0_length(pres.quotient_by_ideal(seq[: d - i - 1]))
-        details[f"h0_M_Q{d - i}M"] = hi
-        details[f"h0_M_Q{d - i - 1}M"] = lo
+        hi, lo = (h0_length(pres.quotient_by_ideal(seq[:k])) for k in (d - i, d - i - 1))
+        details[f"h0_M_Q{d - i}M"], details[f"h0_M_Q{d - i - 1}M"] = hi, lo
         e.append((-1) ** i * (hi - lo))
-    if d >= 1:
-        h0m = h0_length(pres)
-        details["h0_M"] = h0m
-        if d > 0 and len(e) == d:
-            e.append((-1) ** d * h0m)
+    details["h0_M"] = h0_length(pres)
+    e.append((-1) ** d * details["h0_M"])
     samuel = hilbert_coefficients(pres, seq)
     if tuple(e) != samuel.e:
         raise EngineBugError(

@@ -130,15 +130,8 @@ def find_dseq_generators(pres, q_gens, seed=0, trials=20, metadata=None):
         if cand != list(q_gens) and is_d_sequence(pres, cand)[0]:
             return cand
     ring = pres.ring
-    one_mod = FreeModule(ring, 1)
-    j_gens = list(pres.algebra.relations)
-
-    def ideal_key(gens):
-        return submodule_key(
-            groebner_basis([one_mod.inject(g) for g in gens + j_gens], module=one_mod)
-        )
-
-    target = ideal_key(list(q_gens))
+    algebra = pres.algebra.as_module()
+    target = submodule_key(algebra.quotient_by_ideal(q_gens).gb())
     material = json.dumps(metadata or {}, sort_keys=True, default=str) + f"#{seed}"
     rng = random.Random(
         int.from_bytes(hashlib.sha256(material.encode()).digest()[:8], "big")
@@ -158,7 +151,8 @@ def find_dseq_generators(pres, q_gens, seed=0, trials=20, metadata=None):
             ]
         if any(not b for block in drawn.values() for b in block):
             continue
-        if ideal_key([b for block in drawn.values() for b in block]) != target:
+        span = algebra.quotient_by_ideal([b for block in drawn.values() for b in block])
+        if submodule_key(span.gb()) != target:
             continue
         for order in orders:
             cand = [b for deg in order for b in drawn[deg]]

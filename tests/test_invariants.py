@@ -3,9 +3,13 @@ predicates (generalized CM, unmixed, d-sequence, superficial)."""
 
 import random
 from collections import Counter
+from itertools import combinations_with_replacement
 
 import pytest
 
+import homdeg.groebner
+import homdeg.modules
+import homdeg.resolution
 from homdeg import (
     QQ,
     Algebra,
@@ -27,7 +31,7 @@ from homdeg import (
     torsions,
 )
 from homdeg.groebner import GroebnerEngine
-from homdeg.invariants import NotDSequenceError
+from homdeg.invariants import NotDSequenceError, _sub_length
 from homdeg.modules import (
     colon_by_ideal,
     intersect_submodules,
@@ -35,7 +39,12 @@ from homdeg.modules import (
     submodule_gb,
     submodule_key,
 )
-from homdeg.verify import audit_inequalities, gen_example_39, gen_example_46
+from homdeg.verify import (
+    audit_inequalities,
+    find_dseq_generators,
+    gen_example_39,
+    gen_example_46,
+)
 
 
 @pytest.fixture
@@ -313,29 +322,35 @@ def _combination(ring, rng, gens):
     return sum((g.scale(ring.field.from_int(rng.randint(-2, 2))) for g in gens), ring.zero)
 
 
-def _superficial_draw(rng):
-    """(M, a, I, kind) with I an ideal of definition of M and a in I, or
-    None.  M is a monomial quotient of k[x,y,z] or a rank-2 twisted
-    cokernel; I is linear, quadric or mixed; a is a generator of I (often
-    a zero-divisor, so not superficial) or a combination of generators."""
+def _module_draw(rng):
+    """A monomial quotient of k[x,y,z] or a rank-2 twisted cokernel, over
+    QQ or GF(32003)."""
     ring = PolyRing(("x", "y", "z"), field=rng.choice((QQ, PrimeField(32003))))
     if rng.random() < 0.6:
         j = [
             Polynomial(ring, {_mono(rng, rng.randint(2, 3)): ring.field.one})
             for _ in range(rng.randint(1, 3))
         ]
-        pres = Algebra(ring, j).as_module()
-    else:
-        twists = (0, rng.choice((1, 2)))
-        ambient = FreeModule(ring, 2, twists)
-        cols = []
-        for _ in range(rng.randint(2, 3)):
-            deg = twists[1] + rng.randint(0, 2)
-            cols.append(
-                ambient.inject(_form(ring, rng, deg), 0)
-                + ambient.inject(_form(ring, rng, deg - twists[1]), 1)
-            )
-        pres = Presentation(Algebra(ring, ()), 2, twists, cols)
+        return Algebra(ring, j).as_module()
+    twists = (0, rng.choice((1, 2)))
+    ambient = FreeModule(ring, 2, twists)
+    cols = []
+    for _ in range(rng.randint(2, 3)):
+        deg = twists[1] + rng.randint(0, 2)
+        cols.append(
+            ambient.inject(_form(ring, rng, deg), 0)
+            + ambient.inject(_form(ring, rng, deg - twists[1]), 1)
+        )
+    return Presentation(Algebra(ring, ()), 2, twists, cols)
+
+
+def _superficial_draw(rng):
+    """(M, a, I, kind) with I an ideal of definition of M and a in I, or
+    None.  M is a monomial quotient of k[x,y,z] or a rank-2 twisted
+    cokernel; I is linear, quadric or mixed; a is a generator of I (often
+    a zero-divisor, so not superficial) or a combination of generators."""
+    pres = _module_draw(rng)
+    ring = pres.ring
     x, y, z = ring.gens()
     kind = rng.choice(("linear", "quadric", "mixed"))
     if kind == "linear":
@@ -432,3 +447,149 @@ def test_superficial_rejects_zero():
     pres = Algebra(ring, [x * y]).as_module()
     with pytest.raises(ValueError, match="zero element"):
         is_superficial(pres, ring.zero, [x, y])
+
+
+# ---- the d-sequence layer against the colon modules it no longer builds --
+
+
+def _colon_is_d_sequence(pres, seq):
+    """Oracle: the colon test with both colons presented as modules and
+    compared by their reduced bases."""
+    d = len(seq)
+    for i in range(1, d + 1):
+        prefix = pres.ideal_times_ambient(seq[: i - 1])
+        for j in range(i, d + 1):
+            lhs = colon_by_ideal(pres, prefix, [seq[i - 1] * seq[j - 1]])
+            rhs = colon_by_ideal(pres, prefix, [seq[j - 1]])
+            if submodule_key(lhs) != submodule_key(rhs):
+                return False, (i, j)
+    return True, None
+
+
+def _generic_form(ring, rng, deg):
+    """A form of degree deg in k[x,y,z] with a coefficient in {-1, 0, 1, 2}
+    on every monomial (zero if all of them are 0)."""
+    terms = {}
+    for vars_ in combinations_with_replacement(range(3), deg):
+        c = rng.choice((-1, 0, 1, 2))
+        if c:
+            terms[tuple(vars_.count(v) for v in range(3))] = ring.field.from_int(c)
+    return Polynomial(ring, terms)
+
+
+SEQUENCE_DEGREES = {"linear": (1, 1, 1), "quadric": (2, 2, 2), "mixed": (1, 2, 2)}
+
+
+def test_is_d_sequence_matches_colon_oracle():
+    """The Hilbert-series test returns the colon test's (ok, pair) on
+    seeded draws over QQ and GF(32003): monomial quotients and rank-2
+    twisted cokernels, linear, quadric and mixed sequences of length 1-3,
+    and a sequence with a zero element; both answers, and failures at
+    i = j and at i < j, are well represented."""
+    rng = random.Random(20141015)
+    outcomes = Counter()
+    shapes = set()
+    while sum(outcomes.values()) < 60:
+        pres = _module_draw(rng)
+        kind = rng.choice(sorted(SEQUENCE_DEGREES))
+        degs = SEQUENCE_DEGREES[kind][: rng.randint(1, 3)]
+        seq = [_form(pres.ring, rng, deg) for deg in degs]
+        if pres.is_zero() or not all(seq):
+            continue
+        expected = _colon_is_d_sequence(pres, seq)
+        assert is_d_sequence(pres, seq) == expected, (pres, seq)
+        ok, pair = expected
+        outcomes["pass" if ok else "i = j" if pair[0] == pair[1] else "i < j"] += 1
+        shapes.add((pres.rank, kind, pres.ring.field))
+    assert outcomes["pass"] >= 10 and outcomes["i = j"] + outcomes["i < j"] >= 10
+    assert outcomes["i = j"] >= 3 and outcomes["i < j"] >= 3
+    assert {rank for rank, _, _ in shapes} == {1, 2}
+    assert {kind for _, kind, _ in shapes} == set(SEQUENCE_DEGREES)
+    assert len({field for _, _, field in shapes}) == 2
+
+    ring = PolyRing(("x", "y", "z"))
+    x, y, z = ring.gens()
+    pres = Algebra(ring, [x * y, x * z]).as_module()
+    for seq in ([x - y, ring.zero, z], [ring.zero, y, z], [y, z, ring.zero]):
+        assert is_d_sequence(pres, seq) == _colon_is_d_sequence(pres, seq), seq
+
+
+def test_colon_correction_matches_colon_oracle():
+    """On d-sequences that are systems of parameters, the colon correction
+    of dseq_coefficients is l((Q_{d-1}M : a_d)/Q_{d-1}M) computed from the
+    colon module."""
+    rng = random.Random(20141016)
+    corrections = []
+    while len(corrections) < 15:
+        pres = _module_draw(rng)
+        d = pres.dim()
+        kind = rng.choice(sorted(SEQUENCE_DEGREES))
+        if d < 1:
+            continue
+        seq = [_generic_form(pres.ring, rng, deg) for deg in SEQUENCE_DEGREES[kind][:d]]
+        if not all(seq) or pres.quotient_by_ideal(seq).length() is None:
+            continue
+        if not is_d_sequence(pres, seq)[0]:
+            continue
+        _, details = dseq_coefficients(pres, seq)
+        colon = colon_by_ideal(pres, pres.ideal_times_ambient(seq[: d - 1]), [seq[d - 1]])
+        expected = _sub_length(pres.quotient_by_ideal(seq[: d - 1]), colon)
+        assert details["l_colon_correction"] == expected, (pres, seq)
+        corrections.append(expected)
+    assert sum(c > 0 for c in corrections) >= 2
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: gen_example_39(2, 1), lambda: gen_example_46(3)],
+    ids=["ex39_2_1", "ex46_3"],
+)
+def test_dseq_layer_presents_no_colon(make, monkeypatch):
+    """The d-sequence search, is_d_sequence and the colon correction of
+    dseq_coefficients run no lift_relations, so no colon module is
+    presented.  The m-torsion lengths dseq_coefficients also reads come
+    from saturations, which do lift; they are computed first."""
+    inst = make()
+    pres, q = inst.pres, inst.q_gens
+    gens = find_dseq_generators(pres, q, metadata=inst.metadata)
+    if gens is not None:
+        for k in range(len(gens)):
+            h0_length(pres.quotient_by_ideal(gens[:k]))
+    lifts = Counter()
+    for mod in (homdeg.modules, homdeg.resolution, homdeg.groebner):
+        lift = mod.lift_relations
+
+        def counted(*args, _lift=lift, **kwargs):
+            lifts["lift_relations"] += 1
+            return _lift(*args, **kwargs)
+
+        monkeypatch.setattr(mod, "lift_relations", counted)
+    assert find_dseq_generators(pres, q, metadata=inst.metadata) == gens
+    assert not is_d_sequence(pres, q)[0]
+    if gens is not None:
+        assert is_d_sequence(pres, gens) == (True, None)
+        _, details = dseq_coefficients(pres, gens)
+        assert "l_colon_correction" in details
+    assert lifts["lift_relations"] == 0
+
+
+def test_associated_graded_of_algebra_builds_one_basis(monkeypatch):
+    """On M = A the weighted basis of M also reduces a: is_superficial
+    runs one GroebnerEngine.compute fewer than on A with a redundant
+    column, whose A-basis is built separately."""
+    ring = PolyRing(("x", "y"))
+    x, y = ring.gens()
+    algebra = Algebra(ring, [x * y])
+    runs = Counter()
+    compute = GroebnerEngine.compute
+
+    def counted(eng):
+        runs[current] += 1
+        return compute(eng)
+
+    monkeypatch.setattr(GroebnerEngine, "compute", counted)
+    redundant = Presentation(algebra, 1, (0,), [FreeModule(ring, 1).inject(x * y)])
+    for current, pres in (("algebra", algebra.as_module()), ("redundant", redundant)):
+        assert is_superficial(pres, x - y, [x, y]) is True
+        assert is_superficial(pres, x, [x, y]) is False
+    assert runs["algebra"] == runs["redundant"] - 2
