@@ -39,7 +39,6 @@ from .koszul import euler_char_1, koszul_homology_lengths
 from .modules import Algebra, Presentation
 from .resolution import (
     depth,
-    ext_modules,
     free_resolution,
     local_cohomology_duals,
 )

@@ -1,16 +1,8 @@
-"""Exact coefficient fields: the rationals and prime fields GF(p).
-
-Rational arithmetic uses gmpy2.mpq when available and falls back to
-fractions.Fraction.  Both behave identically under the arithmetic the
-engine performs; everything stays exact.
+"""Exact coefficient fields: the rationals (fractions.Fraction) and prime
+fields GF(p).
 """
 
 from fractions import Fraction
-
-try:
-    from gmpy2 import mpq as _mpq
-except ImportError:  # gmpy2 is optional: fall back to fractions.Fraction
-    _mpq = None
 
 
 class FpElement:
@@ -56,13 +48,11 @@ class RationalField:
     name = "QQ"
     char = 0
 
-    def __init__(self):
-        self._make = _mpq if _mpq is not None else Fraction
-        self.zero = self._make(0)
-        self.one = self._make(1)
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def from_int(self, n):
-        return self._make(n)
+        return Fraction(n)
 
     def __eq__(self, other):
         return isinstance(other, RationalField)

@@ -20,7 +20,8 @@ from .hilbert import (
 from .koszul import euler_char_1
 from .modules import Presentation, colon_by_ideal, saturate
 from .monomial_ideals import poly_add, poly_shift, series_length
-from .resolution import depth as depth_of, ext_codims, local_cohomology_duals
+from .resolution import depth as depth_of, ext_codims
+from .resolution import local_cohomology_duals as _duals
 
 
 class NotDSequenceError(ValueError):
@@ -30,11 +31,6 @@ class NotDSequenceError(ValueError):
     def __init__(self, pair):
         self.pair = pair
         super().__init__(f"not a d-sequence: colon test fails at (i, j) = {pair}")
-
-
-def _duals(pres):
-    """The local-cohomology duals [M_0, ..., M_d] of M, cached on pres."""
-    return pres.cached("duals", lambda: local_cohomology_duals(pres))
 
 
 def hdeg(pres, q_gens):

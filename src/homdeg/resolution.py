@@ -1,13 +1,16 @@
-"""Minimal graded free resolutions, Ext against the ring, and the graded
-local-cohomology duals obtained from them.
+"""Minimal graded free resolutions and the graded local-cohomology duals
+M_j = Ext^{n-j}_S(M, S), j = 0..dim M, obtained from them.
 
 Everything is computed over the polynomial cover S; a module over A = S/J
 is just an S-module killed by J.  The resolution is minimal (no constant
 entries in any differential), so its length equals the projective
-dimension and is bounded by the number of variables.  Each syzygy step
-is groebner.lift_relations(columns, []), minimally generated.  Ext is the
-homology of the dualized resolution, presented by two more lift_relations
-calls: the cycles, then the cycles modulo the boundaries.
+dimension and is bounded by the number of variables; depth M = n - pd M
+(Auslander-Buchsbaum).  Each syzygy step is
+groebner.lift_relations(columns, []), minimally generated.  Ext^i is the
+homology of the dualized resolution, presented by two more
+lift_relations calls: the cycles, then the cycles modulo the boundaries.
+Only Ext^{n-d}..Ext^n are computed: Ext^i vanishes below the grade
+n - d, d = dim M (Bruns and Herzog, Cohen-Macaulay Rings, 1.2.10).
 """
 
 from .errors import EngineBugError
@@ -20,8 +23,8 @@ from .ring import Polynomial
 class FreeResolution:
     """0 <- M <- F_0 <- F_1 <- ... <- F_L <- 0 with minimal differentials.
 
-    modules[i] is F_i; diffs[i] (for i >= 1) is the list of columns of
-    d_i : F_i -> F_{i-1}.
+    modules[i] is F_i; diffs[i] is the list of columns of
+    d_{i+1} : F_{i+1} -> F_i, so diffs[0] presents M.
     """
 
     def __init__(self, modules, diffs):
@@ -81,60 +84,45 @@ def _check_complex(res):
                 raise EngineBugError("resolution differentials do not compose to zero")
 
 
+def _dual(f):
+    """F^* = Hom_S(F, S): the same rank with negated twists."""
+    return FreeModule(f.ring, f.rank, tuple(-t for t in f.twists))
+
+
 def _transpose_columns(cols, source, target):
     """Columns of the dual map: row i of the matrix whose columns are cols.
 
     cols : source -> target (free modules); the dual map goes
     target^* -> source^*, and its column j collects entry j of each col.
     """
-    dual_source = FreeModule(target.ring, target.rank, tuple(-t for t in target.twists))
-    dual_target = FreeModule(source.ring, source.rank, tuple(-t for t in source.twists))
+    dual_target = _dual(source)
     rows = [{} for _ in range(target.rank)]
     for i, col in enumerate(cols):
         for (c, m), v in col.terms.items():
             rows[c][(i, m)] = v
-    return dual_source, dual_target, [FreeElement(dual_target, t) for t in rows]
+    return [FreeElement(dual_target, t) for t in rows]
 
 
-def ext_modules(pres):
-    """The tuple of Ext^i_S(M, S) for i = 0..n as Presentations over S,
-    cached on pres.
-
-    Computed as homology of the dualized minimal resolution,
-    Ext^i = ker(d_{i+1}^*) / im(d_i^*), as minimal presentations.
-    """
-
-    def compute():
-        plain = Algebra(pres.ring, ())
-        res = free_resolution(pres)
-        return tuple(_ext_at(plain, res, i) for i in range(pres.ring.n + 1))
-
-    return pres.cached("ext", compute)
-
-
-def _ext_at(plain, res, i):
-    """Ext^i = ker(d_{i+1}^*) / im(d_i^*) at F_i^*, minimally presented.
+def _ext_at(res, i):
+    """Ext^i_S(M, S) = ker(d_{i+1}^*) / im(d_i^*) at F_i^*, minimally
+    presented over S.
 
     The cycles are the relations of the outgoing columns, re-homed to
     F_i^* (all of F_i^* when i = L); Ext^i is the subquotient they span
     in F_i^* modulo the boundaries, the incoming columns."""
+    plain = Algebra(res.modules[0].ring, ())
     L = res.length
     if i > L:
         return Presentation(plain, 0, (), ())
-    fi = res.modules[i]
-    dual_fi = FreeModule(plain.ring, fi.rank, tuple(-t for t in fi.twists))
-    # incoming dual map d_i^* : F_{i-1}^* -> F_i^*  (image = boundaries)
+    dual_fi = _dual(res.modules[i])
+    # incoming d_i^* : F_{i-1}^* -> F_i^*, from diffs[i-1] : F_i -> F_{i-1}
     if i >= 1:
-        # diffs[i-1] maps F_i -> F_{i-1}; its transpose maps F_{i-1}^* to
-        # F_i^*, so the boundary columns live in F_i^*.
-        _, _, boundaries = _transpose_columns(
-            res.diffs[i - 1], res.modules[i], res.modules[i - 1]
-        )
+        boundaries = _transpose_columns(res.diffs[i - 1], res.modules[i], res.modules[i - 1])
     else:
         boundaries = []
-    # outgoing dual map d_{i+1}^* : F_i^* -> F_{i+1}^*  (kernel = cycles)
+    # outgoing d_{i+1}^* : F_i^* -> F_{i+1}^*, from diffs[i] : F_{i+1} -> F_i
     if i < L:
-        _, _, outgoing = _transpose_columns(res.diffs[i], res.modules[i + 1], res.modules[i])
+        outgoing = _transpose_columns(res.diffs[i], res.modules[i + 1], res.modules[i])
         cycles = [FreeElement(dual_fi, a.terms) for a in lift_relations(outgoing, [])]
     else:
         cycles = [dual_fi.basis(j) for j in range(dual_fi.rank)]
@@ -144,29 +132,31 @@ def _ext_at(plain, res, i):
 
 def local_cohomology_duals(pres):
     """The graded duals of the local cohomology of M: the list
-    [M_0, ..., M_d] with M_j = Ext^{n-j}_S(M, S), d = dim M.
+    [M_0, ..., M_d] with M_j = Ext^{n-j}_S(M, S), d = dim M, cached on
+    pres.  These are the only Ext modules computed: Ext^i vanishes below
+    the grade n - d.
 
-    Also validates dim M_j <= j for every j, and cross-checks
-    depth M = n - max{i : Ext^i != 0} against min{j : M_j != 0}.
+    Also validates dim M_j <= j for every j, and cross-checks depth M =
+    n - pd M (Auslander-Buchsbaum, pd M the length of the minimal
+    resolution) against min{j : M_j != 0}.
     """
-    ring = pres.ring
-    n = ring.n
-    d = pres.dim()
-    exts = ext_modules(pres)
-    duals = [exts[n - j] for j in range(d + 1)]
+    return pres.cached("duals", lambda: _local_cohomology_duals(pres))
+
+
+def _local_cohomology_duals(pres):
+    n = pres.ring.n
+    res = free_resolution(pres)
+    duals = [_ext_at(res, n - j) for j in range(pres.dim() + 1)]
     for j, mj in enumerate(duals):
         if mj.dim() > j:
             raise EngineBugError(
                 f"local cohomology dual M_{j} has dimension {mj.dim()} > {j}"
             )
-    nonzero = [i for i, e in enumerate(exts) if not e.is_zero()]
     if pres.is_zero():
         return duals
-    if not nonzero:
-        raise EngineBugError("nonzero module with all Ext groups zero")
-    depth_ab = n - max(nonzero)
+    depth_ab = n - res.length
     depth_dual = next((j for j, mj in enumerate(duals) if not mj.is_zero()), None)
-    if depth_dual is None or depth_dual != depth_ab:
+    if depth_dual != depth_ab:
         raise EngineBugError(
             f"depth mismatch: Auslander-Buchsbaum gives {depth_ab}, "
             f"first nonzero dual is {depth_dual}"
@@ -175,25 +165,18 @@ def local_cohomology_duals(pres):
 
 
 def depth(pres):
-    """Depth of M with respect to the irrelevant maximal ideal."""
+    """Depth of M with respect to the irrelevant maximal ideal:
+    n - pd M by Auslander-Buchsbaum."""
     if pres.is_zero():
         raise ValueError("depth of the zero module is undefined")
-    ring = pres.ring
-    exts = ext_modules(pres)
-    nonzero = [i for i, e in enumerate(exts) if not e.is_zero()]
-    if not nonzero:
-        raise EngineBugError("nonzero module with all Ext groups zero")
-    return ring.n - max(nonzero)
+    return pres.ring.n - free_resolution(pres).length
 
 
 def ext_codims(pres):
-    """codim Ext^i = n - dim Ext^i for i = 0..n (None where Ext^i = 0)."""
-    ring = pres.ring
-    exts = ext_modules(pres)
-    out = []
-    for e in exts:
-        if e.is_zero():
-            out.append(None)
-        else:
-            out.append(ring.n - e.dim())
-    return out
+    """codim Ext^i = n - dim Ext^i for i = 0..n (None where Ext^i = 0),
+    read off the duals: Ext^i = 0 below n - dim M, and Ext^i = M_{n-i}
+    from there on."""
+    n = pres.ring.n
+    duals = local_cohomology_duals(pres)
+    tail = [None if e.is_zero() else n - e.dim() for e in reversed(duals)]
+    return [None] * (n + 1 - len(duals)) + tail

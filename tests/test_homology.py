@@ -1,8 +1,10 @@
 """Free resolutions, Ext, local-cohomology duals, depth, and Koszul
 homology lengths, checked on instances with known answers; the Koszul
-lengths and l(H^0) also against presented modules on seeded draws."""
+lengths and l(H^0) also against presented modules on seeded draws, and
+the duals, depth and Ext codimensions against Ext at every index."""
 
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -18,15 +20,17 @@ from homdeg import (
     PrimeField,
     depth,
     euler_char_1,
-    ext_modules,
     free_resolution,
     koszul_homology_lengths,
     lift_relations,
     local_cohomology_duals,
 )
+from homdeg import resolution
 from homdeg.errors import EngineBugError
-from homdeg.invariants import h0_length, h0_torsion_module
+from homdeg.invariants import h0_length, h0_torsion_module, invariant_report
 from homdeg.modules import colon_by_ideal, minimal_generators
+from homdeg.resolution import FreeResolution, _ext_at, ext_codims
+from homdeg.verify import check_thm1, gen_example_39
 
 
 def test_resolution_hypersurface():
@@ -67,22 +71,26 @@ def test_resolution_minimality():
 
 
 def test_ext_principal_ideal():
-    # Ext^i(S/(x), S) over k[x]: zero for i=0, k[x]/(x) for i=1
+    # S/(x) over k[x]: d = 0, so M_0 = Ext^1 = k[x]/(x) is the only dual;
+    # Ext^0 lies below the grade 1 and vanishes
     ring = PolyRing(("x",))
     (x,) = ring.gens()
     pres = Algebra(ring, [x]).as_module()
-    exts = ext_modules(pres)
-    assert exts[0].is_zero()
-    assert not exts[1].is_zero()
-    assert exts[1].length() == 1
+    duals = local_cohomology_duals(pres)
+    assert len(duals) == 1
+    assert duals[0].length() == 1
+    assert ext_codims(pres) == [None, 1]
 
 
 def test_ext_free_module_vanishes_positively():
+    # S = k[x,y]: M_2 = Ext^0 = S, and M_1 = Ext^1, M_0 = Ext^2 vanish
     ring = PolyRing(("x", "y"))
     pres = Algebra(ring, ()).as_module()
-    exts = ext_modules(pres)
-    assert not exts[0].is_zero()
-    assert all(e.is_zero() for e in exts[1:])
+    duals = local_cohomology_duals(pres)
+    assert len(duals) == 3
+    assert not duals[2].is_zero() and duals[2].dim() == 2
+    assert duals[0].is_zero() and duals[1].is_zero()
+    assert ext_codims(pres) == [0, None, None]
 
 
 def test_depth_values():
@@ -103,6 +111,107 @@ def test_local_cohomology_duals_depth_consistency():
     assert not duals[1].is_zero()
     for j, mj in enumerate(duals):
         assert mj.dim() <= j
+
+
+def _padded(res):
+    """res made non-minimal: F_L grows a summand S(-t) that a unit column
+    from a new F_{L+1} = S(-t) hits.  Still a resolution of the same M,
+    with d o d = 0, one step longer than pd M."""
+    L = res.length
+    top = res.modules[L]
+    t = max(top.twists) + 1
+    grown = FreeModule(top.ring, top.rank + 1, top.twists + (t,))
+    diffs = [list(cols) for cols in res.diffs]
+    diffs[L - 1].append(res.modules[L - 1].zero())
+    diffs.append([grown.basis(top.rank)])
+    modules = res.modules[:L] + [grown, FreeModule(top.ring, 1, (t,))]
+    return FreeResolution(modules, diffs)
+
+
+def test_depth_check_catches_a_non_minimal_resolution(monkeypatch):
+    """The Auslander-Buchsbaum check compares n - (resolution length) with
+    the first nonzero dual: a resolution one step too long, which d o d = 0
+    and the Ext modules themselves do not reveal, raises."""
+    ring = PolyRing(("x", "y"))
+    x, y = ring.gens()
+    pres = Algebra(ring, [x * y]).as_module()
+    honest = free_resolution(pres)
+    padded = _padded(honest)
+    resolution._check_complex(padded)
+    assert padded.length == honest.length + 1
+    for i in range(ring.n + 2):
+        want, got = _ext_at(honest, i), _ext_at(padded, i)
+        assert got.hilbert_numerator() == want.hilbert_numerator(), i
+    fresh = Algebra(ring, [x * y]).as_module()
+    real = resolution._resolve
+    monkeypatch.setattr(resolution, "_resolve", lambda p: _padded(real(p)))
+    with pytest.raises(EngineBugError, match="depth mismatch"):
+        local_cohomology_duals(fresh)
+
+
+def _full_ext_oracle(pres):
+    """The route the duals replaced: Ext^i_S(M, S) at every i = 0..n."""
+    res = free_resolution(pres)
+    return [_ext_at(res, i) for i in range(pres.ring.n + 1)]
+
+
+def test_duals_depth_and_codims_match_ext_at_every_index(corpus):
+    """Ext^i = 0 below the grade n - d; depth = n - max{i : Ext^i != 0};
+    ext_codims equals the codims of the full Ext list."""
+    rng = random.Random(1216)
+    cases = [(inst.name, inst.pres) for inst in corpus]
+    cases += [(f"draw {k}", _random_instance(rng)[0]) for k in range(30)]
+    ranks, fields = set(), set()
+    for name, pres in cases:
+        if pres.is_zero():
+            continue
+        n, d = pres.ring.n, pres.dim()
+        exts = _full_ext_oracle(pres)
+        assert all(e.is_zero() for e in exts[: n - d]), name
+        nonzero = [i for i, e in enumerate(exts) if not e.is_zero()]
+        assert depth(pres) == n - max(nonzero), name
+        want = [None if e.is_zero() else n - e.dim() for e in exts]
+        assert ext_codims(pres) == want, name
+        ranks.add(pres.rank)
+        fields.add(pres.ring.field.name)
+    assert {1, 2} <= ranks and {"QQ", "GF(32003)"} <= fields
+
+
+def test_invariants_compute_ext_only_at_the_duals(monkeypatch):
+    """invariant_report and check_thm1 on ex39(2,1) (n = 5, d = 3) call
+    _ext_at d + 1 times per module whose duals they need, at the indices
+    n - d..n only; a rerun computes no Ext."""
+    calls = []
+    dims = {}
+    ext_at, resolve = resolution._ext_at, resolution._resolve
+
+    def counted_ext(res, i):
+        calls.append((id(res), i))
+        return ext_at(res, i)
+
+    def recorded_resolve(pres):
+        res = resolve(pres)
+        dims[id(res)] = (pres.ring.n, pres.dim(), res)  # res kept: ids stay unique
+        return res
+
+    monkeypatch.setattr(resolution, "_ext_at", counted_ext)
+    monkeypatch.setattr(resolution, "_resolve", recorded_resolve)
+    inst = gen_example_39(2, 1)
+    assert (inst.pres.ring.n, inst.pres.dim()) == (5, 3)
+    invariant_report(inst.pres, inst.q_gens)
+    check_thm1(inst)
+    assert calls
+    per_res = Counter(key for key, _ in calls)
+    for key, i in calls:
+        n, d, _ = dims[key]
+        assert n - d <= i <= n, (i, n, d)
+    for key, count in per_res.items():
+        n, d, _ = dims[key]
+        assert count == d + 1
+    first = len(calls)
+    invariant_report(inst.pres, inst.q_gens)
+    check_thm1(inst)
+    assert len(calls) == first
 
 
 def test_koszul_regular_sequence():

@@ -1,7 +1,9 @@
-"""Source hygiene: every module-level import in the package is used, and
-only modules.py touches the cache behind Presentation.cached."""
+"""Source hygiene: every module-level import in the package is used,
+only modules.py touches the cache behind Presentation.cached, and each
+cache key is computed at one call site."""
 
 import ast
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -53,3 +55,26 @@ def test_only_modules_touches_the_cache(path):
         if isinstance(node, ast.Attribute) and node.attr == "_cache"
     ]
     assert not lines, f"{path.name} touches _cache at lines {lines}"
+
+
+def test_each_cache_key_has_one_call_site():
+    """Every string literal passed as the key of Presentation.cached
+    appears at exactly one call site in the package, so each derived
+    quantity is computed and cached in one place."""
+    sites = defaultdict(list)
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "cached"
+            ):
+                key = node.args[0] if node.args else None
+                assert isinstance(key, ast.Constant) and isinstance(key.value, str), (
+                    f"{path.name}:{node.lineno} passes a non-literal cache key"
+                )
+                sites[key.value].append(f"{path.name}:{node.lineno}")
+    assert len(sites) >= 5
+    shared = {key: where for key, where in sites.items() if len(where) > 1}
+    assert not shared, f"cache keys with more than one call site: {shared}"
