@@ -1,114 +1,100 @@
-"""Lengths of the Koszul homology of a sequence of ring elements acting on
-a module.
+"""Lengths of the Koszul homology H_i(Q; M) of a system of parameters
+Q = (a_1, ..., a_d) of M, read off the minimal free resolution F of M.
 
-The Koszul complex K of a_1, ..., a_d on M has the chain module
-K_i = M otimes wedge^i: one copy of M per subset T of {1..d} with
-|T| = i, twisted by the sum of the degrees of the a_t so that the
-differential e_T -> sum_j (-1)^pos a_{t_j} e_{T - t_j} is homogeneous of
-degree zero.  With C_i = K_i / d(K_{i+1}) the cokernel (C_d = K_d), the
-differential d_i induces the exact sequence of graded modules
+Contract: len(seq) = d = dim M, every a_t is a nonzero form of positive
+degree, and M/QM has finite length; anything else raises ValueError
+before any homology is computed.
 
-    0 -> H_i -> C_i -> K_{i-1} -> C_{i-1} -> 0,
+Such a Q is generated by an S-regular sequence (S the polynomial ring in
+n variables): ht(ann M) = n - d and Q + ann M is m-primary, so the
+intersection inequality in the regular ring S gives ht Q >= d, and d
+forms spanning an ideal of height d in the Cohen-Macaulay ring S are
+regular.  So K(Q; S) resolves S/Q, and H_i(Q; M) = Tor_i^S(S/Q, M) =
+H_i(F otimes S/Q) (Bruns and Herzog, Cohen-Macaulay Rings, 1.6).  The
+series of F_j otimes S/Q is prod_t (1 - t^deg a_t) / (1-t)^n times
+sum_k t^(twist_k of F_j).  With C_i = F_i / (Q F_i + im d_{i+1}), d_i
+induces the exact sequence
 
-so HS(H_i) = HS(C_i) - HS(K_{i-1}) + HS(C_{i-1}) and H_0 = C_0.  Each
-C_i with i < d is one Presentation (one Groebner basis); HS(K_i) is a sum
-of shifted copies of HS(M).  The lengths are read off these series
-exactly, and no homology module is ever presented.
+    0 -> H_i -> C_i -> F_{i-1} otimes S/Q -> C_{i-1} -> 0,
+
+so HS(H_i) = HS(C_i) - HS(F_{i-1} otimes S/Q) + HS(C_{i-1}).  C_0 is
+M/QM, cached on M.  For i >= min(d, pd M), F otimes S/Q is exact above
+F_i (Tor_j = 0 for j > d, F_j = 0 for j > pd M), so HS(C_i) telescopes
+down from the top, sum_{j >= i} (-1)^(j-i) HS(F_j otimes S/Q), with no
+Groebner basis.  Each C_i with 1 <= i < min(d, pd M) costs one.  No
+homology module is ever presented.
 """
 
-from itertools import combinations
-
 from .errors import EngineBugError
-from .freemod import FreeElement, FreeModule
-from .modules import Presentation
+from .modules import Algebra, Presentation
 from .monomial_ideals import poly_add, poly_shift, series_length
-
-
-def _chain_module(pres, subsets, seq_degs):
-    """Free module for the i-chains; component (k, j) <-> (subsets[k], b_j)
-    with twist = twist_j + sum of seq degrees over subsets[k]."""
-    twists = []
-    for T in subsets:
-        extra = sum(seq_degs[t] for t in T)
-        for t in pres.twists:
-            twists.append(t + extra)
-    return FreeModule(pres.ring, len(subsets) * pres.rank, tuple(twists))
-
-
-def _apply_diff(pres, seq, T, j, target_chain, target_index):
-    """d(e_T otimes b_j) inside the target chain module."""
-    rank = pres.rank
-    out = target_chain.zero()
-    for pos, t in enumerate(T):
-        rest = T[:pos] + T[pos + 1 :]
-        k = target_index[rest]
-        a = seq[t] if pos % 2 == 0 else -seq[t]
-        terms = {(k * rank + j, m): v for m, v in a.terms.items()}
-        out = out + FreeElement(target_chain, terms)
-    return out
-
-
-def _cokernel_numerator(pres, seq, degs, i):
-    """Hilbert numerator of C_i = K_i / d(K_{i+1}) for i < d: the columns
-    of M copied into every block plus the boundaries; J enters through
-    the presentation's algebra.  C_0 is M/QM, shared with the other users
-    of M/QM through pres.quotient_by_ideal."""
-    if i == 0:
-        return pres.quotient_by_ideal(seq).hilbert_numerator()
-    rank = pres.rank
-    subsets = list(combinations(range(len(seq)), i))
-    chain = _chain_module(pres, subsets, degs)
-    cols = []
-    for k in range(len(subsets)):
-        for col in pres.columns:
-            terms = {(k * rank + c, m): v for (c, m), v in col.terms.items()}
-            cols.append(FreeElement(chain, terms))
-    index = {T: k for k, T in enumerate(subsets)}
-    for T in combinations(range(len(seq)), i + 1):
-        for j in range(rank):
-            cols.append(_apply_diff(pres, seq, T, j, chain, index))
-    coker = Presentation(pres.algebra, chain.rank, chain.twists, cols)
-    return coker.hilbert_numerator()
+from .resolution import free_resolution
 
 
 def koszul_homology_lengths(pres, seq):
-    """Lengths [l(H_0), ..., l(H_d)] of the Koszul homology of seq on the
-    cokernel M of pres; every H_i must have finite length, which holds
-    exactly when seq generates an ideal of definition for M.  Every
-    element of seq must be a nonzero homogeneous ring element.
+    """Lengths [l(H_0), ..., l(H_d)] of the Koszul homology of a system of
+    parameters seq on the cokernel M of pres; ValueError unless seq is one
+    (see the module docstring).
 
     The lengths are cached on pres, keyed by the sequence up to order (a
     permuted sequence has an isomorphic Koszul complex)."""
     return list(pres.cached("koszul_lengths", lambda: _homology_lengths(pres, seq), seq))
 
 
-def _homology_lengths(pres, seq):
-    d = len(seq)
-    degs = []
+def _parameter_degrees(pres, seq):
+    """The degrees of seq, after checking that seq is a system of
+    parameters of M."""
+    d = pres.dim()
+    if len(seq) != d:
+        raise ValueError(
+            f"not a system of parameters: {len(seq)} elements, but dim M = {d}"
+        )
     for a in seq:
-        if not a:
-            raise ValueError("Koszul sequence elements must be nonzero")
-        degs.append(a.homogeneous_degree())
-    num_m = pres.hilbert_numerator()
-    chains = []  # HS numerators of K_0, ..., K_d
-    for i in range(d + 1):
+        if not a.is_homogeneous() or a.degree() < 1:
+            raise ValueError(
+                f"not a system of parameters: {a} is not a form of positive degree"
+            )
+    if pres.quotient_by_ideal(seq).length() is None:
+        raise ValueError("not a system of parameters: M/QM has infinite length")
+    return [a.degree() for a in seq]
+
+
+def _homology_lengths(pres, seq):
+    degs = _parameter_degrees(pres, seq)
+    d = len(seq)
+    res = free_resolution(pres)
+    s_mod_q = {0: 1}  # HS numerator of S/Q
+    for e in degs:
+        s_mod_q = poly_add(s_mod_q, poly_shift(s_mod_q, e), sign=-1)
+    free = []  # HS numerators of F_j otimes S/Q, j = 0..max(d, pd M)
+    for f in res.modules:
         num = {}
-        for T in combinations(range(d), i):
-            num = poly_add(num, poly_shift(num_m, sum(degs[t] for t in T)))
-        chains.append(num)
-    cokernels = [_cokernel_numerator(pres, seq, degs, i) for i in range(d)]
-    cokernels.append(chains[d])
+        for t in f.twists:
+            num = poly_add(num, poly_shift(s_mod_q, t))
+        free.append(num)
+    free += [{}] * (d + 1 - len(free))
+    top = min(d, res.length)
+    plain = Algebra(pres.ring)
+    cokernels = [pres.quotient_by_ideal(seq).hilbert_numerator()] + [None] * d
+    for i in range(1, top):
+        f = res.modules[i]
+        # Q F_i ahead of the boundaries: Buchberger runs shorter that way
+        q_f = [f.inject(a, c) for a in seq for c in range(f.rank)]
+        c_i = Presentation(plain, f.rank, f.twists, q_f + list(res.diffs[i]))
+        cokernels[i] = c_i.hilbert_numerator()
+    tail = {}
+    for i in range(len(free) - 1, max(top, 1) - 1, -1):
+        tail = poly_add(free[i], tail, sign=-1)
+        if i <= d:
+            cokernels[i] = tail
     out = []
     for i in range(d + 1):
         num = cokernels[i]
         if i > 0:
-            num = poly_add(poly_add(num, chains[i - 1], sign=-1), cokernels[i - 1])
+            num = poly_add(poly_add(num, free[i - 1], sign=-1), cokernels[i - 1])
         ln = series_length(num, pres.ring.n)
         if ln is None:
-            raise EngineBugError(
-                f"Koszul homology H_{i} has infinite length; "
-                "the sequence is not a system of parameters for the module"
-            )
+            raise EngineBugError(f"Koszul homology H_{i} has infinite length")
         if ln < 0:
             raise EngineBugError(f"Koszul homology H_{i} has negative length {ln}")
         out.append(ln)
@@ -116,7 +102,8 @@ def _homology_lengths(pres, seq):
 
 
 def euler_char_1(pres, seq, multiplicity=None):
-    """chi_1 = sum_{i>=1} (-1)^(i-1) l(H_i(seq; M)).
+    """chi_1 = sum_{i>=1} (-1)^(i-1) l(H_i(seq; M)) for a system of
+    parameters seq of M.
 
     When the Samuel multiplicity of seq on M is supplied, the identity
     chi_1 = l(M/(seq)M) - e(seq; M) is checked exactly; a mismatch means

@@ -76,7 +76,7 @@ def _core_numbers(inst):
     e = hilbert_coefficients(pres, q)
     d = e.s
     h = hdeg(pres, q)
-    chi1 = euler_char_1(pres, q, multiplicity=e[0])
+    chi1 = euler_char_1(pres, q, multiplicity=e[0]) if d >= 1 else 0
     t = torsions(pres, q)
     h0 = h0_length(pres)
     return d, e, h, chi1, t, h0

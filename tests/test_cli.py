@@ -56,6 +56,19 @@ def test_parameter_ideal_checked_per_module_and_q(tmp_path, capsys):
     assert f"{script}:8:1: error: not a parameter ideal" in err
 
 
+def test_dimension_zero_audit_exits_zero(tmp_path, capsys):
+    """A module of dimension 0 takes any proper Q; chi_1 is 0 there, and
+    the audit agrees with the report instead of raising an engine bug."""
+    script = tmp_path / "dim0.hd"
+    script.write_text(
+        "ring S = QQ[x, y];\nideal J = (x^2, y^2);\nalgebra A = S / J;\n"
+        "params Q = (x);\ncheck audit;\n"
+    )
+    code, out, err = run_cli(capsys, "--input", str(script), "--format", "json")
+    assert code == 0, err
+    assert json.loads(out)["chi1"] == "0"
+
+
 def test_missing_file_exits_two(capsys):
     code, out, err = run_cli(capsys, "--input", "/nonexistent/path.hd")
     assert code == 2

@@ -27,10 +27,11 @@ from homdeg import (
 )
 from homdeg import resolution
 from homdeg.errors import EngineBugError
+from homdeg.groebner import GroebnerEngine
 from homdeg.invariants import h0_length, h0_torsion_module, invariant_report
 from homdeg.modules import colon_by_ideal, minimal_generators
 from homdeg.resolution import FreeResolution, _ext_at, ext_codims
-from homdeg.verify import check_thm1, gen_example_39
+from homdeg.verify import check_thm1, gen_example_39, gen_example_46
 
 
 def test_resolution_hypersurface():
@@ -244,6 +245,46 @@ def test_koszul_mixed_degrees():
     assert lens == [2, 0, 0]  # regular sequence, l(S/(x, y^2)) = 2
 
 
+def _instance(inst):
+    return inst.pres, inst.q_gens
+
+
+def _free_cube():
+    ring = PolyRing(("x", "y", "z"))
+    return Algebra(ring, ()).as_module(), list(ring.gens())
+
+
+@pytest.mark.parametrize(
+    "make, bases, lengths",
+    [
+        (lambda: _instance(gen_example_39(2, 1)), 2, [3, 1, 0, 0]),
+        (lambda: _instance(gen_example_39(2, 2)), 2, [3, 1, 0, 0, 0]),
+        (lambda: _instance(gen_example_46(3)), 1, [2, 1, 0]),
+        (_free_cube, 0, [1, 0, 0, 0]),
+    ],
+    ids=["ex39_2_1", "ex39_2_2", "ex46_3", "free"],
+)
+def test_koszul_lengths_build_a_basis_only_below_min_d_pd(make, bases, lengths, monkeypatch):
+    """With the resolution F of M, HS(M) and M/QM cached, the lengths cost
+    one Groebner basis per C_i = F_i / (Q F_i + im d_{i+1}) with
+    1 <= i < min(d, pd M); the cokernels from min(d, pd M) up telescope
+    off the series of F otimes S/Q."""
+    pres, q = make()
+    res = free_resolution(pres)
+    pres.quotient_by_ideal(q).hilbert_numerator()
+    assert bases == max(0, min(pres.dim(), res.length) - 1)
+    runs = Counter()
+    init = GroebnerEngine.__init__
+
+    def counted(eng, *args, **kwargs):
+        runs["bases"] += 1
+        init(eng, *args, **kwargs)
+
+    monkeypatch.setattr(GroebnerEngine, "__init__", counted)
+    assert koszul_homology_lengths(pres, q) == lengths
+    assert runs["bases"] == bases
+
+
 # ---- Koszul lengths against independent routes ------------------------
 
 
@@ -359,34 +400,45 @@ def _reference_lengths(pres, seq):
     return lens
 
 
+def _is_parameter_system(pres, seq):
+    """len(seq) = dim M and l(M/QM) finite (the elements of a draw are
+    nonzero forms of positive degree)."""
+    return len(seq) == pres.dim() and pres.quotient_by_ideal(seq).length() is not None
+
+
 def test_koszul_lengths_match_presented_homology():
+    """Every system-of-parameters draw agrees with the presented homology;
+    every other draw is refused before any homology is computed."""
     rng = random.Random(2024)
-    finite = infinite = 0
-    for _ in range(30):
+    compared = refused = 0
+    for _ in range(60):
         pres, seq = _random_instance(rng)
-        want = _reference_lengths(pres, seq)
-        if None in want:
-            infinite += 1
-            with pytest.raises(EngineBugError, match="infinite length"):
-                koszul_homology_lengths(pres, seq)
+        if _is_parameter_system(pres, seq):
+            compared += 1
+            assert koszul_homology_lengths(pres, seq) == _reference_lengths(pres, seq), (
+                pres,
+                seq,
+            )
         else:
-            finite += 1
-            assert koszul_homology_lengths(pres, seq) == want, (pres, seq)
-    assert finite >= 10 and infinite >= 3
+            refused += 1
+            with pytest.raises(ValueError, match="not a system of parameters"):
+                koszul_homology_lengths(pres, seq)
+    assert compared >= 10 and refused >= 3
 
 
 def test_koszul_end_lengths_by_quotient_and_annihilator():
     """l(H_0) = l(M/QM) and l(H_d) = l(0 :_M Q)."""
     rng = random.Random(17)
     checked = 0
-    for _ in range(30):
+    for _ in range(60):
         pres, seq = _random_instance(rng)
-        h0 = pres.quotient_by_ideal(seq).length()
-        if h0 is None:
+        if not _is_parameter_system(pres, seq):
+            with pytest.raises(ValueError, match="not a system of parameters"):
+                koszul_homology_lengths(pres, seq)
             continue
         checked += 1
         lens = koszul_homology_lengths(pres, seq)
-        assert lens[0] == h0
+        assert lens[0] == pres.quotient_by_ideal(seq).length()
         top = pres.subquotient(colon_by_ideal(pres, [], seq))
         assert lens[-1] == top.length(), (pres, seq)
     assert checked >= 10
