@@ -18,7 +18,6 @@ from .groebner import groebner_basis, lift_relations, normal_form
 from .hilbert import (
     HilbertCoefficients,
     hilbert_coefficients,
-    hilbert_series,
     multiplicity,
 )
 from .invariants import (

@@ -170,6 +170,9 @@ class ParamsDecl:
 class ExampleCmd:
     family: str
     args: tuple  # sorted (key, int) pairs
+    # position of the `example` keyword, for errors raised when it runs
+    line: int = field(default=0, compare=False)
+    col: int = field(default=0, compare=False)
 
     def unparse(self):
         tail = " ".join(f"{k}={v}" for k, v in self.args)
@@ -493,7 +496,7 @@ class _Parser:
         return ParamsDecl(name, gens)
 
     def _example(self):
-        self.expect("example")
+        kw = self.expect("example")
         ftok = self.expect_name()
         if ftok.text not in ("ex39", "ex46"):
             raise DslError(
@@ -509,7 +512,7 @@ class _Parser:
             raise DslError(
                 f"{ftok.text} needs arguments {sorted(wanted)}", ftok.line, ftok.col
             )
-        return ExampleCmd(ftok.text, tuple(sorted(args.items())))
+        return ExampleCmd(ftok.text, tuple(sorted(args.items())), kw.line, kw.col)
 
     def _check(self):
         kw = self.expect("check")

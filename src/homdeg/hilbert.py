@@ -60,11 +60,6 @@ class HilbertCoefficients:
         return _eval_samuel(self.e, n, self.s)
 
 
-def hilbert_series(pres):
-    """(numerator, n) with series = numerator / (1-t)^n, twists included."""
-    return pres.hilbert_series()
-
-
 def _ideal_gens(q_gens):
     """The nonzero generators of Q, each checked homogeneous and of
     positive degree."""
@@ -158,13 +153,6 @@ def _adjoin(pres, others):
     return ambient, rels
 
 
-def _infinite_length():
-    return EngineBugError(
-        "Samuel quotient has infinite length; the ideal is not "
-        "an ideal of definition for the module"
-    )
-
-
 def hilbert_coefficients(pres, q_gens):
     """The Samuel polynomial of Q on M in binomial form, cached on pres."""
     if pres.dim() < 0:
@@ -213,7 +201,8 @@ def exact_coefficients(pres, q_gens):
         N(t_x, t_y) / ((1 - t_x)^(r + k) (1 - t_y)^c),
 
     t_x counting the pivot degree.  Every graded piece Q^j M / Q^(j+1) M
-    has finite length iff (1 - t_y)^c divides N exactly; setting t_y = 1
+    has finite length iff (1 - t_y)^c divides N exactly (ValueError if not
+    because M/QM has infinite length, else an engine bug); setting t_y = 1
     then leaves sum_j l(Q^j M / Q^(j+1) M) t^j = h(t) / (1 - t)^s, so
     e_i = h^(i)(1) / i! and l(M / Q^(n+1) M) = sum_k h_k C(n - k + s, s).
     """
@@ -237,7 +226,9 @@ def exact_coefficients(pres, q_gens):
     for a, p in rows.items():
         for _ in range(nvars - sum(pivot)):
             if eval_at_one(p):
-                raise _infinite_length()
+                if pres.quotient_by_ideal(q_gens).length() is None:
+                    raise ValueError("not an ideal of definition: M/QM has infinite length")
+                raise EngineBugError("a graded piece of gr_Q(M) has infinite length")
             p = divide_one_minus_t(p)
         if eval_at_one(p):
             series[a] = eval_at_one(p)

@@ -18,7 +18,13 @@ from .hilbert import (
     HilbertCoefficients, associated_graded, hilbert_coefficients, multiplicity
 )
 from .koszul import euler_char_1
-from .modules import Presentation, colon_by_ideal, saturate
+from .modules import (
+    NotParameterIdealError,
+    Presentation,
+    check_parameter_ideal,
+    colon_by_ideal,
+    saturate,
+)
 from .monomial_ideals import poly_add, poly_shift, series_length
 from .resolution import depth as depth_of, ext_codims
 from .resolution import local_cohomology_duals as _duals
@@ -240,14 +246,12 @@ def dseq_coefficients(pres, seq):
     ok, pair = is_d_sequence(pres, seq)
     if not ok:
         raise NotDSequenceError(pair)
-    s = pres.dim()
-    if d != s:
-        raise ValueError(f"sequence length {d} differs from dim M = {s}")
+    check_parameter_ideal(pres, seq)
+    if d != pres.dim():  # a sequence, unlike an ideal, has d terms at d = 0 too
+        raise NotParameterIdealError(f"{d} generators, but dim M = {pres.dim()}")
     details = {}
 
     l_mqm = details["l_M_QM"] = pres.quotient_by_ideal(seq).length()
-    if l_mqm is None:
-        raise ValueError("the sequence is not a system of parameters")
     quotient = pres.quotient_by_ideal(seq[: d - 1])
     shifted = poly_shift(quotient.hilbert_numerator(), seq[d - 1].homogeneous_degree())
     kernel = poly_add(shifted, _series_drop(quotient, pres.quotient_by_ideal(seq)), sign=-1)
@@ -271,7 +275,7 @@ def dseq_coefficients(pres, seq):
     return samuel, details
 
 
-@dataclass
+@dataclass(frozen=True)
 class InvariantReport:
     """All numerical invariants of one (module, parameter ideal) instance."""
 
@@ -289,9 +293,18 @@ class InvariantReport:
 
 
 def invariant_report(pres, q_gens):
-    """Compute the full report; the internal cross-checks (Serre identity,
-    duality of H^0 lengths, Stueckrad-Vogel identity) all run as part of
-    the computation and raise EngineBugError on any inconsistency."""
+    """The full report of (M, Q), cached on pres and keyed by Q: every
+    check reads its numbers from here.  Q must be a parameter ideal of M,
+    as decided by modules.check_parameter_ideal, the one contract; it
+    raises ValueError before anything is computed.  The internal
+    cross-checks (Serre identity, duality of H^0 lengths, Stueckrad-Vogel
+    identity, chi1 <= hdeg - e0) all run as part of the computation and
+    raise EngineBugError on any inconsistency."""
+    return pres.cached("report", lambda: _invariant_report(pres, q_gens), q_gens)
+
+
+def _invariant_report(pres, q_gens):
+    check_parameter_ideal(pres, q_gens)
     s = pres.dim()
     dep = depth_of(pres)
     e = hilbert_coefficients(pres, q_gens)
@@ -305,7 +318,7 @@ def invariant_report(pres, q_gens):
     cm = dep == s
     if h < e[0]:
         raise EngineBugError(f"hdeg {h} < multiplicity {e[0]}")
-    if s >= 1 and chi1 > h - e[0]:
+    if chi1 > h - e[0]:
         raise EngineBugError(f"chi1 {chi1} exceeds hdeg - e0 = {h - e[0]}")
     if cm and (h != e[0] or chi1 != 0):
         raise EngineBugError("Cohen-Macaulay module with hdeg > e0 or chi1 != 0")

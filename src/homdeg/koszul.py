@@ -1,9 +1,9 @@
 """Lengths of the Koszul homology H_i(Q; M) of a system of parameters
 Q = (a_1, ..., a_d) of M, read off the minimal free resolution F of M.
 
-Contract: len(seq) = d = dim M, every a_t is a nonzero form of positive
-degree, and M/QM has finite length; anything else raises ValueError
-before any homology is computed.
+Contract: (a_1, ..., a_d) is a parameter ideal of M, as decided by the
+one test modules.check_parameter_ideal, and d = dim M; anything else
+raises ValueError before any homology is computed.
 
 Such a Q is generated by an S-regular sequence (S the polynomial ring in
 n variables): ht(ann M) = n - d and Q + ann M is m-primary, so the
@@ -26,7 +26,12 @@ homology module is ever presented.
 """
 
 from .errors import EngineBugError
-from .modules import Algebra, Presentation
+from .modules import (
+    Algebra,
+    NotParameterIdealError,
+    Presentation,
+    check_parameter_ideal,
+)
 from .monomial_ideals import poly_add, poly_shift, series_length
 from .resolution import free_resolution
 
@@ -41,31 +46,15 @@ def koszul_homology_lengths(pres, seq):
     return list(pres.cached("koszul_lengths", lambda: _homology_lengths(pres, seq), seq))
 
 
-def _parameter_degrees(pres, seq):
-    """The degrees of seq, after checking that seq is a system of
-    parameters of M."""
-    d = pres.dim()
-    if len(seq) != d:
-        raise ValueError(
-            f"not a system of parameters: {len(seq)} elements, but dim M = {d}"
-        )
-    for a in seq:
-        if not a.is_homogeneous() or a.degree() < 1:
-            raise ValueError(
-                f"not a system of parameters: {a} is not a form of positive degree"
-            )
-    if pres.quotient_by_ideal(seq).length() is None:
-        raise ValueError("not a system of parameters: M/QM has infinite length")
-    return [a.degree() for a in seq]
-
-
 def _homology_lengths(pres, seq):
-    degs = _parameter_degrees(pres, seq)
-    d = len(seq)
+    check_parameter_ideal(pres, seq)
+    d = pres.dim()
+    if len(seq) != d:  # a sequence, unlike an ideal, has d terms at d = 0 too
+        raise NotParameterIdealError(f"{len(seq)} generators, but dim M = {d}")
     res = free_resolution(pres)
     s_mod_q = {0: 1}  # HS numerator of S/Q
-    for e in degs:
-        s_mod_q = poly_add(s_mod_q, poly_shift(s_mod_q, e), sign=-1)
+    for a in seq:
+        s_mod_q = poly_add(s_mod_q, poly_shift(s_mod_q, a.degree()), sign=-1)
     free = []  # HS numerators of F_j otimes S/Q, j = 0..max(d, pd M)
     for f in res.modules:
         num = {}

@@ -222,6 +222,34 @@ class Presentation:
         )
 
 
+class NotParameterIdealError(ValueError):
+    """Q is not a parameter ideal of M (see check_parameter_ideal)."""
+
+    def __init__(self, reason):
+        super().__init__(f"not a parameter ideal of the module: {reason}")
+
+
+def check_parameter_ideal(pres, gens):
+    """The one contract of every invariant of (M, Q): Q = (gens) is a
+    parameter ideal of M.  M is nonzero, every generator is a nonzero form
+    of positive degree and, when dim M >= 1, there are exactly dim M of
+    them and M/QM (cached on M) has finite length.  A module of dimension
+    0 takes any such Q: its invariants do not depend on Q.  Raises
+    NotParameterIdealError otherwise."""
+    if pres.is_zero():
+        raise NotParameterIdealError("M is the zero module")
+    for g in gens:
+        if not g or not g.is_homogeneous():
+            raise NotParameterIdealError(f"{g!r} is not a nonzero form")
+        if g.degree() == 0:
+            raise NotParameterIdealError("Q contains a unit")
+    d = pres.dim()
+    if d >= 1 and len(gens) != d:
+        raise NotParameterIdealError(f"{len(gens)} generators, but dim M = {d}")
+    if d >= 1 and pres.quotient_by_ideal(gens).length() is None:
+        raise NotParameterIdealError("M/QM has infinite length")
+
+
 def _prune_constants(ring, rank, twists, cols):
     """Gaussian elimination of unit matrix entries (graded Nakayama)."""
     cols = [c for c in cols if c]

@@ -26,18 +26,14 @@ from itertools import permutations
 from .errors import EngineBugError
 from .freemod import FreeModule
 from .groebner import groebner_basis
-from .hilbert import hilbert_coefficients
 from .invariants import (
     _duals,
     _sub_length,
     h0_length,
     h0_torsion_gens,
-    hdeg,
+    invariant_report,
     is_d_sequence,
-    is_unmixed,
-    torsions,
 )
-from .koszul import euler_char_1
 from .modules import Algebra, submodule_key
 from .ring import PolyRing
 
@@ -69,17 +65,6 @@ class TheoremVerdict:
     equivalence_consistent: bool = True
     consequences: dict = field(default_factory=dict)
     witnesses: list = field(default_factory=list)
-
-
-def _core_numbers(inst):
-    pres, q = inst.pres, inst.q_gens
-    e = hilbert_coefficients(pres, q)
-    d = e.s
-    h = hdeg(pres, q)
-    chi1 = euler_char_1(pres, q, multiplicity=e[0]) if d >= 1 else 0
-    t = torsions(pres, q)
-    h0 = h0_length(pres)
-    return d, e, h, chi1, t, h0
 
 
 def _q_kills_dual(pres, q_gens, i):
@@ -181,12 +166,14 @@ def _shared_consequences(inst, d, seed, consequences, witnesses, meets_h0):
 
 
 def check_thm1(inst, seed=0):
-    """Verdict for the chi_1 = hdeg - e0 equivalence theorem."""
-    if inst.pres.dim() < 1:
+    """Verdict for the chi_1 = hdeg - e0 equivalence theorem, on the
+    cached invariant_report of the instance."""
+    inv = invariant_report(inst.pres, inst.q_gens)
+    if inv.dim < 1:
         raise ValueError("the theorem concerns modules of positive dimension")
-    d, e, h, chi1, t, h0 = _core_numbers(inst)
+    d, e, t, h0 = inv.dim, inv.e, inv.torsions, inv.h0_length
     witnesses = []
-    cond1 = chi1 == h - e[0]
+    cond1 = inv.chi1 == inv.hdeg - e[0]
     per_i = []
     for i in range(1, d):
         ok = (-1) ** i * e[i] == t[i - 1]
@@ -223,13 +210,14 @@ def check_thm1(inst, seed=0):
 
 
 def check_thm2(inst, seed=0):
-    """Verdict for the e_1 = -T^1 equivalence theorem (unmixed, dim >= 2)."""
-    if inst.pres.dim() < 2:
+    """Verdict for the e_1 = -T^1 equivalence theorem (unmixed, dim >= 2),
+    on the cached invariant_report of the instance."""
+    inv = invariant_report(inst.pres, inst.q_gens)
+    if inv.dim < 2:
         raise ValueError("the theorem requires dim M >= 2")
-    d, e, h, chi1, t, h0 = _core_numbers(inst)
-    unmixed = is_unmixed(inst.pres)
+    d, e, t, unmixed = inv.dim, inv.e, inv.torsions, inv.unmixed
     witnesses = []
-    cond1 = chi1 == h - e[0]
+    cond1 = inv.chi1 == inv.hdeg - e[0]
     cond2 = e[1] == -t[0]
     consistent = True
     if unmixed:
@@ -299,29 +287,24 @@ def gen_example_46(l, field=None, degree_cap=64):
 
 
 def audit_inequalities(inst):
-    """Evaluate the unconditional inequalities; any violation is fatal.
-
-    Checks chi1 >= 0, chi1 <= hdeg - e0, e1 <= 0, e1 >= -T^1 (dim >= 2),
-    and dim M_j <= j for every dual.  Returns the evaluated report.
+    """Evaluate the unconditional inequalities chi1 >= 0, e1 <= 0 and
+    e1 >= -T^1 (dim >= 2) on the cached invariant_report; any violation is
+    fatal.  (invariant_report itself checks chi1 <= hdeg - e0, and
+    local_cohomology_duals dim M_j <= j.)  Returns the evaluated report.
     """
-    pres, q = inst.pres, inst.q_gens
-    d, e, h, chi1, t, h0 = _core_numbers(inst)
+    inv = invariant_report(inst.pres, inst.q_gens)
+    d, e, chi1, t = inv.dim, inv.e, inv.chi1, inv.torsions
     report = {
         "chi1": chi1,
-        "hdeg": h,
+        "hdeg": inv.hdeg,
         "e": tuple(e.e),
         "torsions": t,
-        "dual_dims": tuple(m.dim() for m in _duals(pres)),
+        "dual_dims": tuple(m.dim() for m in _duals(inst.pres)),
     }
     if chi1 < 0:
         raise EngineBugError(f"chi1 = {chi1} < 0 on {inst.name}")
-    if chi1 > h - e[0]:
-        raise EngineBugError(f"chi1 = {chi1} > hdeg - e0 = {h - e[0]} on {inst.name}")
     if d >= 1 and e[1] > 0:
         raise EngineBugError(f"e1 = {e[1]} > 0 on {inst.name}")
     if d >= 2 and e[1] < -t[0]:
         raise EngineBugError(f"e1 = {e[1]} < -T^1 = {-t[0]} on {inst.name}")
-    for j, mj in enumerate(_duals(pres)):
-        if mj.dim() > j:
-            raise EngineBugError(f"dim M_{j} = {mj.dim()} > {j} on {inst.name}")
     return report

@@ -105,13 +105,57 @@ def test_field_flag_rejects_bad_prime(tmp_path, capsys, p):
 
 def test_malformed_corpus_exit_codes(capsys):
     files = sorted((CORPUS / "malformed").glob("*.hd"))
-    assert len(files) == 15
+    assert len(files) == 19
     for f in files:
         code, out, err = run_cli(capsys, "--input", str(f))
         assert code == 2, f.name
         # every diagnostic carries a real file:line:col position
         assert f"{f}:" in err and ": error:" in err, f.name
         assert ":0:0:" not in err, f.name
+
+
+@pytest.mark.parametrize(
+    "stem, where, message",
+    [
+        ("16_example_args_out_of_range", "1:1", "family requires l >= 2 and m >= 1"),
+        ("17_thm1_dimension_zero", "5:1", "modules of positive dimension"),
+        ("18_thm2_dimension_one", "5:1", "requires dim M >= 2"),
+        ("19_zero_module", "4:1", "not a parameter ideal of the module: M is the zero"),
+    ],
+)
+def test_library_rejections_are_positioned(capsys, stem, where, message):
+    """A ValueError the library raises while an `example` or `check` runs
+    exits 2 at the position of that statement's keyword."""
+    f = CORPUS / "malformed" / f"{stem}.hd"
+    code, out, err = run_cli(capsys, "--input", str(f))
+    assert code == 2
+    assert err.startswith(f"{f}:{where}: error: ") and message in err, err
+
+
+def test_zero_module_has_one_message(tmp_path, capsys):
+    """Every check meets the zero module with the one contract's message."""
+    errors = set()
+    for kind in ("invariants", "thm1", "thm2", "audit"):
+        script = tmp_path / f"{kind}.hd"
+        script.write_text(
+            "ring S = QQ[x, y];\nmodule M = coker [[1]];\n"
+            f"params Q = (x);\ncheck {kind};\n"
+        )
+        code, out, err = run_cli(capsys, "--input", str(script))
+        assert code == 2
+        errors.add(err.replace(str(script), "FILE"))
+    assert errors == {
+        "FILE:4:1: error: not a parameter ideal of the module: M is the zero module\n"
+    }
+
+
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_degree_cap_below_one_is_a_usage_error(tmp_path, capsys, cap):
+    script = tmp_path / "ok.hd"
+    script.write_text("example ex46 l=1;\ncheck invariants;\n")
+    code, out, err = run_cli(capsys, "--input", str(script), "--degree-cap", cap)
+    assert code == 2
+    assert "argument --degree-cap: must be a positive integer" in err
 
 
 def _check_corpus_json(capsys, stem):

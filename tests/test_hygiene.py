@@ -1,6 +1,7 @@
 """Source hygiene: every module-level import in the package is used,
-only modules.py touches the cache behind Presentation.cached, and each
-cache key is computed at one call site."""
+only modules.py touches the cache behind Presentation.cached, each cache
+key is computed at one call site, and one module states the parameter
+ideal contract."""
 
 import ast
 from collections import defaultdict
@@ -78,3 +79,12 @@ def test_each_cache_key_has_one_call_site():
     assert len(sites) >= 5
     shared = {key: where for key, where in sites.items() if len(where) > 1}
     assert not shared, f"cache keys with more than one call site: {shared}"
+
+
+def test_one_module_states_the_parameter_ideal_contract():
+    """The rule "Q is a parameter ideal of M" is written once: its
+    diagnostic occurs in exactly one module of the package."""
+    holders = [
+        p.name for p in sorted(SRC.glob("*.py")) if "not a parameter ideal" in p.read_text()
+    ]
+    assert holders == ["modules.py"]

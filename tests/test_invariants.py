@@ -224,6 +224,29 @@ def test_invariant_report_cm():
     assert inv.sv_invariant == 0
 
 
+@pytest.mark.parametrize(
+    "rels, q, reason",
+    [
+        (lambda x, y, z: [x * y], lambda x, y, z: [x], "1 generators, but dim M = 2"),
+        (lambda x, y, z: [x * y], lambda x, y, z: [x - y, z, y], "3 generators"),
+        (lambda x, y, z: [x * y], lambda x, y, z: [x, z], "M/QM has infinite length"),
+        (lambda x, y, z: [x * y], lambda x, y, z: [x - y, z + 1], "not a nonzero form"),
+        (lambda x, y, z: [x * y], lambda x, y, z: [x - y, x**0], "Q contains a unit"),
+        (lambda x, y, z: [x**0], lambda x, y, z: [x - y, z], "M is the zero module"),
+    ],
+    ids=["short", "long", "not-primary", "inhomogeneous", "unit", "zero-module"],
+)
+def test_invariant_report_rejects_non_parameter_ideals(rels, q, reason):
+    """k[x,y,z]/(xy) has dimension 2: the one contract refuses every Q
+    that is no parameter ideal, and the zero module, as a ValueError
+    before any invariant is computed."""
+    ring = PolyRing(("x", "y", "z"))
+    gens = ring.gens()
+    pres = Algebra(ring, rels(*gens)).as_module()
+    with pytest.raises(ValueError, match=f"not a parameter ideal of the module: .*{reason}"):
+        invariant_report(pres, q(*gens))
+
+
 def test_invariant_report_low_depth(low_depth):
     pres, q, _ = low_depth
     inv = invariant_report(pres, q)

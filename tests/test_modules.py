@@ -340,5 +340,5 @@ def test_ideal_cache_key_is_a_multiset():
     assert ideal_cache_key("k", [f]) != ideal_cache_key("h", [f])
     pres = Algebra(ring, [x * y]).as_module()
     assert koszul_homology_lengths(pres, [f]) == [2, 0]
-    with pytest.raises(ValueError, match="not a system of parameters"):
+    with pytest.raises(ValueError, match="not a parameter ideal of the module"):
         koszul_homology_lengths(pres, [f, f])

@@ -7,7 +7,8 @@ import pytest
 from homdeg import QQ, Algebra, Polynomial, PolyRing, PrimeField
 from homdeg.errors import EngineBugError
 from homdeg.groebner import normal_form
-from homdeg.invariants import h0_torsion_gens
+from homdeg import invariants
+from homdeg.invariants import h0_torsion_gens, invariant_report
 from homdeg.modules import intersect_submodules
 from homdeg.verify import (
     _qm_meets_h0,
@@ -48,6 +49,48 @@ def test_family_39_smallest(ex39_family):
     assert v1.consequences["d_sequence"] != "unverified"
     assert v1.consequences["qm_cap_h0_zero"]
     assert v1.consequences["q_kills_hi"]
+
+
+def test_checks_read_the_one_cached_report(corpus, monkeypatch):
+    """invariant_report is cached on the module and keyed by Q (up to
+    order), and thm1, thm2 and the audit take every number from it: with
+    the report cached and its computation disabled, they still run, and
+    their numbers are the report's."""
+    reports = []
+    for inst in corpus:
+        inv = invariant_report(inst.pres, inst.q_gens)
+        assert invariant_report(inst.pres, inst.q_gens) is inv
+        assert invariant_report(inst.pres, inst.q_gens[::-1]) is inv
+        reports.append(inv)
+
+    def recompute(*_):
+        raise AssertionError("the invariant report was computed twice")
+
+    monkeypatch.setattr(invariants, "_invariant_report", recompute)
+    for inst, inv in zip(corpus, reports):
+        d, e, t = inv.dim, inv.e, inv.torsions
+        audit = audit_inequalities(inst)
+        assert (audit["chi1"], audit["hdeg"], audit["e"], audit["torsions"]) == (
+            inv.chi1,
+            inv.hdeg,
+            e.e,
+            t,
+        ), inst.name
+        cond1 = inv.chi1 == inv.hdeg - e[0]
+        if d >= 1:
+            v = check_thm1(inst)
+            per_i = [(-1) ** i * e[i] == t[i - 1] for i in range(1, d)]
+            per_i.append((-1) ** d * e[d] == inv.h0_length)
+            assert v.condition1 == cond1, inst.name
+            assert v.condition2a == tuple(per_i), inst.name
+            assert v.condition2b == (e.postulation == 0), inst.name
+        if d >= 2:
+            v = check_thm2(inst)
+            assert (v.condition1, v.condition2, v.unmixed) == (
+                cond1,
+                e[1] == -t[0],
+                inv.unmixed,
+            ), inst.name
 
 
 def test_family_generators_validate():
