@@ -82,11 +82,11 @@ def _positioned(stmt):
 
 
 def run_script(script, args):
-    """Execute a parsed script under the parsed command-line args;
-    returns (report dict, failure flag)."""
+    """Execute a parsed script under the parsed command-line args; the
+    parser has put a module and a parameter ideal of the current ring in
+    scope of every check.  Returns (report dict, failure flag)."""
     report = report_mod.empty_report()
-    current_pres = None
-    current_params = None
+    current_pres = current_params = None
     current_meta = {}
     failed = False
     for stmt in script.statements:
@@ -110,14 +110,6 @@ def run_script(script, args):
             current_params = inst.q_gens
             current_meta = inst.metadata
         elif isinstance(stmt, CheckCmd):
-            if current_pres is None:
-                raise DslError(
-                    "no module or algebra in scope for check", stmt.line, stmt.col
-                )
-            if current_params is None:
-                raise DslError(
-                    "no parameter ideal in scope for check", stmt.line, stmt.col
-                )
             inst = ProblemInstance(current_pres, current_params, current_meta)
             with _positioned(stmt):
                 if stmt.kind == "invariants":

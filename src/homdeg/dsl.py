@@ -19,11 +19,17 @@ Grammar (statements end with ';'):
 Polynomials use integer or INT/INT coefficients, identifiers declared in
 the ring, and the operators + - * ^ with parentheses.  All declared
 generators must be homogeneous.  Errors carry line and column.
+
+Each `ring` opens a new scope: a name declared under an earlier ring may
+not be used, so a script never mixes two rings.  A `module` lives over
+the latest algebra in scope, else over the ring itself.  A `check` needs
+a module, algebra or example and a parameter ideal or example declared
+since the last `ring`.
 """
 
 from dataclasses import dataclass, field
 
-from .errors import DslError, InhomogeneousError
+from .errors import DslError
 from .fields import QQ, PrimeField
 from .freemod import FreeElement, FreeModule
 from .modules import Algebra, Presentation, intersect_submodules
@@ -219,12 +225,11 @@ class _Parser:
         self.toks = _tokenize(text)
         self.degree_cap = degree_cap
         self.pos = 0
-        self.rings = {}
-        self.ideals = {}
-        self.algebras = {}
-        self.modules = {}
-        self.params = {}
-        self.current_ring = None
+        # the declarations of the current ring by name, and the last example
+        # under its keyword, which no name can take; each `ring` clears it
+        self.scope = {}
+        self.declared = {}  # every name ever declared -> the name of its ring
+        self.ring = None  # the RingDecl of the current ring
 
     # ---- token plumbing ----------------------------------------------
 
@@ -254,6 +259,64 @@ class _Parser:
             raise DslError(f"expected an integer, found {t.text!r}", t.line, t.col)
         return int(t.text)
 
+    def _list(self, item, brackets="()"):
+        """item, item, ... between the two brackets."""
+        self.expect(brackets[0])
+        out = [item()]
+        while self.peek().text == ",":
+            self.next()
+            out.append(item())
+        self.expect(brackets[1])
+        return out
+
+    # ---- scope -------------------------------------------------------
+
+    def _head(self, keyword):
+        """`keyword NAME =`, NAME not declared before under any ring:
+        returns the keyword's token and the name's token."""
+        kw = self.expect(keyword)
+        ntok = self.expect_name()
+        if ntok.text in _KEYWORDS:
+            raise DslError(f"{ntok.text!r} is a reserved word", ntok.line, ntok.col)
+        if ntok.text in self.declared:
+            raise DslError(f"{ntok.text!r} is already declared", ntok.line, ntok.col)
+        self.expect("=")
+        return kw, ntok
+
+    def _declare(self, decl):
+        self.scope[decl.name] = decl
+        self.declared[decl.name] = self.ring.name
+        return decl
+
+    def _in_scope(self, tok):
+        """Reject tok if it names a declaration of an earlier ring."""
+        owner = self.declared.get(tok.text)
+        if owner is not None and tok.text not in self.scope:
+            raise DslError(
+                f"{tok.text!r} is out of scope: it belongs to ring {owner!r}, "
+                f"and ring {self.ring.name!r} is current",
+                tok.line,
+                tok.col,
+            )
+
+    def _lookup(self, kind, noun):
+        """The declaration of kind in scope that the next name names."""
+        t = self.expect_name()
+        self._in_scope(t)
+        decl = self.scope.get(t.text)
+        if not isinstance(decl, kind):
+            raise DslError(f"undeclared {noun} {t.text!r}", t.line, t.col)
+        return decl
+
+    def _latest(self, *kinds):
+        """The last declaration in scope of one of kinds, or None."""
+        return next((d for d in reversed(self.scope.values()) if isinstance(d, kinds)), None)
+
+    def _require_ring(self, tok):
+        if self.ring is None:
+            raise DslError("no ring declared yet", tok.line, tok.col)
+        return self.ring.ring
+
     # ---- statements --------------------------------------------------
 
     def parse(self):
@@ -275,20 +338,8 @@ class _Parser:
             self.expect(";")
         return script
 
-    def _fresh(self, tok):
-        name = tok.text
-        if name in _KEYWORDS:
-            raise DslError(f"{name!r} is a reserved word", tok.line, tok.col)
-        for space in (self.rings, self.ideals, self.algebras, self.modules, self.params):
-            if name in space:
-                raise DslError(f"{name!r} is already declared", tok.line, tok.col)
-        return name
-
     def _ring(self):
-        self.expect("ring")
-        ntok = self.expect_name()
-        name = self._fresh(ntok)
-        self.expect("=")
+        _, ntok = self._head("ring")
         ftok = self.next()
         if ftok.text == "QQ":
             fld = QQ
@@ -304,80 +355,52 @@ class _Parser:
             raise DslError(
                 f"expected QQ or FP(p), found {ftok.text!r}", ftok.line, ftok.col
             )
-        self.expect("[")
-        names = [self.expect_name().text]
-        while self.peek().text == ",":
-            self.next()
-            names.append(self.expect_name().text)
-        self.expect("]")
+        names = self._list(lambda: self.expect_name().text, "[]")
         if len(set(names)) != len(names):
             raise DslError("duplicate variable name", ntok.line, ntok.col)
         ring = PolyRing(names, field=fld, degree_cap=self.degree_cap)
-        self.rings[name] = ring
-        self.current_ring = ring
-        return RingDecl(name, ring)
+        self.ring, self.scope = RingDecl(ntok.text, ring), {}
+        return self._declare(self.ring)
 
-    def _require_ring(self, tok):
-        if self.current_ring is None:
-            raise DslError("no ring declared yet", tok.line, tok.col)
-        return self.current_ring
-
-    def _ideal(self):
-        t = self.expect("ideal")
-        ntok = self.expect_name()
-        name = self._fresh(ntok)
-        self.expect("=")
-        self._require_ring(t)
-        gens = self._ideal_expr()
+    def _generators(self, ntok, parse, what):
+        """The nonzero generators parse() returns, each homogeneous, else
+        an error naming the offender an inhomogeneous `what`."""
+        gens = parse()
         for g in gens:
             if g and not g.is_homogeneous():
-                raise DslError(
-                    f"inhomogeneous generator {g!r}", ntok.line, ntok.col
-                )
-        gens = tuple(g for g in gens if g)
-        self.ideals[name] = gens
-        return IdealDecl(name, gens)
+                raise DslError(f"inhomogeneous {what} {g!r}", ntok.line, ntok.col)
+        return tuple(g for g in gens if g)
+
+    def _ideal(self):
+        kw, ntok = self._head("ideal")
+        self._require_ring(kw)
+        gens = self._generators(ntok, self._ideal_expr, "generator")
+        return self._declare(IdealDecl(ntok.text, gens))
 
     def _ideal_expr(self):
         t = self.peek()
         if t.text == "(":
-            self.next()
-            gens = list(self._ideal_item())
-            while self.peek().text == ",":
-                self.next()
-                gens.extend(self._ideal_item())
-            self.expect(")")
-            return gens
-        if t.text == "intersect":
+            return [g for item in self._list(self._ideal_item) for g in item]
+        if t.text in ("intersect", "product", "power"):
             self.next()
             self.expect("(")
             a = self._ideal_expr()
             self.expect(",")
-            b = self._ideal_expr()
+            b = self.expect_int() if t.text == "power" else self._ideal_expr()
             self.expect(")")
-            return self._intersect(a, b)
-        if t.text == "product":
-            self.next()
-            self.expect("(")
-            a = self._ideal_expr()
-            self.expect(",")
-            b = self._ideal_expr()
-            self.expect(")")
-            return _dedupe(f * g for f in a for g in b)
-        if t.text == "power":
-            self.next()
-            self.expect("(")
-            a = self._ideal_expr()
-            self.expect(",")
-            k = self.expect_int()
-            self.expect(")")
+            if t.text == "intersect":
+                return self._intersect(a, b)
+            if t.text == "product":
+                return _dedupe(f * g for f in a for g in b)
             out = a
-            for _ in range(k - 1):
+            for _ in range(b - 1):
                 out = _dedupe(f * g for f in out for g in a)
-            return out if k >= 1 else [self.current_ring.one]
-        if t.kind == "name" and t.text in self.ideals:
-            self.next()
-            return list(self.ideals[t.text])
+            return out if b >= 1 else [self.ring.ring.one]
+        if t.kind == "name":
+            self._in_scope(t)
+            if isinstance(self.scope.get(t.text), IdealDecl):
+                self.next()
+                return list(self.scope[t.text].gens)
         raise DslError(
             f"expected an ideal expression, found {t.text!r}", t.line, t.col
         )
@@ -386,19 +409,15 @@ class _Parser:
         """One entry of a generator list: a polynomial, or a nested ideal
         expression whose generators are spliced in."""
         t = self.peek()
-        if t.text in ("intersect", "product", "power"):
-            return self._ideal_expr()
-        if (
-            t.kind == "name"
-            and t.text in self.ideals
-            and t.text not in (self.current_ring.names if self.current_ring else ())
+        if t.text in ("intersect", "product", "power") or (
+            isinstance(self.scope.get(t.text), IdealDecl)
+            and t.text not in self.ring.ring.names
         ):
             return self._ideal_expr()
         return [self._poly()]
 
     def _intersect(self, a, b):
-        ring = self.current_ring
-        one_mod = FreeModule(ring, 1)
+        one_mod = FreeModule(self.ring.ring, 1)
         a = [g for g in a if g]
         b = [g for g in b if g]
         inter = intersect_submodules(
@@ -407,38 +426,23 @@ class _Parser:
         return [el.component(0) for el in inter]
 
     def _algebra(self):
-        self.expect("algebra")
-        ntok = self.expect_name()
-        name = self._fresh(ntok)
-        self.expect("=")
-        rtok = self.expect_name()
-        if rtok.text not in self.rings:
-            raise DslError(f"undeclared ring {rtok.text!r}", rtok.line, rtok.col)
+        _, ntok = self._head("algebra")
+        ring = self._lookup(RingDecl, "ring")
         self.expect("/")
-        itok = self.expect_name()
-        if itok.text not in self.ideals:
-            raise DslError(f"undeclared ideal {itok.text!r}", itok.line, itok.col)
-        alg = Algebra(self.rings[rtok.text], self.ideals[itok.text])
-        self.algebras[name] = alg
-        return AlgebraDecl(name, alg, rtok.text, itok.text)
+        ideal = self._lookup(IdealDecl, "ideal")
+        alg = Algebra(ring.ring, ideal.gens)
+        return self._declare(AlgebraDecl(ntok.text, alg, ring.name, ideal.name))
 
     def _module(self):
-        t = self.expect("module")
-        ntok = self.expect_name()
-        name = self._fresh(ntok)
-        self.expect("=")
+        kw, ntok = self._head("module")
         self.expect("coker")
-        ring = self._require_ring(t)
-        self.expect("[")
-        rows = [self._poly_row()]
-        while self.peek().text == ",":
-            self.next()
-            rows.append(self._poly_row())
-        self.expect("]")
+        ring = self._require_ring(kw)
+        rows = self._list(lambda: self._list(self._poly, "[]"), "[]")
         width = len(rows[0])
         if any(len(r) != width for r in rows):
             raise DslError("ragged presentation matrix", ntok.line, ntok.col)
-        alg = self._latest_algebra() or Algebra(ring, ())
+        latest = self._latest(AlgebraDecl)
+        alg = latest.algebra if latest else Algebra(ring, ())
         rank = len(rows)
         ambient = FreeModule(ring, rank)
         cols = []
@@ -453,47 +457,16 @@ class _Parser:
                     f"inhomogeneous matrix column {j}", ntok.line, ntok.col
                 )
             cols.append(el)
-        try:
-            pres = Presentation(alg, rank, (0,) * rank, cols)
-        except InhomogeneousError as exc:
-            raise DslError(str(exc), ntok.line, ntok.col)
-        self.modules[name] = pres
-        return ModuleDecl(name, pres)
-
-    def _latest_algebra(self):
-        if not self.algebras:
-            return None
-        return next(reversed(self.algebras.values()))
-
-    def _poly_row(self):
-        self.expect("[")
-        row = [self._poly()]
-        while self.peek().text == ",":
-            self.next()
-            row.append(self._poly())
-        self.expect("]")
-        return row
+        pres = Presentation(alg, rank, (0,) * rank, cols)
+        return self._declare(ModuleDecl(ntok.text, pres))
 
     def _params(self):
-        t = self.expect("params")
-        ntok = self.expect_name()
-        name = self._fresh(ntok)
-        self.expect("=")
-        self._require_ring(t)
-        self.expect("(")
-        gens = [self._poly()]
-        while self.peek().text == ",":
-            self.next()
-            gens.append(self._poly())
-        self.expect(")")
-        for g in gens:
-            if g and not g.is_homogeneous():
-                raise DslError(f"inhomogeneous parameter {g!r}", ntok.line, ntok.col)
-        gens = tuple(g for g in gens if g)
+        kw, ntok = self._head("params")
+        self._require_ring(kw)
+        gens = self._generators(ntok, lambda: self._list(self._poly), "parameter")
         if not gens:
             raise DslError("empty parameter list", ntok.line, ntok.col)
-        self.params[name] = gens
-        return ParamsDecl(name, gens)
+        return self._declare(ParamsDecl(ntok.text, gens))
 
     def _example(self):
         kw = self.expect("example")
@@ -512,7 +485,9 @@ class _Parser:
             raise DslError(
                 f"{ftok.text} needs arguments {sorted(wanted)}", ftok.line, ftok.col
             )
-        return ExampleCmd(ftok.text, tuple(sorted(args.items())), kw.line, kw.col)
+        cmd = ExampleCmd(ftok.text, tuple(sorted(args.items())), kw.line, kw.col)
+        self.scope["example"] = cmd
+        return cmd
 
     def _check(self):
         kw = self.expect("check")
@@ -523,20 +498,16 @@ class _Parser:
                 t.line,
                 t.col,
             )
+        if self._latest(AlgebraDecl, ModuleDecl, ExampleCmd) is None:
+            raise DslError("no module or algebra in scope for check", kw.line, kw.col)
+        if self._latest(ParamsDecl, ExampleCmd) is None:
+            raise DslError("no parameter ideal in scope for check", kw.line, kw.col)
         return CheckCmd(t.text, kw.line, kw.col)
 
     # ---- polynomial expressions --------------------------------------
 
     def _poly(self):
-        return self._sum()
-
-    def _sum(self):
-        t = self.peek()
-        if t.text == "-":
-            self.next()
-            out = -self._term()
-        else:
-            out = self._term()
+        out = self._term()
         while self.peek().text in ("+", "-"):
             op = self.next().text
             rhs = self._term()
@@ -560,7 +531,7 @@ class _Parser:
 
     def _atom(self):
         t = self.next()
-        ring = self.current_ring
+        ring = self.ring.ring
         if t.text == "-":
             return -self._factor()
         if t.kind == "int":
@@ -574,13 +545,12 @@ class _Parser:
                 return Polynomial(ring, {ring.zero_mono: c} if c else {})
             return ring.const(num)
         if t.kind == "name":
-            if ring is None:
-                raise DslError("no ring declared yet", t.line, t.col)
             if t.text in ring.names:
                 return ring.var(ring.names.index(t.text))
+            self._in_scope(t)
             raise DslError(f"unknown variable {t.text!r}", t.line, t.col)
         if t.text == "(":
-            inner = self._sum()
+            inner = self._poly()
             self.expect(")")
             return inner
         raise DslError(f"expected a polynomial, found {t.text!r}", t.line, t.col)

@@ -18,13 +18,7 @@ from .hilbert import (
     HilbertCoefficients, associated_graded, hilbert_coefficients, multiplicity
 )
 from .koszul import euler_char_1
-from .modules import (
-    NotParameterIdealError,
-    Presentation,
-    check_parameter_ideal,
-    colon_by_ideal,
-    saturate,
-)
+from .modules import Presentation, check_parameter_ideal, colon_by_ideal, saturate
 from .monomial_ideals import poly_add, poly_shift, series_length
 from .resolution import depth as depth_of, ext_codims
 from .resolution import local_cohomology_duals as _duals
@@ -240,15 +234,17 @@ def dseq_coefficients(pres, seq):
     The colon correction is l((N : a_d)/N), N = Q_{d-1}F + relations, the
     kernel of a_d on M' = M/Q_{d-1}M; by _series_drop its series times
     t^(deg a_d) is t^(deg a_d) HS(M') - (HS(M') - HS(M/QM)).  A mismatch
-    with the exact Samuel polynomial is fatal.  Returns (HilbertCoefficients, details).
+    with the exact Samuel polynomial is fatal.  M must have positive
+    dimension: at d = 0 the zero ideal is no Samuel ideal, so there is no
+    polynomial to check against.  Returns (HilbertCoefficients, details).
     """
+    if pres.dim() < 1:
+        raise ValueError("the d-sequence formulas concern modules of positive dimension")
     d = len(seq)
     ok, pair = is_d_sequence(pres, seq)
     if not ok:
         raise NotDSequenceError(pair)
     check_parameter_ideal(pres, seq)
-    if d != pres.dim():  # a sequence, unlike an ideal, has d terms at d = 0 too
-        raise NotParameterIdealError(f"{d} generators, but dim M = {pres.dim()}")
     details = {}
 
     l_mqm = details["l_M_QM"] = pres.quotient_by_ideal(seq).length()

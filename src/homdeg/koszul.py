@@ -90,11 +90,11 @@ def _homology_lengths(pres, seq):
     return tuple(out)
 
 
-def euler_char_1(pres, seq, multiplicity=None):
+def euler_char_1(pres, seq, multiplicity):
     """chi_1 = sum_{i>=1} (-1)^(i-1) l(H_i(seq; M)) for a system of
     parameters seq of M.
 
-    When the Samuel multiplicity of seq on M is supplied, the identity
+    The Samuel multiplicity e(seq; M) is required: the identity
     chi_1 = l(M/(seq)M) - e(seq; M) is checked exactly; a mismatch means
     the engine miscomputed and is fatal.
     """
@@ -104,10 +104,9 @@ def euler_char_1(pres, seq, multiplicity=None):
     for ln in lens[1:]:
         chi1 += sign * ln
         sign = -sign
-    if multiplicity is not None:
-        if lens[0] - multiplicity != chi1:
-            raise EngineBugError(
-                f"Euler characteristic inconsistency: chi_1 = {chi1} but "
-                f"l(M/QM) - e = {lens[0]} - {multiplicity}"
-            )
+    if lens[0] - multiplicity != chi1:
+        raise EngineBugError(
+            f"Euler characteristic inconsistency: chi_1 = {chi1} but "
+            f"l(M/QM) - e = {lens[0]} - {multiplicity}"
+        )
     return chi1

@@ -10,7 +10,7 @@ from collections import Counter
 
 from .errors import EngineBugError, InhomogeneousError
 from .freemod import FreeElement, FreeModule
-from .groebner import GroebnerEngine, groebner_basis, lift_relations, normal_form
+from .groebner import GroebnerEngine, groebner_basis, lift_relations
 from .kernel import mono_deg
 from .monomial_ideals import (
     eval_at_one,
@@ -124,10 +124,6 @@ class Presentation:
 
         return self.cached("gb", compute)
 
-    def reduce(self, el):
-        """Normal form of an ambient element against the relations."""
-        return normal_form(el, self.gb())
-
     def lead_monomials(self):
         """Per-component minimal lead monomials of the relation module."""
         per = [[] for _ in range(self.rank)]
@@ -231,14 +227,16 @@ class NotParameterIdealError(ValueError):
 
 def check_parameter_ideal(pres, gens):
     """The one contract of every invariant of (M, Q): Q = (gens) is a
-    parameter ideal of M.  M is nonzero, every generator is a nonzero form
-    of positive degree and, when dim M >= 1, there are exactly dim M of
-    them and M/QM (cached on M) has finite length.  A module of dimension
-    0 takes any such Q: its invariants do not depend on Q.  Raises
-    NotParameterIdealError otherwise."""
+    parameter ideal of M.  M is nonzero, every generator is a nonzero
+    form of positive degree in the ring of M and, when dim M >= 1, there
+    are exactly dim M of them and M/QM (cached on M) has finite length.
+    A module of dimension 0 takes any such Q: its invariants do not
+    depend on Q.  Raises NotParameterIdealError otherwise."""
     if pres.is_zero():
         raise NotParameterIdealError("M is the zero module")
     for g in gens:
+        if g.ring != pres.ring:
+            raise NotParameterIdealError(f"{g!r} lies in {g.ring}, but M lies over {pres.ring}")
         if not g or not g.is_homogeneous():
             raise NotParameterIdealError(f"{g!r} is not a nonzero form")
         if g.degree() == 0:
@@ -350,10 +348,14 @@ def colon_by_ideal(pres, sub_gens, ideal_gens):
 
 
 def saturate(pres, sub_gens, ideal_gens):
-    """(N :_M I^infinity): iterate the colon until it stabilizes."""
+    """(N :_M I^infinity): iterate the colon until it stabilizes.  Each
+    colon is taken in the free ambient F, with no relations appended:
+    current already contains N + relations(M), so it is the same
+    submodule."""
+    free = Presentation(Algebra(pres.ring), pres.rank, pres.twists, ())
     current = submodule_gb(pres, sub_gens)
     while True:
-        nxt = colon_by_ideal(pres, current, ideal_gens)
+        nxt = colon_by_ideal(free, current, ideal_gens)
         if submodule_key(nxt) == submodule_key(current):
             return current
         current = nxt

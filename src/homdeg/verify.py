@@ -68,14 +68,13 @@ class TheoremVerdict:
 
 
 def _q_kills_dual(pres, q_gens, i):
-    """True iff Q annihilates the dual module M_i."""
+    """True iff Q annihilates the dual module M_i, that is iff M_i/QM_i
+    (cached on M_i) has the Hilbert series of M_i."""
     duals = _duals(pres)
     if i >= len(duals):
         return True
     mi = duals[i]
-    if mi.is_zero():
-        return True
-    return not any(mi.reduce(el) for el in mi.ideal_times_ambient(q_gens))
+    return mi.quotient_by_ideal(q_gens).hilbert_numerator() == mi.hilbert_numerator()
 
 
 def _qm_meets_h0(pres, q_gens):
@@ -299,7 +298,6 @@ def audit_inequalities(inst):
         "hdeg": inv.hdeg,
         "e": tuple(e.e),
         "torsions": t,
-        "dual_dims": tuple(m.dim() for m in _duals(inst.pres)),
     }
     if chi1 < 0:
         raise EngineBugError(f"chi1 = {chi1} < 0 on {inst.name}")

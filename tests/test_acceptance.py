@@ -166,11 +166,11 @@ def test_criterion_6_additivity_of_hdeg():
 
 
 def test_criterion_7_cli_corpus(capsys):
-    """Nineteen malformed scripts exit 2 with positioned diagnostics; the
+    """Twenty-three malformed scripts exit 2 with positioned diagnostics; the
     two family scripts reproduce their checked-in JSON byte for byte under a
     fixed seed."""
     malformed = sorted((CORPUS / "malformed").glob("*.hd"))
-    assert len(malformed) == 19
+    assert len(malformed) == 23
     for f in malformed:
         code = cli_main(["--input", str(f)])
         captured = capsys.readouterr()

@@ -105,7 +105,7 @@ def test_field_flag_rejects_bad_prime(tmp_path, capsys, p):
 
 def test_malformed_corpus_exit_codes(capsys):
     files = sorted((CORPUS / "malformed").glob("*.hd"))
-    assert len(files) == 19
+    assert len(files) == 23
     for f in files:
         code, out, err = run_cli(capsys, "--input", str(f))
         assert code == 2, f.name
@@ -121,15 +121,48 @@ def test_malformed_corpus_exit_codes(capsys):
         ("17_thm1_dimension_zero", "5:1", "modules of positive dimension"),
         ("18_thm2_dimension_one", "5:1", "requires dim M >= 2"),
         ("19_zero_module", "4:1", "not a parameter ideal of the module: M is the zero"),
+        ("20_params_of_earlier_ring", "6:1", "no parameter ideal in scope for check"),
+        ("21_q_outside_example_ring", "4:1", "u + -1*v lies in QQ[u, v, w], but M lies"),
+        ("22_algebra_over_earlier_ideal", "4:17", "'J' is out of scope: it belongs to ring 'S'"),
+        ("23_ideal_of_earlier_ring", "4:12", "'J' is out of scope: it belongs to ring 'S'"),
     ],
 )
 def test_library_rejections_are_positioned(capsys, stem, where, message):
     """A ValueError the library raises while an `example` or `check` runs
-    exits 2 at the position of that statement's keyword."""
+    exits 2 at the position of that statement's keyword; a script that
+    mixes two rings exits 2 at the check or at the name of the earlier
+    ring."""
     f = CORPUS / "malformed" / f"{stem}.hd"
     code, out, err = run_cli(capsys, "--input", str(f))
     assert code == 2
     assert err.startswith(f"{f}:{where}: error: ") and message in err, err
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        (
+            "ring S = QQ[x, y];\nideal J = (x*y);\nalgebra A = S / J;\n",
+            "ring T = QQ[u, v, w];\nmodule M = coker [[u]];\nparams Q = (v, w);\n",
+        ),
+        (
+            "ring S = QQ[x, y, z];\nideal J = (x*y);\nalgebra A = S / J;\n",
+            "ring T = QQ[x, y, z];\nmodule M = coker [[x - y]];\nparams Q = (y, z);\n",
+        ),
+    ],
+    ids=["other-variables", "same-variables"],
+)
+def test_module_under_a_new_ring_drops_the_old_algebra(tmp_path, capsys, first, second):
+    """A module declared after a second `ring` lives over that ring alone:
+    the report equals that of the script without the first ring's lines."""
+    outputs = []
+    for text in (first + second, second):
+        script = tmp_path / "rings.hd"
+        script.write_text(text + "check invariants;\n")
+        code, out, err = run_cli(capsys, "--input", str(script), "--format", "json")
+        assert code == 0, err
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
 
 
 def test_zero_module_has_one_message(tmp_path, capsys):

@@ -62,7 +62,7 @@ def test_empty_command_list_is_valid():
 
 
 def test_comments_and_whitespace():
-    script = parse_input("# a comment\nring S = QQ[x];  # trailing\ncheck audit;\n")
+    script = parse_input("# a comment\nring S = QQ[x];  # trailing\nparams Q = (x);\n")
     assert len(script.statements) == 2
 
 
@@ -75,6 +75,20 @@ def test_comments_and_whitespace():
         ("ring S = QQ[x];\nideal J = (w);", 2, 1),  # unknown variable
         ("ring S = QQ[x];\nalgebra A = S / K;", 2, 1),  # undeclared ideal
         ("ring S = QQ[x];\nring S = QQ[y];", 2, 1),  # redeclaration
+        ("ring S = QQ[x];\nparams Q = (x);\ncheck audit;", 3, 1),  # no module
+        ("ring S = QQ[x];\nideal J = (x);\nalgebra A = S / J;\ncheck audit;", 4, 1),
+        # a ring clears the scope: Q of S is not a parameter ideal under T
+        ("ring S = QQ[x];\nparams Q = (x);\nring T = QQ[u];\nideal K = (u^2);\n"
+         "algebra B = T / K;\ncheck invariants;", 6, 1),
+        # and so is an example declared before the ring
+        ("example ex46 l=1;\nring S = QQ[x];\ncheck audit;", 3, 1),
+        # a name of an earlier ring, as an algebra's ring or ideal
+        ("ring S = QQ[x];\nideal J = (x);\nring T = QQ[u];\nalgebra B = S / J;", 4, 13),
+        ("ring S = QQ[x];\nideal J = (x);\nring T = QQ[u];\nalgebra B = T / J;", 4, 17),
+        # ... in a generator list, an ideal expression or a polynomial
+        ("ring S = QQ[x];\nideal J = (x);\nring T = QQ[u];\nideal K = (J, u);", 4, 12),
+        ("ring S = QQ[x];\nideal J = (x);\nring T = QQ[u];\nideal K = J;", 4, 11),
+        ("ring S = QQ[x];\nideal J = (x);\nring T = QQ[u];\nparams Q = (u + J);", 4, 17),
     ],
 )
 def test_positioned_errors(text, line, col_min):

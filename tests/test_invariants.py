@@ -211,6 +211,26 @@ def test_dseq_coefficients_rejects_non_dseq():
     assert err.value.pair == (1, 1)
 
 
+def test_dseq_coefficients_rejects_dimension_zero():
+    """At dim M = 0 the contract takes the empty sequence, but there is no
+    Samuel polynomial to check the formulas against."""
+    ring = PolyRing(("x", "y"))
+    x, y = ring.gens()
+    pres = Algebra(ring, [x**2, y**2]).as_module()
+    with pytest.raises(ValueError, match="positive dimension"):
+        dseq_coefficients(pres, [])
+
+
+def test_parameter_ideal_must_lie_in_the_ring_of_m():
+    """Q over another ring is refused before M/QM is formed, even when
+    its exponent tuples have the right length."""
+    pres = Algebra(PolyRing(("x", "y")), ()).as_module()
+    u, v = PolyRing(("u", "v")).gens()
+    with pytest.raises(ValueError, match=r"u lies in QQ\[u, v\], but M lies over QQ\[x, y\]"):
+        invariant_report(pres, [u, v])
+    assert not any(key[0] == "quotient" for key in pres._cache if isinstance(key, tuple))
+
+
 def test_invariant_report_cm():
     ring = PolyRing(("x", "y"))
     x, y = ring.gens()
