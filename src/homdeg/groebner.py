@@ -11,17 +11,11 @@ deterministic.
 """
 
 import heapq
+from operator import mul
 
 from .errors import DegreeCapError, EngineBugError, InhomogeneousError
 from .freemod import FreeElement, FreeModule
-from .kernel import (
-    mono_div,
-    mono_divides,
-    mono_lcm,
-    mono_mul,
-    order_key,
-    reduce_by_key,
-)
+from .kernel import Layout, mono_lcm
 
 
 class TermOrder:
@@ -34,28 +28,41 @@ class TermOrder:
     variables of Q = (x_p), the lead terms of a submodule N present the
     initial module of N for the Q-adic filtration.
 
-    The key (kernel.order_key: the largest term sorts first) is bound
-    here, once, so no per-term call branches on the order and no call
-    builds a key.  `reduce` returns its normal form in descending term
-    order: the lead of a nonzero normal form is its first key.
+    The order itself is kernel.order_key(split, weight); inside the engine
+    the packed terms of kernel.Layout sort as it does.
     """
 
-    __slots__ = ("split", "weight", "key")
+    __slots__ = ("split", "weight")
 
     def __init__(self, split, weight=None):
         self.split = split
-        self.weight = weight
-        self.key = order_key(split, None if weight is None else tuple(weight))
+        self.weight = None if weight is None else tuple(weight)
 
-    def reduce(self, terms, by_comp):
-        """Full normal form against a monic basis given as by_comp, in
-        descending term order."""
-        return reduce_by_key(terms, by_comp, self.key)
+
+def _layout(module, order):
+    """The packed layout of the terms of module under order, cached on the
+    ring.  Its fields hold the largest raw degree of a term within the
+    ring's degree cap, the cap minus the smallest (negative) twist; the
+    cap is read now, so a cap set after the ring was built holds."""
+    ring = module.ring
+    bound = ring.degree_cap - min((0, *module.twists))
+    key = (module.rank, max(bound, 1).bit_length(), order.split, order.weight)
+    layout = ring.layouts.get(key)
+    if layout is None:
+        layout = ring.layouts[key] = Layout(ring.n, *key)
+    return layout
+
+
+def _pack(layout, terms, cap):
+    try:
+        return layout.pack(terms)
+    except OverflowError:
+        raise DegreeCapError(cap) from None
 
 
 def _monic(nf, one):
-    """nf scaled to lead coefficient 1 (one, the field's unit), and its lead
-    (comp, mono).  nf is a normal form, so its lead is its first key."""
+    """nf scaled to lead coefficient 1 (one, the field's unit), and its
+    packed lead.  nf is a normal form, so its lead is its first key."""
     lead = next(iter(nf))
     lc = nf[lead]
     if lc == one:
@@ -63,9 +70,25 @@ def _monic(nf, one):
     return {t: v / lc for t, v in nf.items()}, lead
 
 
+def _by_lead(elems, layout):
+    """comp -> [(lead, terms)], the kernel's view of packed elements that
+    each lead with their lead term."""
+    by_comp = {}
+    for terms in elems:
+        lead = next(iter(terms))
+        by_comp.setdefault(lead & layout.cmask, []).append((lead, terms))
+    return by_comp
+
+
 class GroebnerEngine:
     """Incremental Buchberger.  Elements can be added after a compute();
-    the engine resumes with the new pairs only."""
+    the engine resumes with the new pairs only.
+
+    Terms are packed (kernel.Layout) on the way in, by add and
+    normal_form, and unpacked on the way out, by normal_form and
+    reduced_elements; leads keeps the lead of each basis element as a
+    (comp, mono) pair.
+    """
 
     def __init__(self, module, order=None):
         self.module = module
@@ -73,68 +96,77 @@ class GroebnerEngine:
         self.order = TermOrder(module.rank) if order is None else order
         self.cap = self.ring.degree_cap
         self.deg = self.ring.mono_degree
-        self.basis = []      # monic term dicts
-        self.leads = []      # (comp, mono) per basis element
-        self.by_comp = {}    # comp -> [(mono, terms)] view for the kernel
-        self.pairs = []      # heap of (degree, i, j)
-        self.pending = set()
+        self.layout = _layout(module, self.order)
+        self.basis = []         # monic packed term dicts, each lead term first
+        self.leads = []         # (comp, mono) per basis element
+        self.packed_leads = []  # packed lead per basis element
+        self.by_comp = {}       # comp -> [(packed lead, terms)] view for the kernel
+        self.pairs = []         # heap of (degree, i, j)
+        self.pending = {}       # (i, j) -> packed lcm of the leads, None above the cap
 
     def add(self, el):
         if not isinstance(el, FreeElement) or el.module != self.module:
             raise EngineBugError("element added to engine over a different ambient")
         if not el.is_homogeneous():
             raise InhomogeneousError(repr(el))
-        self._add_terms(el.terms)
+        self._add_terms(_pack(self.layout, el.terms, self.cap))
+
+    def normal_form(self, terms):
+        """The full normal form of {(comp, mono): coef} modulo the submodule
+        the engine holds, as {(comp, mono): coef} in descending term
+        order."""
+        self.compute()
+        layout = self.layout
+        return layout.unpack(layout.reduce(_pack(layout, terms, self.cap), self.by_comp))
 
     def _add_terms(self, terms):
-        nf = self.order.reduce(terms, self.by_comp)
+        layout = self.layout
+        nf = layout.reduce(terms, self.by_comp)
         if not nf:
             return
-        deg = self._degree(nf)
-        if deg > self.cap:
+        terms, lead = _monic(nf, self.ring.field.one)
+        c, m = layout.unpack_term(lead)
+        twist = self.module.twists[c]
+        if self.deg(m) + twist > self.cap:
             raise DegreeCapError(self.cap)
-        terms, (c, m) = _monic(nf, self.ring.field.one)
         idx = len(self.basis)
         self.basis.append(terms)
         self.leads.append((c, m))
-        self.by_comp.setdefault(c, []).append((m, terms))
+        self.packed_leads.append(lead)
+        self.by_comp.setdefault(c, []).append((lead, terms))
+        base, units = layout.base[c], layout.units
         for j, (jc, jm) in enumerate(self.leads[:idx]):
             if jc != c:
                 continue
             lcm = mono_lcm(jm, m)
-            pdeg = self.deg(lcm) + self.module.twists[c]
+            pdeg = self.deg(lcm) + twist
             heapq.heappush(self.pairs, (pdeg, j, idx))
-            self.pending.add((j, idx))
-
-    def _degree(self, terms):
-        c, m = next(iter(terms))
-        return self.deg(m) + self.module.twists[c]
+            # Within the cap the lcm fits its fields.
+            self.pending[(j, idx)] = base + sum(map(mul, lcm, units)) if pdeg <= self.cap else None
 
     def compute(self):
-        rank_one = self.module.rank == 1
+        coprime_test = self.module.rank == 1
+        base = self.layout.base[0] if coprime_test else None
+        packed = self.packed_leads
         while self.pairs:
             deg, i, j = heapq.heappop(self.pairs)
-            if (i, j) not in self.pending:
-                continue
-            self.pending.discard((i, j))
-            if deg > self.cap:
+            lcm = self.pending.pop((i, j))
+            if lcm is None:
                 raise DegreeCapError(self.cap)
-            ci, mi = self.leads[i]
-            cj, mj = self.leads[j]
-            lcm = mono_lcm(mi, mj)
-            if rank_one and mono_mul(mi, mj) == lcm:
+            qi = lcm - packed[i]
+            if coprime_test and qi == packed[j] - base:
                 continue  # coprime lead monomials: S-pair reduces to zero
-            if self._chain_skip(i, j, ci, lcm):
+            if self._chain_skip(i, j, lcm):
                 continue
-            s = self._spair(i, j, lcm)
-            self._add_terms(s)
+            self._add_terms(self._spair(i, j, qi, lcm - packed[j]))
         return self
 
-    def _chain_skip(self, i, j, comp, lcm):
-        for k, (kc, km) in enumerate(self.leads):
-            if k == i or k == j or kc != comp:
-                continue
-            if not mono_divides(km, lcm):
+    def _chain_skip(self, i, j, lcm):
+        guard, cmask = self.layout.guard, self.layout.cmask
+        comp = lcm & cmask
+        lcm |= guard
+        for k, lead in enumerate(self.packed_leads):
+            if k == i or k == j or lead & cmask != comp or (lcm - lead) & guard != guard:
                 continue
             a, b = (i, k) if i < k else (k, i)
             if (a, b) in self.pending:
@@ -145,34 +177,32 @@ class GroebnerEngine:
             return True
         return False
 
-    def _spair(self, i, j, lcm):
-        ci, mi = self.leads[i]
-        cj, mj = self.leads[j]
-        qi = mono_div(lcm, mi)
-        qj = mono_div(lcm, mj)
-        out = {}
-        for (tc, tm), c in self.basis[i].items():
-            out[(tc, mono_mul(qi, tm))] = c
-        for (tc, tm), c in self.basis[j].items():
-            key = (tc, mono_mul(qj, tm))
-            s = out.get(key)
+    def _spair(self, i, j, qi, qj):
+        out = {t + qi: c for t, c in self.basis[i].items()}
+        for t, c in self.basis[j].items():
+            t += qj
+            s = out.get(t)
             s = -c if s is None else s - c
             if s:
-                out[key] = s
+                out[t] = s
             else:
-                out.pop(key, None)
+                out.pop(t, None)
         return out
+
+    def _reduced(self):
+        """The reduced Groebner basis, packed, in canonical order."""
+        self.compute()
+        return interreduce(self.basis, self.packed_leads, self.layout)
 
     def reduced_elements(self):
         """The reduced Groebner basis as canonical FreeElements."""
-        self.compute()
-        elems = interreduce(list(self.basis), list(self.leads), self.order)
-        return [FreeElement(self.module, t) for t in elems]
+        unpack = self.layout.unpack
+        return [FreeElement(self.module, unpack(t)) for t in self._reduced()]
 
 
-def interreduce(elems, leads, order):
-    """The reduced basis of a Groebner basis given as monic term dicts and
-    their leads, in canonical (descending lead) order.
+def interreduce(elems, leads, layout):
+    """The reduced basis of a Groebner basis given as monic packed term
+    dicts and their packed leads, in canonical (descending lead) order.
 
     Elements whose lead is divisible by another lead go (of equal leads the
     first stays); the rest is still a Groebner basis.  Against it each
@@ -181,28 +211,26 @@ def interreduce(elems, leads, order):
     is the reduced element.  A term divisible by an element's own lead is
     of higher degree, so it is never in that element's (homogeneous) tail.
     """
+    divides, cmask = layout.divides, layout.cmask
     by_lead = {}
-    for i, (c, m) in enumerate(leads):
-        by_lead.setdefault(c, []).append((m, i))
+    for i, t in enumerate(leads):
+        by_lead.setdefault(t & cmask, []).append((t, i))
     kept = [
         i
-        for i, (c, m) in enumerate(leads)
+        for i, t in enumerate(leads)
         if not any(
-            mono_divides(om, m) and (om != m or j < i) for om, j in by_lead[c] if j != i
+            divides(o, t) and (o != t or j < i) for o, j in by_lead[t & cmask] if j != i
         )
     ]
-    kept.sort(key=lambda i: order.key(leads[i]))
-    by_comp = {}
-    for i in kept:
-        c, m = leads[i]
-        by_comp.setdefault(c, []).append((m, elems[i]))
+    kept.sort(key=leads.__getitem__)  # a packed term is its order key
+    by_comp = _by_lead([elems[i] for i in kept], layout)
     out = []
     for i in kept:
         lead = leads[i]
         terms = elems[i]
         tail = {t: v for t, v in terms.items() if t != lead}
         reduced = {lead: terms[lead]}
-        reduced.update(order.reduce(tail, by_comp))
+        reduced.update(layout.reduce(tail, by_comp))
         out.append(reduced)
     return out
 
@@ -221,22 +249,13 @@ def groebner_basis(gens, module=None, order=None):
     eng = GroebnerEngine(module, order)
     for g in gens:
         eng.add(g)
-    gb = eng.reduced_elements()
-    by_comp = _by_lead(gb)
+    reduced = eng._reduced()
+    layout = eng.layout
+    by_comp = _by_lead(reduced, layout)
     for g in gens:
-        if eng.order.reduce(g.terms, by_comp):
+        if layout.reduce(layout.pack(g.terms), by_comp):
             raise EngineBugError("generator does not reduce to zero against its own basis")
-    return gb
-
-
-def _by_lead(gb):
-    """comp -> [(lead mono, terms)] over a reduced basis, whose elements
-    each lead with their lead term."""
-    by_comp = {}
-    for g in gb:
-        c, m = next(iter(g.terms))
-        by_comp.setdefault(c, []).append((m, g.terms))
-    return by_comp
+    return [FreeElement(module, layout.unpack(t)) for t in reduced]
 
 
 def normal_form(el, gb, order=None):
@@ -244,7 +263,11 @@ def normal_form(el, gb, order=None):
     groebner_basis returns it."""
     if order is None:
         order = TermOrder(el.module.rank)
-    return FreeElement(el.module, order.reduce(el.terms, _by_lead(gb)))
+    layout = _layout(el.module, order)
+    cap = el.module.ring.degree_cap
+    by_comp = _by_lead([_pack(layout, g.terms, cap) for g in gb], layout)
+    nf = layout.reduce(_pack(layout, el.terms, cap), by_comp)
+    return FreeElement(el.module, layout.unpack(nf))
 
 
 def lift_relations(gens, modulo):

@@ -21,7 +21,7 @@ from math import comb
 from .errors import EngineBugError, InhomogeneousError
 from .freemod import FreeElement, FreeModule
 from .groebner import GroebnerEngine, TermOrder
-from .modules import Algebra, Presentation
+from .modules import Algebra, Presentation, check_ideal_ring
 from .monomial_ideals import (
     divide_one_minus_t,
     eval_at_one,
@@ -155,6 +155,7 @@ def _adjoin(pres, others):
 
 def hilbert_coefficients(pres, q_gens):
     """The Samuel polynomial of Q on M in binomial form, cached on pres."""
+    check_ideal_ring(pres, q_gens)
     if pres.dim() < 0:
         raise ValueError("the zero module has no Samuel polynomial")
     return pres.cached("samuel", lambda: exact_coefficients(pres, q_gens), q_gens)
@@ -273,7 +274,7 @@ def associated_graded(pres, q_gens, a):
 
     pad = (0,) * (ring.n - pres.ring.n)
     lifted = {(0, m + pad): v for m, v in a.terms.items()}
-    nf = j_basis.order.reduce(lifted, j_basis.by_comp)
+    nf = j_basis.normal_form(lifted)
     if any(weight(m) == 0 for _, m in nf):
         raise ValueError("element does not lie in the given ideal")
     a_star = Polynomial(ring, {m: v for (_, m), v in nf.items() if weight(m) == 1})

@@ -18,7 +18,13 @@ from .hilbert import (
     HilbertCoefficients, associated_graded, hilbert_coefficients, multiplicity
 )
 from .koszul import euler_char_1
-from .modules import Presentation, check_parameter_ideal, colon_by_ideal, saturate
+from .modules import (
+    Presentation,
+    check_ideal_ring,
+    check_parameter_ideal,
+    colon_by_ideal,
+    saturate,
+)
 from .monomial_ideals import poly_add, poly_shift, series_length
 from .resolution import depth as depth_of, ext_codims
 from .resolution import local_cohomology_duals as _duals
@@ -43,6 +49,7 @@ def hdeg(pres, q_gens):
     Cached on pres, keyed by Q, so the duals (cached on pres too) keep
     their own hdeg across calls.
     """
+    check_ideal_ring(pres, q_gens)
     if pres.is_zero():
         return 0
     return pres.cached("hdeg", lambda: _hdeg(pres, q_gens), q_gens)
@@ -188,6 +195,7 @@ def is_d_sequence(pres, seq):
     HS(M/(Q_{i-1}, a_j)M)) = HS(M/Q_{i-1}M) - HS(M/(Q_{i-1}, a_i a_j)M),
     the last quotient used once and not cached.
     """
+    check_ideal_ring(pres, seq)
     d = len(seq)
     for i in range(1, d + 1):
         a = seq[i - 1]

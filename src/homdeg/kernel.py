@@ -1,24 +1,46 @@
 """The reduction kernel: the hot inner loops of the Groebner engine.
 
-Data layout:
-
-* a monomial is a tuple of nonnegative ints (one exponent per variable);
-* a free-module term index is a pair (component, monomial);
-* an element is a dict mapping term indices to nonzero field coefficients.
+Outside the engine a monomial is a tuple of nonnegative ints (one exponent
+per variable), a free-module term index is a pair (component, monomial)
+and an element is a dict from term indices to nonzero coefficients.  The
+tuple helpers below serve that side.
 
 The term order is grevlex on monomials, term-over-position on components
 (lower component wins ties).  `split` turns the order into a block
 elimination order: components < split dominate components >= split.  With
 split = rank the order degenerates to the plain module order.  `order_key`
 extends the order by a weight on the variables (terms of smaller weight
-come first).
+come first), and is the one definition of the order.
 
-Contract: `reduce_by_key` emits its remainder in strictly descending term
-order, so the lead term of a normal form is its first key,
-`next(iter(nf))`.  Callers rely on that instead of rescanning for the lead.
+Data layout inside the engine (`Layout`): a term (c, m) is one int, packed
+in the style of Monagan & Pearce ("Sparse polynomial division using a
+heap", J. Symb. Comp. 46, 2011).  From the low bits up it holds
+
+* the component c;
+* one field per variable, e_1 lowest and e_n highest, each of `width`
+  bits plus one guard bit, which is 0 in every term;
+* the raw degree sum(m), stored inverted as fmax - sum(m) in `width` bits;
+* one flag bit, set when c >= split;
+* the weight sum(w_i e_i), when the order has one.
+
+Read as a plain int, a packed term is its order key: the smaller int is
+the larger term, so min() picks the lead term and a heap of ints pops it
+first.  Packing is linear in m: with units[i] the packed multiplier of
+x_i, pack(c, m m') = pack(c, m) + sum(m'_i units[i]), so a product is one
+addition and a quotient one subtraction.  Of two terms
+in one component, a divides b iff ((b | G) - a) & G == G, G the mask of
+the variable guard bits.  Packing a term whose degree does not fit its
+field raises OverflowError (the engine raises DegreeCapError); it never
+wraps.
+
+Contract: `reduce` emits its remainder in strictly descending term order,
+so the lead term of a normal form is its first key, `next(iter(nf))`.
+Callers rely on that instead of rescanning for the lead.  Every monic
+basis element a reduction reads leads with its lead term too.
 """
 
 from heapq import heapify, heappop, heappush
+from operator import mul
 
 KERNEL_NAME = "python"  # read by the benchmark's result stamp
 
@@ -37,7 +59,7 @@ def mono_divides(a, b):
 
 
 def mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def mono_deg(a):
@@ -53,7 +75,8 @@ def order_key(split, weight=None):
     smaller exponent at the last variable that differs), then the lower
     component.  With a weight (an int per variable), a term of smaller
     weight is larger, and the unweighted order breaks ties.  This is the
-    one definition of the term order.
+    one definition of the term order; `Layout` packs terms into ints that
+    sort the same way.
     """
     if weight is None:
         def key(t):
@@ -66,49 +89,106 @@ def order_key(split, weight=None):
     return key
 
 
-def reduce_by_key(f, by_comp, key):
-    """Full normal form of f against a monic basis, under the term order
-    whose order_key-style key is key.
+class Layout:
+    """The packed form of the terms of one free module of rank `rank` over
+    n variables, under order_key(split, weight), with fields of `width`
+    bits: see the module docstring.  A value; the engine caches one per
+    (rank, width, order) on the ring.
 
-    by_comp maps a component to a list of (lead_mono, terms) entries whose
-    lead coefficient is 1.  Returns the remainder in descending term order:
-    no remaining term is divisible by any basis lead term.
-
-    The remainder's terms sit in a min-heap under key, each key computed
-    once, when its term enters.  A term cancelled to zero leaves a stale
-    heap entry, skipped when popped; it may be pushed again if it comes
-    back.  A popped term never comes back: every term a reduction step
-    adds is smaller than the term it reduces.
+    base[c] is the packed term (c, 1), units[i] the packed multiplier of
+    x_i, so pack(c, m) = base[c] + sum(m_i units[i]); guard is the mask of
+    the variable guard bits and cmask that of the component field.
     """
-    work = dict(f)
-    heap = [(key(t), t) for t in work]
-    heapify(heap)
-    out = {}
-    while heap:
-        t = heappop(heap)[1]
-        coef = work.pop(t, None)
-        if coef is None:
-            continue  # cancelled after it was pushed
-        c, m = t
-        for bm, bt in by_comp.get(c, ()):
-            if mono_divides(bm, m):
-                break
-        else:
-            out[t] = coef
-            continue
-        q = mono_div(m, bm)
-        for (tc, tm), tcoef in bt.items():
-            if tc == c and tm == bm:
-                continue  # lead term cancels against the popped term
-            u = (tc, mono_mul(q, tm))
-            s = work.get(u)
-            if s is None:
-                work[u] = -coef * tcoef
-                heappush(heap, (key(u), u))
+
+    __slots__ = ("fmax", "cmask", "guard", "shifts", "units", "base")
+
+    def __init__(self, n, rank, width, split, weight):
+        cbits = (rank - 1).bit_length()
+        self.fmax = (1 << width) - 1
+        self.cmask = (1 << cbits) - 1
+        self.shifts = tuple(cbits + i * (width + 1) for i in range(n))
+        self.guard = sum(1 << (s + width) for s in self.shifts)
+        dshift = cbits + n * (width + 1)
+        flag = 1 << (dshift + width)
+        wshift = dshift + width + 1
+        weight = (0,) * n if weight is None else weight
+        self.units = tuple(
+            (1 << s) - (1 << dshift) + (w << wshift) for s, w in zip(self.shifts, weight)
+        )
+        self.base = tuple(
+            c | (self.fmax << dshift) | (flag if c >= split else 0) for c in range(rank)
+        )
+
+    def pack(self, terms):
+        """{(c, m): v} -> {packed term: v}, in the same iteration order."""
+        base, units, fmax = self.base, self.units, self.fmax
+        out = {}
+        for (c, m), v in terms.items():
+            if sum(m) > fmax:
+                raise OverflowError(f"a term of degree {sum(m)} overflows its field")
+            out[base[c] + sum(map(mul, m, units))] = v
+        return out
+
+    def unpack_term(self, t):
+        """The (c, m) of the packed term t."""
+        fmax = self.fmax
+        return t & self.cmask, tuple([(t >> s) & fmax for s in self.shifts])
+
+    def unpack(self, terms):
+        """{packed term: v} -> {(c, m): v}, in the same iteration order."""
+        unpack_term = self.unpack_term
+        return {unpack_term(t): v for t, v in terms.items()}
+
+    def divides(self, a, b):
+        """True if the packed term a divides the packed term b; both lie
+        in one component."""
+        guard = self.guard
+        return ((b | guard) - a) & guard == guard
+
+    def reduce(self, f, by_comp):
+        """Full normal form of the packed element f against a monic basis.
+
+        by_comp maps a component to a list of (lead, terms) entries, lead
+        the packed lead term and terms a packed dict whose first key is
+        lead, with coefficient 1.  Returns the remainder in descending
+        term order: no remaining term is divisible by any basis lead term.
+
+        The remainder's terms sit in a min-heap of ints.  A term cancelled
+        to zero leaves a stale heap entry, skipped when popped; it may be
+        pushed again if it comes back.  A popped term never comes back:
+        every term a reduction step adds is smaller than the term it
+        reduces.
+        """
+        guard, cmask = self.guard, self.cmask
+        work = dict(f)
+        heap = list(work)
+        heapify(heap)
+        out = {}
+        while heap:
+            t = heappop(heap)
+            coef = work.pop(t, None)
+            if coef is None:
+                continue  # cancelled after it was pushed
+            tg = t | guard
+            for lead, bt in by_comp.get(t & cmask, ()):
+                if (tg - lead) & guard == guard:
+                    break
             else:
-                s = s - coef * tcoef
-                if s:
-                    work[u] = s
+                out[t] = coef
+                continue
+            q = t - lead
+            tail = iter(bt.items())
+            next(tail)  # the lead term cancels against the popped term
+            for u, tcoef in tail:
+                u += q
+                s = work.get(u)
+                if s is None:
+                    work[u] = -coef * tcoef
+                    heappush(heap, u)
                 else:
-                    del work[u]
-    return out
+                    s = s - coef * tcoef
+                    if s:
+                        work[u] = s
+                    else:
+                        del work[u]
+        return out

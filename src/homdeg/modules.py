@@ -225,6 +225,15 @@ class NotParameterIdealError(ValueError):
         super().__init__(f"not a parameter ideal of the module: {reason}")
 
 
+def check_ideal_ring(pres, gens):
+    """The ring clause of the parameter-ideal contract, which every entry
+    point that takes Q states first: each generator lies in the ring of
+    M.  Raises NotParameterIdealError otherwise."""
+    for g in gens:
+        if g.ring != pres.ring:
+            raise NotParameterIdealError(f"{g!r} lies in {g.ring}, but M lies over {pres.ring}")
+
+
 def check_parameter_ideal(pres, gens):
     """The one contract of every invariant of (M, Q): Q = (gens) is a
     parameter ideal of M.  M is nonzero, every generator is a nonzero
@@ -234,9 +243,8 @@ def check_parameter_ideal(pres, gens):
     depend on Q.  Raises NotParameterIdealError otherwise."""
     if pres.is_zero():
         raise NotParameterIdealError("M is the zero module")
+    check_ideal_ring(pres, gens)
     for g in gens:
-        if g.ring != pres.ring:
-            raise NotParameterIdealError(f"{g!r} lies in {g.ring}, but M lies over {pres.ring}")
         if not g or not g.is_homogeneous():
             raise NotParameterIdealError(f"{g!r} is not a nonzero form")
         if g.degree() == 0:
@@ -391,9 +399,7 @@ def minimal_generators(gens):
     eng = GroebnerEngine(module)
     kept = []
     for i in order:
-        eng.compute()
-        nf = eng.order.reduce(gens[i].terms, eng.by_comp)
-        if nf:
+        if eng.normal_form(gens[i].terms):
             kept.append(gens[i])
             eng.add(gens[i])
     return kept

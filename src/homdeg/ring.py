@@ -31,6 +31,9 @@ class PolyRing:
         else:
             self.mono_degree = lambda m, degs=self.degrees: sum(map(mul, degs, m))
         self.zero_mono = (0,) * self.n
+        # The Groebner engine's packed term layouts over this ring, one per
+        # (rank, field width, term order): see groebner._layout.
+        self.layouts = {}
 
     def var(self, i):
         m = [0] * self.n

@@ -1,21 +1,25 @@
 """Groebner bases, normal forms, syzygies, and the standard-monomial /
 Hilbert-numerator machinery, checked against brute-force oracles; the
 engine's contracts (descending normal forms, reduced bases) on seeded
-random ideals, rank-2 modules and the corpus."""
+random ideals, rank-2 modules and the corpus; and the packed term layout
+(order, product, divisibility, and a field width that holds every term
+within the degree cap), against the tuple order_key and tuple oracles."""
 
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
 from homdeg import (
     Algebra,
+    FreeElement,
     FreeModule,
     Polynomial,
     PolyRing,
     groebner_basis,
+    invariant_report,
     lift_relations,
     normal_form,
 )
@@ -23,6 +27,7 @@ from homdeg.errors import DegreeCapError
 from homdeg.groebner import GroebnerEngine, TermOrder, interreduce
 from homdeg import kernel
 from homdeg.kernel import mono_divides
+from homdeg.verify import gen_example_39, gen_example_46
 from homdeg.monomial_ideals import (
     eval_at_one,
     hilbert_numerator,
@@ -250,6 +255,74 @@ def _max_reduce(f, by_comp, key):
     return out
 
 
+def _engine_layout(n, twists, split, weight, cap=64):
+    """The packed layout the engine builds for S^r (twists) over n
+    variables under TermOrder(split, weight)."""
+    ring = PolyRing([f"x{i}" for i in range(n)], degree_cap=cap)
+    module = FreeModule(ring, len(twists), twists)
+    return GroebnerEngine(module, TermOrder(split, weight)).layout
+
+
+def _pack_by_comp(layout, by_comp):
+    """The kernel's view of a tuple by_comp: each element packed, lead
+    term first."""
+    out = {}
+    for c, entries in by_comp.items():
+        for bm, bt in entries:
+            lead = (c, bm)
+            packed = layout.pack({lead: bt[lead], **bt})
+            out.setdefault(c, []).append((next(iter(packed)), packed))
+    return out
+
+
+class _TupleOrder:
+    """A term order as the tuple oracles read it: split, weight and a
+    normal form by _max_reduce."""
+
+    def __init__(self, order):
+        self.split, self.weight = order.split, order.weight
+
+    def reduce(self, terms, by_comp):
+        return _max_reduce(terms, by_comp, _lead_key(self.split, self.weight))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_packed_terms_sort_as_order_key(seed):
+    """On random terms, packed ints sort exactly as kernel.order_key, for
+    every split and weights 0..2; they unpack to themselves, and addition
+    and the guard test are the product and divisibility of monomials."""
+    rng = random.Random(700 + seed)
+    for _ in range(12):
+        n = rng.randint(1, 4)
+        twists = tuple(rng.randint(-3, 2) for _ in range(rng.randint(1, 5)))
+        cap = rng.randint(1, 9)
+        weights = [None, (0,) * n, (2,) * n] + [
+            tuple(rng.randint(0, 2) for _ in range(n)) for _ in range(2)
+        ]
+        for split in range(len(twists) + 1):
+            for weight in weights:
+                layout = _engine_layout(n, twists, split, weight, cap)
+                terms = set()
+                for _ in range(30):
+                    m = [0] * n
+                    for _ in range(rng.randint(0, layout.fmax)):
+                        m[rng.randrange(n)] += 1
+                    terms.add((rng.randrange(len(twists)), tuple(m)))
+                terms = sorted(terms)
+                packed = dict(zip(terms, layout.pack(dict.fromkeys(terms))))
+                assert sorted(terms, key=kernel.order_key(split, weight)) == sorted(
+                    terms, key=packed.__getitem__
+                )
+                assert list(layout.unpack(dict.fromkeys(packed.values()))) == terms
+                for (c, a), (d, b) in zip(terms, terms[1:]):
+                    if c != d:
+                        continue
+                    assert layout.divides(packed[c, a], packed[d, b]) == mono_divides(a, b)
+                    if sum(a) + sum(b) <= layout.fmax:
+                        product = layout.pack({(c, kernel.mono_mul(a, b)): 1})
+                        assert [packed[c, a] + packed[d, b] - layout.base[d]] == list(product)
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_reduction_emits_descending_irreducible_terms(seed):
     rng = random.Random(300 + seed)
@@ -269,7 +342,8 @@ def test_reduction_emits_descending_irreducible_terms(seed):
                     (lead[1], {t: v / lc for t, v in terms.items()})
                 )
         f = _homogeneous_terms(rng, n, twists, rng.randint(2, 5))
-        out = kernel.reduce_by_key(f, by_comp, kernel.order_key(split, weight))
+        layout = _engine_layout(n, twists, split, weight)
+        out = layout.unpack(layout.reduce(layout.pack(f), _pack_by_comp(layout, by_comp)))
         expected = _max_reduce(f, by_comp, key)
         assert list(out.items()) == list(expected.items())
         keys = [key(t) for t in out]
@@ -311,13 +385,17 @@ def _check_reduced_basis(module, gens, order):
     for g in gens:
         eng.add(g)
     eng.compute()
-    expected = _fixed_point_interreduce(list(eng.basis), list(eng.leads), eng.order)
+    unpack = eng.layout.unpack
+    assert eng.leads == [eng.layout.unpack_term(t) for t in eng.packed_leads]
+    expected = _fixed_point_interreduce(
+        [unpack(t) for t in eng.basis], list(eng.leads), _TupleOrder(order)
+    )
     gb = eng.reduced_elements()
     assert [list(g.terms.items()) for g in gb] == [list(e.items()) for e in expected]
     assert groebner_basis(gens, module=module, order=order) == gb
     # of equal leads one element stays
-    twice = interreduce(list(eng.basis) * 2, list(eng.leads) * 2, eng.order)
-    assert [list(t.items()) for t in twice] == [list(g.terms.items()) for g in gb]
+    twice = interreduce(list(eng.basis) * 2, list(eng.packed_leads) * 2, eng.layout)
+    assert [list(unpack(t).items()) for t in twice] == [list(g.terms.items()) for g in gb]
     key = _lead_key(order.split, order.weight)
     leads = []
     for g in gb:
@@ -393,3 +471,132 @@ def test_reduced_basis_corpus(corpus):
                 _check_reduced_basis(inst.pres.ambient, gens, order)
             except AssertionError as exc:
                 raise AssertionError(inst.name) from exc
+
+
+# ---- the packed field width ---------------------------------------------
+
+
+def _s_pairs_reduce_to_zero(gb, key):
+    """Oracle: Buchberger's criterion in tuple terms.  The S-pair of any
+    two basis elements with leads in one component reduces to zero by
+    _max_reduce."""
+    leads = [next(iter(g.terms)) for g in gb]
+    by_comp = {}
+    for (c, m), g in zip(leads, gb):
+        by_comp.setdefault(c, []).append((m, g.terms))
+    for i, j in combinations(range(len(gb)), 2):
+        (ci, mi), (cj, mj) = leads[i], leads[j]
+        if ci != cj:
+            continue
+        lcm = kernel.mono_lcm(mi, mj)
+        s = Counter()
+        for g, m, sign in ((gb[i], mi, 1), (gb[j], mj, -1)):
+            q = kernel.mono_div(lcm, m)
+            for (c, tm), v in g.terms.items():
+                s[c, kernel.mono_mul(q, tm)] += sign * v
+        if _max_reduce({t: v for t, v in s.items() if v}, by_comp, key):
+            return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "twists, cap",
+    [((-3, 0), 4), ((-4, -2, -1), 3), ((0,), 7), ((1, 0), 5)],
+    ids=["twists-3,0", "duals-style", "exponent-at-cap", "positive-twist"],
+)
+def test_field_width_holds_every_term_within_the_cap(twists, cap):
+    """The fields hold the degree cap minus the smallest twist, so the
+    top field value is reached (x^7 at cap 7, x^7 e_0 of twist -3 at cap
+    4) but never passed.  Every run gives the reduced Groebner basis the
+    tuple oracles certify, or raises DegreeCapError as the tuple engine
+    did; both outcomes occur."""
+    ring = PolyRing(("x", "y", "z"), degree_cap=cap)
+    module = FreeModule(ring, len(twists), twists)
+    rng = random.Random(sum(twists) * 10 + cap)
+    outcomes = Counter()
+    for _ in range(40):
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            deg = rng.randint(max(twists), cap)
+            top = {(0, (deg - twists[0], 0, 0)): ring.field.one}  # one exponent fills its field
+            terms = {**top, **_homogeneous_terms(rng, 3, twists, deg)}
+            gens.append(FreeElement(module, terms))
+        for order in _random_orders(rng, len(twists), 3):
+            try:
+                gb = _check_reduced_basis(module, gens, order)
+            except DegreeCapError:
+                outcomes["cap"] += 1
+                continue
+            assert _s_pairs_reduce_to_zero(gb, _lead_key(order.split, order.weight))
+            outcomes["basis"] += 1
+    assert outcomes["cap"] and outcomes["basis"]
+
+
+def test_term_above_its_field_raises_and_never_wraps():
+    """At cap 7 a field holds exponents up to 7: x^7 reduces as any term,
+    x^8 raises DegreeCapError instead of wrapping into its neighbours."""
+    ring = PolyRing(("x", "y"), degree_cap=7)
+    x, y = ring.gens()
+    mod = FreeModule(ring, 1)
+    gb = groebner_basis([mod.inject(x**7 - y**7)], module=mod)
+    assert [g.component(0) for g in gb] == [x**7 - y**7]
+    assert normal_form(mod.inject(x**7 + x * y**6), gb) == mod.inject(y**7 + x * y**6)
+    with pytest.raises(DegreeCapError):
+        normal_form(mod.inject(x**8), gb)
+    with pytest.raises(DegreeCapError):
+        groebner_basis([mod.inject(x), mod.inject(x**8)], module=mod)
+    # twist -3 at cap 4: x^7 e_0 has degree 4 and fills its field
+    ring = PolyRing(("x", "y"), degree_cap=4)
+    x, y = ring.gens()
+    mod = FreeModule(ring, 2, (-3, 0))
+    el = mod.inject(x**7) + mod.inject(y**4, 1)
+    assert groebner_basis([el], module=mod) == [el]
+    assert normal_form(mod.inject(x**7), [el]) == mod.inject(-(y**4), 1)
+    with pytest.raises(DegreeCapError):
+        normal_form(mod.inject(x**8), [el])
+
+
+def test_engine_over_rank_zero_module():
+    """A free module of rank 0 has no twists; its engine still builds a
+    layout and an empty basis."""
+    mod = FreeModule(PolyRing(("x",)), 0)
+    assert GroebnerEngine(mod).reduced_elements() == []
+
+
+def test_degree_cap_set_after_the_ring_reaches_the_engine():
+    """The field width is read when an engine is built, so a cap lowered
+    or raised after the ring (and its first layout) exists still holds."""
+    ring = PolyRing(("x", "y"))
+    x, y = ring.gens()
+    mod = FreeModule(ring, 1)
+    assert groebner_basis([mod.inject(x**4)], module=mod)
+    ring.degree_cap = 3
+    with pytest.raises(DegreeCapError):
+        groebner_basis([mod.inject(x**4)], module=mod)
+    ring.degree_cap = 200
+    gb = groebner_basis([mod.inject(x**150 - y**150)], module=mod)
+    assert [g.component(0) for g in gb] == [x**150 - y**150]
+
+
+@pytest.mark.parametrize(
+    "make, first",
+    [
+        (lambda cap: gen_example_39(2, 1, degree_cap=cap), 5),
+        (lambda cap: gen_example_46(3, degree_cap=cap), 7),
+    ],
+    ids=["ex39_2_1", "ex46_3"],
+)
+def test_low_caps_give_the_report_or_degree_cap_error(make, first):
+    """hdeg runs through the local-cohomology duals, whose twists are
+    negative.  Below the first cap at which the tuple engine finished, the
+    run raises DegreeCapError; from it on, the report is the one at cap 64."""
+    full = make(64)
+    want = invariant_report(full.pres, full.q_gens)
+    for cap in range(1, 10):
+        if cap < first:
+            with pytest.raises(DegreeCapError):
+                inst = make(cap)
+                invariant_report(inst.pres, inst.q_gens)
+        else:
+            inst = make(cap)
+            assert invariant_report(inst.pres, inst.q_gens) == want, cap

@@ -1,7 +1,7 @@
 """Source hygiene: every module-level import in the package is used,
 only modules.py touches the cache behind Presentation.cached, each cache
-key is computed at one call site, and one module states the parameter
-ideal contract."""
+key is computed at one call site, one module states the parameter
+ideal contract, and only the engine reads its packed internals."""
 
 import ast
 from collections import defaultdict
@@ -88,3 +88,27 @@ def test_one_module_states_the_parameter_ideal_contract():
         p.name for p in sorted(SRC.glob("*.py")) if "not a parameter ideal" in p.read_text()
     ]
     assert holders == ["modules.py"]
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in MODULES if p.name not in ("groebner.py", "kernel.py")],
+    ids=lambda p: p.name,
+)
+def test_one_engine_boundary(path):
+    """Outside the engine, normal forms go through GroebnerEngine.normal_form
+    in (comp, mono) terms: no other module reads the kernel's by_comp view
+    or calls a reduce on a term order."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and (
+            node.attr == "by_comp"
+            or node.attr == "reduce"
+            and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "order"
+        )
+    ]
+    assert not lines, f"{path.name} reaches into the engine at lines {lines}"

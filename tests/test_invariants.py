@@ -33,6 +33,7 @@ from homdeg import (
 from homdeg.groebner import GroebnerEngine
 from homdeg.invariants import NotDSequenceError, _sub_length
 from homdeg.modules import (
+    NotParameterIdealError,
     colon_by_ideal,
     intersect_submodules,
     minimal_generators,
@@ -229,6 +230,18 @@ def test_parameter_ideal_must_lie_in_the_ring_of_m():
     with pytest.raises(ValueError, match=r"u lies in QQ\[u, v\], but M lies over QQ\[x, y\]"):
         invariant_report(pres, [u, v])
     assert not any(key[0] == "quotient" for key in pres._cache if isinstance(key, tuple))
+
+
+@pytest.mark.parametrize("entry", [hilbert_coefficients, hdeg, is_d_sequence])
+def test_entry_points_refuse_q_over_another_ring(entry):
+    """The direct entry points state the ring clause of the contract too:
+    on QQ[x,y]/(xy), a Q over QQ[u, v] is not read as (x - y)."""
+    x, y = PolyRing(("x", "y")).gens()
+    pres = Algebra(x.ring, [x * y]).as_module()
+    u, v = PolyRing(("u", "v")).gens()
+    ring_clause = r"lies in QQ\[u, v\], but M lies over QQ\[x, y\]"
+    with pytest.raises(NotParameterIdealError, match=ring_clause):
+        entry(pres, [u - v])
 
 
 def test_invariant_report_cm():
