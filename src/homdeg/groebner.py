@@ -53,11 +53,22 @@ def _layout(module, order):
     return layout
 
 
-def _pack(layout, terms, cap):
-    try:
-        return layout.pack(terms)
-    except OverflowError:
-        raise DegreeCapError(cap) from None
+def _pack(module, layout, terms):
+    """layout.pack(terms), or DegreeCapError if a term is too high for its
+    fields to hold the terms a reduction makes from it.
+
+    Reducing a term of degree D (with twist) against homogeneous elements
+    makes terms of degree D, in any component c; their raw degree is at
+    most D - twists[c], since every variable has degree >= 1.  So every
+    such term fits when D - min(0, *twists) <= fmax, and packing never
+    wraps.  Within the cap the bound holds by the choice of width.
+    """
+    deg, twists = module.ring.mono_degree, module.twists
+    top = layout.fmax + min((0, *twists))
+    for c, m in terms:
+        if deg(m) + twists[c] > top:
+            raise DegreeCapError(module.ring.degree_cap)
+    return layout.pack(terms)
 
 
 def _monic(nf, one):
@@ -109,7 +120,7 @@ class GroebnerEngine:
             raise EngineBugError("element added to engine over a different ambient")
         if not el.is_homogeneous():
             raise InhomogeneousError(repr(el))
-        self._add_terms(_pack(self.layout, el.terms, self.cap))
+        self._add_terms(_pack(self.module, self.layout, el.terms))
 
     def normal_form(self, terms):
         """The full normal form of {(comp, mono): coef} modulo the submodule
@@ -117,7 +128,7 @@ class GroebnerEngine:
         order."""
         self.compute()
         layout = self.layout
-        return layout.unpack(layout.reduce(_pack(layout, terms, self.cap), self.by_comp))
+        return layout.unpack(layout.reduce(_pack(self.module, layout, terms), self.by_comp))
 
     def _add_terms(self, terms):
         layout = self.layout
@@ -253,20 +264,23 @@ def groebner_basis(gens, module=None, order=None):
     layout = eng.layout
     by_comp = _by_lead(reduced, layout)
     for g in gens:
-        if layout.reduce(layout.pack(g.terms), by_comp):
+        if layout.reduce(_pack(module, layout, g.terms), by_comp):
             raise EngineBugError("generator does not reduce to zero against its own basis")
     return [FreeElement(module, layout.unpack(t)) for t in reduced]
 
 
 def normal_form(el, gb, order=None):
     """Full normal form of el against a reduced basis under order, as
-    groebner_basis returns it."""
+    groebner_basis returns it: homogeneous elements of el's module."""
     if order is None:
         order = TermOrder(el.module.rank)
-    layout = _layout(el.module, order)
-    cap = el.module.ring.degree_cap
-    by_comp = _by_lead([_pack(layout, g.terms, cap) for g in gb], layout)
-    nf = layout.reduce(_pack(layout, el.terms, cap), by_comp)
+    module = el.module
+    layout = _layout(module, order)
+    for g in gb:
+        if not g.is_homogeneous():
+            raise InhomogeneousError(repr(g))
+    by_comp = _by_lead([_pack(module, layout, g.terms) for g in gb], layout)
+    nf = layout.reduce(_pack(module, layout, el.terms), by_comp)
     return FreeElement(el.module, layout.unpack(nf))
 
 

@@ -29,9 +29,10 @@ first.  Packing is linear in m: with units[i] the packed multiplier of
 x_i, pack(c, m m') = pack(c, m) + sum(m'_i units[i]), so a product is one
 addition and a quotient one subtraction.  Of two terms
 in one component, a divides b iff ((b | G) - a) & G == G, G the mask of
-the variable guard bits.  Packing a term whose degree does not fit its
-field raises OverflowError (the engine raises DegreeCapError); it never
-wraps.
+the variable guard bits.  Packing is plain arithmetic: a term whose raw
+degree exceeds fmax would wrap into its neighbours, so the engine refuses,
+with DegreeCapError, any term from which a reduction could make one
+(groebner._pack).
 
 Contract: `reduce` emits its remainder in strictly descending term order,
 so the lead term of a normal form is its first key, `next(iter(nf))`.
@@ -121,13 +122,8 @@ class Layout:
 
     def pack(self, terms):
         """{(c, m): v} -> {packed term: v}, in the same iteration order."""
-        base, units, fmax = self.base, self.units, self.fmax
-        out = {}
-        for (c, m), v in terms.items():
-            if sum(m) > fmax:
-                raise OverflowError(f"a term of degree {sum(m)} overflows its field")
-            out[base[c] + sum(map(mul, m, units))] = v
-        return out
+        base, units = self.base, self.units
+        return {base[c] + sum(map(mul, m, units)): v for (c, m), v in terms.items()}
 
     def unpack_term(self, t):
         """The (c, m) of the packed term t."""

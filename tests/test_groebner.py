@@ -23,7 +23,7 @@ from homdeg import (
     lift_relations,
     normal_form,
 )
-from homdeg.errors import DegreeCapError
+from homdeg.errors import DegreeCapError, InhomogeneousError
 from homdeg.groebner import GroebnerEngine, TermOrder, interreduce
 from homdeg import kernel
 from homdeg.kernel import mono_divides
@@ -532,9 +532,26 @@ def test_field_width_holds_every_term_within_the_cap(twists, cap):
     assert outcomes["cap"] and outcomes["basis"]
 
 
+def _assert_refused(module, order, g, f):
+    """f reduced against the basis [g] would make a term too high for its
+    fields: normal_form and the engine's add both raise DegreeCapError."""
+    assert groebner_basis([g], module=module, order=order) == [g]
+    with pytest.raises(DegreeCapError):
+        normal_form(f, [g], order)
+    eng = GroebnerEngine(module, order)
+    eng.add(g)
+    with pytest.raises(DegreeCapError):
+        eng.add(f)
+
+
 def test_term_above_its_field_raises_and_never_wraps():
     """At cap 7 a field holds exponents up to 7: x^7 reduces as any term,
-    x^8 raises DegreeCapError instead of wrapping into its neighbours."""
+    x^8 raises DegreeCapError instead of wrapping into its neighbours.  A
+    term of low raw degree can also reduce to one above its field: through
+    a component of smaller twist, or through a variable of degree > 1
+    under a weighted order.  Such a term is refused when packed, as the
+    tuple engine refused its lead; within the cap the same reductions give
+    the tuple result."""
     ring = PolyRing(("x", "y"), degree_cap=7)
     x, y = ring.gens()
     mod = FreeModule(ring, 1)
@@ -554,6 +571,26 @@ def test_term_above_its_field_raises_and_never_wraps():
     assert normal_form(mod.inject(x**7), [el]) == mod.inject(-(y**4), 1)
     with pytest.raises(DegreeCapError):
         normal_form(mod.inject(x**8), [el])
+    # twists (0, -3) at cap 4: fields of 3 bits, and x^4 y^3 e_0 (raw
+    # degree 7) reduces by y e_0 + x^4 e_1 to -x^8 y^2 e_1
+    ring = PolyRing(("x", "y"), degree_cap=4)
+    x, y = ring.gens()
+    mod = FreeModule(ring, 2, (0, -3))
+    order = TermOrder(1)
+    g = mod.inject(y) + mod.inject(x**4, 1)
+    assert normal_form(mod.inject(y**4), [g], order) == mod.inject(-(x**4) * y**3, 1)
+    _assert_refused(mod, order, g, mod.inject(x**4 * y**3))
+    # u of degree 2 at cap 7: fields of 3 bits, and under the weight
+    # (1, 0) u^4 (raw degree 4) reduces by u - x^2 to x^8
+    ring = PolyRing(("x", "u"), degree_cap=7, degrees=(1, 2))
+    x, u = ring.gens()
+    mod = FreeModule(ring, 1)
+    order = TermOrder(1, (1, 0))
+    g = mod.inject(u - x**2)
+    assert normal_form(mod.inject(u**3), [g], order) == mod.inject(x**6)
+    _assert_refused(mod, order, g, mod.inject(u**4))
+    with pytest.raises(InhomogeneousError):  # its tail could leave the field too
+        normal_form(mod.inject(u**3), [mod.inject(u - x)], order)
 
 
 def test_engine_over_rank_zero_module():
