@@ -541,7 +541,7 @@ class _Parser:
                 den = self.expect_int()
                 if den == 0:
                     raise DslError("zero denominator", t.line, t.col)
-                c = ring.field.from_int(num) / ring.field.from_int(den)
+                c = ring.field.div(ring.field.from_int(num), ring.field.from_int(den))
                 return Polynomial(ring, {ring.zero_mono: c} if c else {})
             return ring.const(num)
         if t.kind == "name":

@@ -1,8 +1,19 @@
-"""Exact coefficient fields: the rationals (fractions.Fraction) and prime
-fields GF(p).
+"""Exact coefficient fields: the rationals and prime fields GF(p).
+
+A rational is a Python int when it is integral and a fractions.Fraction
+only when it is not, so the common integral case runs on int arithmetic.
+Sums and products of a Fraction may be integral Fractions; they compare
+and hash as the equal int, and `div`, `primitive`, `monic` and
+`canonical` hand back ints for them.  `div` is the one coefficient
+division of the package: the true division `/` of two ints is a float.
+
+Each field also says how the Groebner engine scales its basis elements
+(`primitive`) and how reduced elements and normal forms leave the engine
+(`monic`, `canonical`).  A term dict there leads with its lead term.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 class FpElement:
@@ -48,11 +59,54 @@ class RationalField:
     name = "QQ"
     char = 0
 
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def from_int(self, n):
-        return Fraction(n)
+        return n
+
+    def div(self, a, b):
+        """a / b, an int when it is integral."""
+        if type(a) is int and type(b) is int:
+            q, r = divmod(a, b)
+            return Fraction(a, b) if r else q
+        q = a / b
+        return q.numerator if q.denominator == 1 else q
+
+    def canonical(self, terms):
+        """terms with every integral coefficient an int."""
+        try:
+            gcd(*terms.values())  # a TypeError unless every value is an int
+            return terms
+        except TypeError:
+            return {t: v if type(v) is int or v.denominator != 1 else v.numerator
+                    for t, v in terms.items()}
+
+    def primitive(self, terms):
+        """The integer multiple of terms with content 1 and a positive lead
+        coefficient: the Groebner engine's basis elements over QQ.  math.gcd
+        takes ints only, so one call both tests the types and gives the
+        content; once the running gcd is 1 (a lead of 1) it only checks the
+        types, which is faster than a Python loop over them."""
+        try:
+            g = gcd(*terms.values())
+        except TypeError:  # a Fraction among the values: clear denominators
+            den = lcm(*(v.denominator for v in terms.values() if type(v) is not int))
+            terms = {t: v * den if type(v) is int else v.numerator * (den // v.denominator)
+                     for t, v in terms.items()}
+            g = gcd(*terms.values())
+        if next(iter(terms.values())) < 0:
+            g = -g
+        return terms if g == 1 else {t: v // g for t, v in terms.items()}
+
+    def monic(self, terms):
+        """terms scaled to lead coefficient 1, every integral coefficient
+        an int."""
+        lc = next(iter(terms.values()))
+        if lc == 1:
+            return self.canonical(terms)
+        div = self.div
+        return {t: div(v, lc) for t, v in terms.items()}
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -115,6 +169,22 @@ class PrimeField:
 
     def from_int(self, n):
         return FpElement(n, self.p)
+
+    def div(self, a, b):
+        return a / b
+
+    def canonical(self, terms):
+        return terms
+
+    def monic(self, terms):
+        """terms scaled to lead coefficient 1."""
+        lc = next(iter(terms.values()))
+        if lc == self.one:
+            return terms
+        inv = self.div(self.one, lc)
+        return {t: v * inv for t, v in terms.items()}
+
+    primitive = monic  # the engine keeps GF(p) basis elements monic
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and self.p == other.p

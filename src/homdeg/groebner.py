@@ -71,23 +71,22 @@ def _pack(module, layout, terms):
     return layout.pack(terms)
 
 
-def _monic(nf, one):
-    """nf scaled to lead coefficient 1 (one, the field's unit), and its
-    packed lead.  nf is a normal form, so its lead is its first key."""
-    lead = next(iter(nf))
-    lc = nf[lead]
-    if lc == one:
-        return nf, lead
-    return {t: v / lc for t, v in nf.items()}, lead
+def _entry(terms, one):
+    """The kernel's (lead, lc, terms) entry of a packed element that leads
+    with its lead term: lc is its lead coefficient, None when that is one
+    (the field's unit)."""
+    lead = next(iter(terms))
+    lc = terms[lead]
+    return lead, None if lc == one else lc, terms
 
 
-def _by_lead(elems, layout):
-    """comp -> [(lead, terms)], the kernel's view of packed elements that
-    each lead with their lead term."""
+def _by_lead(elems, layout, one):
+    """comp -> [(lead, lc, terms)], the kernel's view of packed elements
+    that each lead with their lead term."""
     by_comp = {}
     for terms in elems:
-        lead = next(iter(terms))
-        by_comp.setdefault(lead & layout.cmask, []).append((lead, terms))
+        entry = _entry(terms, one)
+        by_comp.setdefault(entry[0] & layout.cmask, []).append(entry)
     return by_comp
 
 
@@ -98,20 +97,24 @@ class GroebnerEngine:
     Terms are packed (kernel.Layout) on the way in, by add and
     normal_form, and unpacked on the way out, by normal_form and
     reduced_elements; leads keeps the lead of each basis element as a
-    (comp, mono) pair.
+    (comp, mono) pair.  Basis elements are scaled by field.primitive:
+    primitive integer vectors with a positive lead over QQ, monic over
+    GF(p).  What leaves the engine is canonical (field.canonical), and
+    reduced elements are monic.
     """
 
     def __init__(self, module, order=None):
         self.module = module
         self.ring = module.ring
+        self.field = self.ring.field
         self.order = TermOrder(module.rank) if order is None else order
         self.cap = self.ring.degree_cap
         self.deg = self.ring.mono_degree
         self.layout = _layout(module, self.order)
-        self.basis = []         # monic packed term dicts, each lead term first
+        self.basis = []         # packed term dicts (field.primitive), each lead term first
         self.leads = []         # (comp, mono) per basis element
         self.packed_leads = []  # packed lead per basis element
-        self.by_comp = {}       # comp -> [(packed lead, terms)] view for the kernel
+        self.by_comp = {}       # comp -> [(packed lead, lc, terms)] view for the kernel
         self.pairs = []         # heap of (degree, i, j)
         self.pending = {}       # (i, j) -> packed lcm of the leads, None above the cap
 
@@ -127,15 +130,17 @@ class GroebnerEngine:
         the engine holds, as {(comp, mono): coef} in descending term
         order."""
         self.compute()
-        layout = self.layout
-        return layout.unpack(layout.reduce(_pack(self.module, layout, terms), self.by_comp))
+        layout, field = self.layout, self.field
+        nf = layout.reduce(_pack(self.module, layout, terms), self.by_comp, field)
+        return layout.unpack(field.canonical(nf))
 
     def _add_terms(self, terms):
-        layout = self.layout
-        nf = layout.reduce(terms, self.by_comp)
+        layout, field = self.layout, self.field
+        nf = layout.reduce(terms, self.by_comp, field)
         if not nf:
             return
-        terms, lead = _monic(nf, self.ring.field.one)
+        entry = _entry(field.primitive(nf), field.one)
+        lead, _, terms = entry
         c, m = layout.unpack_term(lead)
         twist = self.module.twists[c]
         if self.deg(m) + twist > self.cap:
@@ -144,7 +149,7 @@ class GroebnerEngine:
         self.basis.append(terms)
         self.leads.append((c, m))
         self.packed_leads.append(lead)
-        self.by_comp.setdefault(c, []).append((lead, terms))
+        self.by_comp.setdefault(c, []).append(entry)
         base, units = layout.base[c], layout.units
         for j, (jc, jm) in enumerate(self.leads[:idx]):
             if jc != c:
@@ -189,8 +194,17 @@ class GroebnerEngine:
         return False
 
     def _spair(self, i, j, qi, qj):
-        out = {t + qi: c for t, c in self.basis[i].items()}
-        for t, c in self.basis[j].items():
+        """lc_j x^qi g_i - lc_i x^qj g_j, or x^qi g_i - x^qj g_j when the
+        two lead coefficients are equal (always over GF(p))."""
+        gi, gj = self.basis[i], self.basis[j]
+        ci, cj = next(iter(gi.values())), next(iter(gj.values()))
+        if ci == cj:
+            out = {t + qi: c for t, c in gi.items()}
+            sub = gj.items()
+        else:
+            out = {t + qi: cj * c for t, c in gi.items()}
+            sub = [(t, ci * c) for t, c in gj.items()]
+        for t, c in sub:
             t += qj
             s = out.get(t)
             s = -c if s is None else s - c
@@ -203,7 +217,7 @@ class GroebnerEngine:
     def _reduced(self):
         """The reduced Groebner basis, packed, in canonical order."""
         self.compute()
-        return interreduce(self.basis, self.packed_leads, self.layout)
+        return interreduce(self.basis, self.packed_leads, self.layout, self.field)
 
     def reduced_elements(self):
         """The reduced Groebner basis as canonical FreeElements."""
@@ -211,16 +225,19 @@ class GroebnerEngine:
         return [FreeElement(self.module, unpack(t)) for t in self._reduced()]
 
 
-def interreduce(elems, leads, layout):
-    """The reduced basis of a Groebner basis given as monic packed term
-    dicts and their packed leads, in canonical (descending lead) order.
+def interreduce(elems, leads, layout, field):
+    """The reduced basis of a Groebner basis given as packed term dicts
+    over field, each leading with its lead term, and their packed leads,
+    in canonical (descending lead) order; each reduced element is monic
+    (field.monic).
 
     Elements whose lead is divisible by another lead go (of equal leads the
     first stays); the rest is still a Groebner basis.  Against it each
-    kept element's tail is reduced once, and the stored lead goes back in
-    front: the normal form is unique, so lead + NF(tail) = lead - NF(lead)
-    is the reduced element.  A term divisible by an element's own lead is
-    of higher degree, so it is never in that element's (homogeneous) tail.
+    kept element's tail is reduced once, and the stored lead term goes
+    back in front: the normal form is unique and linear, so for g = c L +
+    T, c L + NF(T) = c L - NF(c L) is the reduced element, up to the
+    scale c.  A term divisible by an element's own lead is of higher
+    degree, so it is never in that element's (homogeneous) tail.
     """
     divides, cmask = layout.divides, layout.cmask
     by_lead = {}
@@ -234,15 +251,15 @@ def interreduce(elems, leads, layout):
         )
     ]
     kept.sort(key=leads.__getitem__)  # a packed term is its order key
-    by_comp = _by_lead([elems[i] for i in kept], layout)
+    by_comp = _by_lead([elems[i] for i in kept], layout, field.one)
     out = []
     for i in kept:
         lead = leads[i]
         terms = elems[i]
         tail = {t: v for t, v in terms.items() if t != lead}
         reduced = {lead: terms[lead]}
-        reduced.update(layout.reduce(tail, by_comp))
-        out.append(reduced)
+        reduced.update(layout.reduce(tail, by_comp, field))
+        out.append(field.monic(reduced))
     return out
 
 
@@ -261,10 +278,10 @@ def groebner_basis(gens, module=None, order=None):
     for g in gens:
         eng.add(g)
     reduced = eng._reduced()
-    layout = eng.layout
-    by_comp = _by_lead(reduced, layout)
+    layout, field = eng.layout, eng.field
+    by_comp = _by_lead(reduced, layout, field.one)
     for g in gens:
-        if layout.reduce(_pack(module, layout, g.terms), by_comp):
+        if layout.reduce(_pack(module, layout, g.terms), by_comp, field):
             raise EngineBugError("generator does not reduce to zero against its own basis")
     return [FreeElement(module, layout.unpack(t)) for t in reduced]
 
@@ -272,16 +289,28 @@ def groebner_basis(gens, module=None, order=None):
 def normal_form(el, gb, order=None):
     """Full normal form of el against a reduced basis under order, as
     groebner_basis returns it: homogeneous elements of el's module."""
+    return normal_forms([el], gb, order)[0]
+
+
+def normal_forms(els, gb, order=None):
+    """The normal_form of each of els, elements of one module, against gb,
+    which is packed once."""
+    if not els:
+        return []
+    module = els[0].module
     if order is None:
-        order = TermOrder(el.module.rank)
-    module = el.module
+        order = TermOrder(module.rank)
     layout = _layout(module, order)
     for g in gb:
         if not g.is_homogeneous():
             raise InhomogeneousError(repr(g))
-    by_comp = _by_lead([_pack(module, layout, g.terms) for g in gb], layout)
-    nf = layout.reduce(_pack(module, layout, el.terms), by_comp)
-    return FreeElement(el.module, layout.unpack(nf))
+    field = module.ring.field
+    by_comp = _by_lead([_pack(module, layout, g.terms) for g in gb], layout, field.one)
+    out = []
+    for el in els:
+        nf = layout.reduce(_pack(module, layout, el.terms), by_comp, field)
+        out.append(FreeElement(module, layout.unpack(field.canonical(nf))))
+    return out
 
 
 def lift_relations(gens, modulo):

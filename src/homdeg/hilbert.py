@@ -86,7 +86,7 @@ def _linearize(pres, linear, others):
         return pres, [], others
     ring = pres.ring
     n = ring.n
-    zero = ring.field.zero
+    zero, div = ring.field.zero, ring.field.div
     rows = []
     for g in linear:
         rows.append(
@@ -101,7 +101,7 @@ def _linearize(pres, linear, others):
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
         pv = rows[r][col]
-        rows[r] = [x / pv for x in rows[r]]
+        rows[r] = [div(x, pv) for x in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][col]:
                 f = rows[i][col]

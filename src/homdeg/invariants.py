@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .errors import EngineBugError
+from .groebner import normal_forms
 from .hilbert import (
     HilbertCoefficients, associated_graded, hilbert_coefficients, multiplicity
 )
@@ -105,11 +106,15 @@ def _series_drop(quotient, cut):
     return poly_add(quotient.hilbert_numerator(), cut.hilbert_numerator(), sign=-1)
 
 
-def _sub_length(quotient, gb):
-    """l(<gb> / N) for quotient = F/N and a reduced basis gb in F of a
-    submodule containing N, read off HS(F/N) - HS(F/<gb>); None if
-    infinite.  No submodule is presented."""
-    outer = Presentation(quotient.algebra, quotient.rank, quotient.twists, gb)
+def _sub_length(quotient, gens):
+    """l(<gens> / N) for quotient = F/N and gens in F spanning a submodule
+    containing N, read off HS(F/N) - HS(F/<gens>); None if infinite.  It
+    is 0 when every generator lies in N, which one packing of N's cached
+    basis decides; otherwise F/<gens> costs one Groebner basis.  No
+    submodule is presented."""
+    if not any(normal_forms(gens, quotient.gb())):
+        return 0
+    outer = Presentation(quotient.algebra, quotient.rank, quotient.twists, gens)
     return series_length(_series_drop(quotient, outer), quotient.ring.n)
 
 

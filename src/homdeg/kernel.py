@@ -36,8 +36,11 @@ with DegreeCapError, any term from which a reduction could make one
 
 Contract: `reduce` emits its remainder in strictly descending term order,
 so the lead term of a normal form is its first key, `next(iter(nf))`.
-Callers rely on that instead of rescanning for the lead.  Every monic
-basis element a reduction reads leads with its lead term too.
+Callers rely on that instead of rescanning for the lead.  Every basis
+element a reduction reads leads with its lead term too.  Its lead
+coefficient need not be 1: over QQ the engine keeps primitive integer
+elements, and a reduction step divides by the lead coefficient only when
+it is not 1 (fields.RationalField.div).
 """
 
 from heapq import heapify, heappop, heappush
@@ -141,13 +144,16 @@ class Layout:
         guard = self.guard
         return ((b | guard) - a) & guard == guard
 
-    def reduce(self, f, by_comp):
-        """Full normal form of the packed element f against a monic basis.
+    def reduce(self, f, by_comp, field):
+        """Full normal form of the packed element f against a basis.
 
-        by_comp maps a component to a list of (lead, terms) entries, lead
-        the packed lead term and terms a packed dict whose first key is
-        lead, with coefficient 1.  Returns the remainder in descending
-        term order: no remaining term is divisible by any basis lead term.
+        by_comp maps a component to a list of (lead, lc, terms) entries,
+        lead the packed lead term, terms a packed dict whose first key is
+        lead, and lc its lead coefficient, or None when that is 1.  Only
+        an entry with an lc makes a step call field.div.  Returns the
+        remainder in descending term order: no remaining term is
+        divisible by any basis lead term.  Its coefficients are field
+        elements; over QQ some may be integral Fractions.
 
         The remainder's terms sit in a min-heap of ints.  A term cancelled
         to zero leaves a stale heap entry, skipped when popped; it may be
@@ -155,7 +161,7 @@ class Layout:
         every term a reduction step adds is smaller than the term it
         reduces.
         """
-        guard, cmask = self.guard, self.cmask
+        guard, cmask, div = self.guard, self.cmask, field.div
         work = dict(f)
         heap = list(work)
         heapify(heap)
@@ -166,12 +172,15 @@ class Layout:
             if coef is None:
                 continue  # cancelled after it was pushed
             tg = t | guard
-            for lead, bt in by_comp.get(t & cmask, ()):
-                if (tg - lead) & guard == guard:
-                    break
+            for entry in by_comp.get(t & cmask, ()):
+                if (tg - entry[0]) & guard == guard:
+                    break  # indexing beats unpacking every entry scanned
             else:
                 out[t] = coef
                 continue
+            lead, lc, bt = entry
+            if lc is not None:
+                coef = div(coef, lc)
             q = t - lead
             tail = iter(bt.items())
             next(tail)  # the lead term cancels against the popped term

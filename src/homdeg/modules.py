@@ -272,7 +272,7 @@ def _prune_constants(ring, rank, twists, cols):
             break
         ci, comp, v = hit
         col = cols[ci]
-        inv = ring.field.one / v
+        inv = ring.field.div(ring.field.one, v)
         new_cols = []
         for j, d in enumerate(cols):
             if j == ci:
@@ -384,9 +384,12 @@ def submodule_key(gb_gens):
 
 
 def submodule_gb(pres, gens):
-    """Reduced GB of <gens> + relations inside the ambient of pres."""
-    full = [g for g in gens if g] + pres.relation_gens()
-    return groebner_basis(full, module=pres.ambient) if full else []
+    """Reduced GB of <gens> + relations inside the ambient of pres: the
+    cached pres.gb() when gens adds nothing nonzero."""
+    gens = [g for g in gens if g]
+    if not gens:
+        return list(pres.gb())
+    return groebner_basis(gens + pres.relation_gens(), module=pres.ambient)
 
 
 def minimal_generators(gens):

@@ -1,6 +1,7 @@
 """Groebner bases, normal forms, syzygies, and the standard-monomial /
 Hilbert-numerator machinery, checked against brute-force oracles; the
-engine's contracts (descending normal forms, reduced bases) on seeded
+engine's contracts (descending normal forms, reduced bases, primitive
+basis elements, QQ coefficients that are ints when integral) on seeded
 random ideals, rank-2 modules and the corpus; and the packed term layout
 (order, product, divisibility, and a field width that holds every term
 within the degree cap), against the tuple order_key and tuple oracles."""
@@ -9,6 +10,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd
 
 import pytest
 
@@ -24,6 +26,7 @@ from homdeg import (
     normal_form,
 )
 from homdeg.errors import DegreeCapError, InhomogeneousError
+from homdeg.fields import QQ
 from homdeg.groebner import GroebnerEngine, TermOrder, interreduce
 from homdeg import kernel
 from homdeg.kernel import mono_divides
@@ -265,13 +268,14 @@ def _engine_layout(n, twists, split, weight, cap=64):
 
 def _pack_by_comp(layout, by_comp):
     """The kernel's view of a tuple by_comp: each element packed, lead
-    term first."""
+    term first, with its lead coefficient when that is not 1."""
     out = {}
     for c, entries in by_comp.items():
         for bm, bt in entries:
             lead = (c, bm)
             packed = layout.pack({lead: bt[lead], **bt})
-            out.setdefault(c, []).append((next(iter(packed)), packed))
+            lc = bt[lead]
+            out.setdefault(c, []).append((next(iter(packed)), None if lc == 1 else lc, packed))
     return out
 
 
@@ -326,6 +330,7 @@ def test_packed_terms_sort_as_order_key(seed):
 @pytest.mark.parametrize("seed", range(4))
 def test_reduction_emits_descending_irreducible_terms(seed):
     rng = random.Random(300 + seed)
+    scales = random.Random(400 + seed)  # apart from rng, which draws the cases
     for _ in range(80):
         n = rng.randint(1, 3)
         twists = tuple(rng.randint(0, 1) for _ in range(rng.randint(1, 2)))
@@ -343,9 +348,18 @@ def test_reduction_emits_descending_irreducible_terms(seed):
                 )
         f = _homogeneous_terms(rng, n, twists, rng.randint(2, 5))
         layout = _engine_layout(n, twists, split, weight)
-        out = layout.unpack(layout.reduce(layout.pack(f), _pack_by_comp(layout, by_comp)))
+        out = layout.unpack(layout.reduce(layout.pack(f), _pack_by_comp(layout, by_comp), QQ))
         expected = _max_reduce(f, by_comp, key)
         assert list(out.items()) == list(expected.items())
+        # scaling the basis elements, as the engine's primitive ones are,
+        # leaves the normal form as it is
+        scaled = {}
+        for c, entries in by_comp.items():
+            for bm, bt in entries:
+                k = scales.choice([-3, 2, 5])
+                scaled.setdefault(c, []).append((bm, {t: k * v for t, v in bt.items()}))
+        again = layout.unpack(layout.reduce(layout.pack(f), _pack_by_comp(layout, scaled), QQ))
+        assert list(again.items()) == list(out.items())
         keys = [key(t) for t in out]
         assert all(a > b for a, b in zip(keys, keys[1:]))
         for c, m in out:
@@ -380,21 +394,40 @@ def _fixed_point_interreduce(elems, leads, order):
     return [elems[i] for i in kept]
 
 
+def _assert_primitive(terms):
+    """An engine basis element over QQ has int coefficients of content 1
+    and a positive lead."""
+    assert all(type(v) is int for v in terms.values())
+    assert next(iter(terms.values())) > 0 and gcd(*terms.values()) == 1
+
+
 def _check_reduced_basis(module, gens, order):
     eng = GroebnerEngine(module, order)
     for g in gens:
         eng.add(g)
     eng.compute()
+    field = module.ring.field
     unpack = eng.layout.unpack
     assert eng.leads == [eng.layout.unpack_term(t) for t in eng.packed_leads]
+    if field == QQ:
+        for terms in eng.basis:
+            _assert_primitive(terms)
+    # every S-pair cancels the lcm of its two leads
+    packed = eng.packed_leads
+    for i, j in combinations(range(len(eng.basis)), 2):
+        (ci, mi), (cj, mj) = eng.leads[i], eng.leads[j]
+        if ci == cj:
+            (lcm,) = eng.layout.pack({(ci, kernel.mono_lcm(mi, mj)): 1})
+            s = eng._spair(i, j, lcm - packed[i], lcm - packed[j])
+            assert lcm not in s
     expected = _fixed_point_interreduce(
-        [unpack(t) for t in eng.basis], list(eng.leads), _TupleOrder(order)
+        [unpack(field.monic(t)) for t in eng.basis], list(eng.leads), _TupleOrder(order)
     )
     gb = eng.reduced_elements()
     assert [list(g.terms.items()) for g in gb] == [list(e.items()) for e in expected]
     assert groebner_basis(gens, module=module, order=order) == gb
     # of equal leads one element stays
-    twice = interreduce(list(eng.basis) * 2, list(eng.packed_leads) * 2, eng.layout)
+    twice = interreduce(list(eng.basis) * 2, list(eng.packed_leads) * 2, eng.layout, field)
     assert [list(unpack(t).items()) for t in twice] == [list(g.terms.items()) for g in gb]
     key = _lead_key(order.split, order.weight)
     leads = []
@@ -471,6 +504,58 @@ def test_reduced_basis_corpus(corpus):
                 _check_reduced_basis(inst.pres.ambient, gens, order)
             except AssertionError as exc:
                 raise AssertionError(inst.name) from exc
+
+
+def _assert_qq_coefficients(terms):
+    """Every coefficient is an int when it is integral, otherwise a
+    Fraction, and never a float."""
+    for v in terms.values():
+        assert type(v) is int or (type(v) is Fraction and v.denominator != 1), v
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_qq_coefficients_are_ints_when_integral(seed):
+    """Over QQ, reduced bases, reduced elements, normal forms and lifted
+    relations hold ints where the value is integral and Fractions where it
+    is not, also when the input carries integral Fractions; an input with
+    every coefficient a Fraction gives the same values in the same
+    order."""
+    rng = random.Random(900 + seed)
+    ring = PolyRing(("x", "y", "z"))
+    for _ in range(15):
+        twists = tuple(rng.randint(0, 1) for _ in range(rng.randint(1, 2)))
+        module = FreeModule(ring, len(twists), twists)
+        gens = []
+        for _ in range(rng.randint(1, 4)):
+            terms = _homogeneous_terms(rng, 3, twists, rng.randint(1, 3))
+            if terms:
+                gens.append(FreeElement(module, terms))
+        if not gens:
+            continue
+        as_fractions = [
+            FreeElement(module, {t: Fraction(v) for t, v in g.terms.items()}) for g in gens
+        ]
+        gb = groebner_basis(gens, module=module)
+        assert [list(g.terms.items()) for g in gb] == [
+            list(g.terms.items()) for g in groebner_basis(as_fractions, module=module)
+        ]
+        eng = GroebnerEngine(module)
+        for g in gens:
+            eng.add(g)
+        assert eng.reduced_elements() == gb
+        probes = [
+            FreeElement(module, terms)
+            for terms in (_homogeneous_terms(rng, 3, twists, rng.randint(1, 4)) for _ in range(4))
+            if terms
+        ]
+        outputs = [g.terms for g in gb]
+        for el in probes:
+            nf = normal_form(el, gb)
+            assert eng.normal_form(el.terms) == nf.terms
+            outputs.append(nf.terms)
+        outputs += [a.terms for a in lift_relations(gens, [])]
+        for terms in outputs:
+            _assert_qq_coefficients(terms)
 
 
 # ---- the packed field width ---------------------------------------------

@@ -1,7 +1,8 @@
 """Source hygiene: every module-level import in the package is used,
 only modules.py touches the cache behind Presentation.cached, each cache
 key is computed at one call site, one module states the parameter
-ideal contract, and only the engine reads its packed internals."""
+ideal contract, only the engine reads its packed internals, and only
+fields.py divides with `/`."""
 
 import ast
 from collections import defaultdict
@@ -112,3 +113,19 @@ def test_one_engine_boundary(path):
         )
     ]
     assert not lines, f"{path.name} reaches into the engine at lines {lines}"
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "fields.py"], ids=lambda p: p.name
+)
+def test_coefficient_division_lives_in_fields(path):
+    """The true division `/` occurs only in fields.py: a QQ element is an
+    int when it is integral, and `/` of two ints is a float, so every
+    coefficient division goes through field.div."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+    ]
+    assert not lines, f"{path.name} divides with / at lines {lines}"

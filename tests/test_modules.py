@@ -119,7 +119,7 @@ def _reference_divide(el, f):
         if not mono_divides(fl, m):
             raise EngineBugError("exact division failed: element not in f*F")
         q = mono_div(m, fl)
-        qc = work[(c, m)] / flc
+        qc = module.ring.field.div(work[(c, m)], flc)
         out[(c, q)] = qc
         for fm, fc in f.terms.items():
             key = (c, mono_mul(q, fm))
