@@ -28,7 +28,7 @@ class FreeModule:
         return FreeElement(self, {(i, m): c for m, c in poly.terms.items()})
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, FreeModule)
             and self.ring == other.ring
             and self.rank == other.rank

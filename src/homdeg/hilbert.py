@@ -25,7 +25,7 @@ from .modules import Algebra, Presentation, check_ideal_ring
 from .monomial_ideals import (
     divide_one_minus_t,
     eval_at_one,
-    hilbert_numerator,
+    hilbert_numerators,
     poly_add,
     reduce_pole,
 )
@@ -217,9 +217,8 @@ def exact_coefficients(pres, q_gens):
     # Twists shift only the t_y-degree, which is set to 1, so they are
     # left out of the numerator.
     num = {}
-    memo = {}
-    for monos in per:
-        num = poly_add(num, hilbert_numerator(monos, memo, (pivot, other)))
+    for part in hilbert_numerators(per, (pivot, other)):
+        num = poly_add(num, part)
     rows = {}
     for (a, b), c in num.items():
         rows.setdefault(a, {})[b] = c

@@ -3,7 +3,8 @@
 Outside the engine a monomial is a tuple of nonnegative ints (one exponent
 per variable), a free-module term index is a pair (component, monomial)
 and an element is a dict from term indices to nonzero coefficients.  The
-tuple helpers below serve that side.
+tuple helpers below serve that side.  The other packed user is
+monomial_ideals.hilbert_numerators: only the variable fields, no others.
 
 The term order is grevlex on monomials, term-over-position on components
 (lower component wins ties).  `split` turns the order into a block

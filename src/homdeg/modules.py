@@ -12,15 +12,7 @@ from .errors import EngineBugError, InhomogeneousError
 from .freemod import FreeElement, FreeModule
 from .groebner import GroebnerEngine, groebner_basis, lift_relations
 from .kernel import mono_deg
-from .monomial_ideals import (
-    eval_at_one,
-    hilbert_numerator,
-    minimalize,
-    poly_add,
-    poly_shift,
-    reduce_pole,
-    series_length,
-)
+from .monomial_ideals import eval_at_one, hilbert_numerators, poly_add, poly_shift, reduce_pole
 
 #: Krull dimension marker for the zero module.
 DIM_ZERO = -1
@@ -124,14 +116,6 @@ class Presentation:
 
         return self.cached("gb", compute)
 
-    def lead_monomials(self):
-        """Per-component minimal lead monomials of the relation module."""
-        per = [[] for _ in range(self.rank)]
-        for g in self.gb():
-            c, m = next(iter(g.terms))  # a reduced element leads with its lead
-            per[c].append(m)
-        return [minimalize(ms) for ms in per]
-
     # ---- numerical invariants ----------------------------------------
 
     def hilbert_numerator(self):
@@ -139,11 +123,13 @@ class Presentation:
         included; {} for the zero module."""
 
         def compute():
+            per = [[] for _ in range(self.rank)]
+            for g in self.gb():
+                c, m = next(iter(g.terms))  # a reduced element leads with its lead
+                per[c].append(m)
             total = {}
-            memo = {}
-            for c, monos in enumerate(self.lead_monomials()):
-                num = hilbert_numerator(monos, memo)
-                total = poly_add(total, poly_shift(num, self.twists[c]))
+            for num, twist in zip(hilbert_numerators(per), self.twists):
+                total = poly_add(total, poly_shift(num, twist))
             return total
 
         return self.cached("series", compute)
@@ -155,26 +141,24 @@ class Presentation:
     def is_zero(self):
         return not self.hilbert_numerator()
 
+    def _pole(self):
+        """reduce_pole of the Hilbert numerator: (p, s), s = dim M if M != 0."""
+        return self.cached("pole", lambda: reduce_pole(self.hilbert_numerator(), self.ring.n))
+
     def dim(self):
         """Krull dimension; DIM_ZERO (= -1) marks the zero module."""
-        num = self.hilbert_numerator()
-        if not num:
-            return DIM_ZERO
-        _, s = reduce_pole(num, self.ring.n)
-        return s
+        p, s = self._pole()
+        return s if p else DIM_ZERO
 
     def length(self):
         """Length over the base field if finite, else None."""
-        return series_length(self.hilbert_numerator(), self.ring.n)
+        p, s = self._pole()
+        return None if p and s else eval_at_one(p)
 
     def degree_multiplicity(self):
         """Multiplicity with respect to the irrelevant maximal ideal:
         the reduced numerator evaluated at t = 1."""
-        num = self.hilbert_numerator()
-        if not num:
-            return 0
-        p, _ = reduce_pole(num, self.ring.n)
-        return eval_at_one(p)
+        return eval_at_one(self._pole()[0])
 
     # ---- derived modules ---------------------------------------------
 

@@ -1,27 +1,13 @@
 """Monomial-ideal combinatorics: Hilbert series numerators.
 
 The graded dimension data of a quotient by a submodule only depends on the
-lead-term module, which is monomial; everything here works on plain
-exponent tuples.  A "series polynomial" is a dict degree -> int coeff
-(degrees may be negative once twists enter).
+lead-term module, which is monomial.  Callers pass exponent tuples; inside
+`hilbert_numerators` a monomial is one int, laid out like the variable
+fields of kernel.Layout: one field per variable, e_1 lowest, each of
+`width` bits plus a guard bit that is 0 in every monomial, with no
+component or degree field.  A "series polynomial" is a dict degree -> int
+coeff (degrees may be negative once twists enter).
 """
-
-from .kernel import mono_deg, mono_divides
-
-
-def minimalize(monos):
-    """Minimal generators of the monomial ideal generated by monos."""
-    monos = sorted(set(monos), key=mono_deg)
-    out = []
-    for m in monos:
-        if not any(mono_divides(g, m) for g in out):
-            out.append(m)
-    return out
-
-
-def _colon(monos, m):
-    """Minimal generators of (monos) : m."""
-    return minimalize([tuple(max(a - b, 0) for a, b in zip(g, m)) for g in monos])
 
 
 def poly_add(p, q, sign=1):
@@ -36,59 +22,89 @@ def poly_add(p, q, sign=1):
 
 
 def poly_shift(p, k):
-    """Multiply by t^k; a tuple k shifts a multigraded polynomial."""
-    if isinstance(k, tuple):
-        return {tuple(a + b for a, b in zip(d, k)): c for d, c in p.items()}
+    """Multiply by t^k."""
     return {d + k: c for d, c in p.items()}
 
 
-def hilbert_numerator(monos, _memo=None, weights=None):
-    """Numerator N(t) with Hilbert series of S/(monos) = N(t)/(1-t)^n.
+def hilbert_numerators(per_component_monos, weights=None):
+    """For each list of exponent tuples, the numerator N(t) with Hilbert
+    series of S/(monos) = N(t)/(1-t)^n: {0: 1} for the zero ideal, {} for
+    the unit ideal.
 
-    With weights, a list of k weight vectors (one int per variable), the
-    series is k-graded instead: a degree is the k-tuple of weighted
-    degrees and the denominator is prod_i (1 - t^deg(x_i)).  A memo must
-    serve a single grading.
+    With weights, a list of k weight vectors (one nonnegative int per
+    variable), the series is k-graded instead: a degree is the k-tuple of
+    weighted degrees and the denominator is prod_i (1 - t^deg(x_i)).
+
+    Exponents never grow in the recursion (a colon subtracts, a pivot is
+    an existing exponent), so one field width, from the largest exponent,
+    and one memo serve the whole call.  A k-graded degree is one int of k
+    slots of `bits` bits: no degree exceeds that of the lcm of the
+    generators, so no slot carries.
     """
-    if _memo is None:
-        _memo = {}
-    if weights is None:
-        return _numerator(monos, _memo, mono_deg, 0)
-    rows = [tuple(w) for w in weights]
+    flat = [m for monos in per_component_monos for m in monos]
+    top = max((e for m in flat for e in m), default=0)
+    width = max(top.bit_length(), 1)
+    stride, fmax = width + 1, (1 << width) - 1
+    n = len(flat[0]) if flat else 0
+    shifts = [v * stride for v in range(n)]
+    guard = sum(1 << (s + width) for s in shifts)
+    rows = [(1,) * n] if weights is None else weights
+    bits = max(top * max(map(sum, rows), default=0), 1).bit_length()
+    vdeg = [sum(row[v] << (bits * r) for r, row in enumerate(rows)) for v in range(n)]
+    memo = {}
 
-    def deg(m):
-        return tuple(sum(w * e for w, e in zip(row, m)) for row in rows)
+    def minimal(monos):
+        # Ascending ints list every divisor of a monomial (a copy too) first.
+        out = []
+        for m in sorted(monos):
+            mg = m | guard
+            for g in out:
+                if (mg - g) & guard == guard:
+                    break
+            else:
+                out.append(m)
+        return out
 
-    return _numerator(monos, _memo, deg, (0,) * len(rows))
+    def numerator(gens):
+        """Bigatti's pivot recursion on the minimal generators of a proper
+        ideal.  Pure powers of distinct variables are a complete
+        intersection, N = prod (1 - t^deg m).  Otherwise p = x_v^e, with
+        x_v in the most mixed generators and e the median of their x_v
+        exponents, splits the ideal: N(I) = N(I + p) + t^deg(p) N(I : p).
+        p strictly divides a mixed generator and lies outside I, so I + p
+        (the generators p does not divide, and p) is minimal with fewer
+        mixed generators, and I : p has a smaller total degree."""
+        key = frozenset(gens)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        # A pure power has its lowest set bit in the field of its highest.
+        mixed = [
+            m for m in gens if (m & -m).bit_length() <= shifts[(m.bit_length() - 1) // stride]
+        ]
+        if not mixed:
+            out = {0: 1}
+            for m in gens:
+                v = (m.bit_length() - 1) // stride
+                out = poly_add(out, poly_shift(out, (m >> shifts[v]) * vdeg[v]), sign=-1)
+        else:
+            v = max(range(n), key=lambda i: sum(1 for m in mixed if m >> shifts[i] & fmax))
+            s = shifts[v]
+            exps = sorted(e for e in (m >> s & fmax for m in mixed) if e)
+            e = exps[len(exps) // 2]
+            plus = [g for g in gens if g >> s & fmax < e] + [e << s]
+            colon = minimal([g - (min(e, g >> s & fmax) << s) for g in gens])
+            out = poly_add(numerator(plus), poly_shift(numerator(colon), e * vdeg[v]))
+        memo[key] = out
+        return out
 
-
-def _numerator(monos, memo, deg, zero):
-    """Bigatti's pivot recursion.  Pure powers of distinct variables are a
-    complete intersection, N = prod (1 - t^deg m).  Otherwise p = x_v^e,
-    with x_v in the most mixed generators and e the median of their x_v
-    exponents, splits the ideal: N(I) = N(I + p) + t^deg(p) N(I : p).  p
-    strictly divides a mixed generator and lies outside I, so I + p has
-    fewer mixed generators and I : p a smaller total degree."""
-    monos = minimalize(monos)
-    key = frozenset(monos)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    mixed = [m for m in monos if sum(1 for e in m if e) > 1]
-    if not mixed:
-        out = {zero: 1}
-        for m in monos:
-            out = poly_add(out, poly_shift(out, deg(m)), sign=-1)
-    else:
-        n = len(mixed[0])
-        v = max(range(n), key=lambda i: sum(1 for m in mixed if m[i]))
-        exps = sorted(m[v] for m in mixed if m[v])
-        p = tuple(exps[len(exps) // 2] if i == v else 0 for i in range(n))
-        out = poly_add(
-            _numerator(monos + [p], memo, deg, zero),
-            poly_shift(_numerator(_colon(monos, p), memo, deg, zero), deg(p)),
-        )
-    memo[key] = out
+    out, mask = [], (1 << bits) - 1
+    for monos in per_component_monos:
+        gens = minimal([sum(e << s for e, s in zip(m, shifts)) for m in monos])
+        p = {} if gens[:1] == [0] else numerator(gens)
+        if weights is not None:
+            p = {tuple(d >> bits * r & mask for r in range(len(rows))): c for d, c in p.items()}
+        out.append(dict(p))
     return out
 
 

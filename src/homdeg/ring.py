@@ -57,7 +57,7 @@ class PolyRing:
         return self.const(1)
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, PolyRing)
             and self.names == other.names
             and self.field == other.field

@@ -1,5 +1,6 @@
 """Groebner bases, normal forms, syzygies, and the standard-monomial /
-Hilbert-numerator machinery, checked against brute-force oracles; the
+Hilbert-numerator machinery, checked against brute-force oracles (the
+packed numerator kernel also against the tuple pivot recursion); the
 engine's contracts (descending normal forms, reduced bases, primitive
 basis elements, QQ coefficients that are ints when integral) on seeded
 random ideals, rank-2 modules and the corpus; and the packed term layout
@@ -31,10 +32,12 @@ from homdeg.groebner import GroebnerEngine, TermOrder, interreduce
 from homdeg import kernel
 from homdeg.kernel import mono_divides
 from homdeg.verify import gen_example_39, gen_example_46
+from homdeg.modules import Presentation
 from homdeg.monomial_ideals import (
     eval_at_one,
-    hilbert_numerator,
-    minimalize,
+    hilbert_numerators,
+    poly_add,
+    poly_shift,
     reduce_pole,
 )
 
@@ -139,19 +142,67 @@ def _brute_standard(monos, n, box):
     return count
 
 
+def _tuple_minimalize(monos):
+    """Minimal generators of the monomial ideal generated by monos."""
+    out = []
+    for m in sorted(set(monos), key=sum):
+        if not any(mono_divides(g, m) for g in out):
+            out.append(m)
+    return out
+
+
+def _tuple_numerator(monos, deg, zero, memo):
+    """Bigatti's pivot recursion on exponent tuples, degrees as tuples: the
+    oracle for the packed hilbert_numerators.  N(I) = N(I + p) + t^deg(p)
+    N(I : p) for p = x_v^e, x_v in the most mixed generators and e their
+    median x_v exponent; pure powers give prod (1 - t^deg m)."""
+    monos = _tuple_minimalize(monos)
+    if any(not any(m) for m in monos):
+        return {}
+    key = frozenset(monos)
+    if key in memo:
+        return memo[key]
+    mixed = [m for m in monos if sum(1 for e in m if e) > 1]
+    if not mixed:
+        out = {zero: 1}
+        for m in monos:
+            shifted = {tuple(a + b for a, b in zip(d, deg(m))): c for d, c in out.items()}
+            out = poly_add(out, shifted, sign=-1)
+    else:
+        n = len(mixed[0])
+        v = max(range(n), key=lambda i: sum(1 for m in mixed if m[i]))
+        exps = sorted(m[v] for m in mixed if m[v])
+        p = tuple(exps[len(exps) // 2] if i == v else 0 for i in range(n))
+        colon = [tuple(max(a - b, 0) for a, b in zip(g, p)) for g in monos]
+        low = _tuple_numerator(colon, deg, zero, memo)
+        out = poly_add(
+            _tuple_numerator(monos + [p], deg, zero, memo),
+            {tuple(a + b for a, b in zip(d, deg(p))): c for d, c in low.items()},
+        )
+    memo[key] = out
+    return out
+
+
+def _numerator(monos, weights=None):
+    (num,) = hilbert_numerators([monos], weights)
+    return num
+
+
 def test_minimalize():
-    assert minimalize([(2, 0), (2, 1), (0, 1), (1, 1)]) == [(0, 1), (2, 0)]
+    """Redundant and duplicate generators leave the numerator unchanged."""
+    monos = [(2, 0), (2, 1), (0, 1), (1, 1), (0, 1)]
+    assert _tuple_minimalize(monos) == [(0, 1), (2, 0)]
+    assert _numerator(monos) == _numerator([(0, 1), (2, 0)]) == {0: 1, 1: -1, 2: -1, 3: 1}
 
 
 def test_hilbert_numerator_vs_enumeration():
     # graded dimensions of k[x,y]/(x^2, xy): 1, 1, 1, ... after degree 0
-    num = hilbert_numerator([(2, 0), (1, 1)])
+    num = _numerator([(2, 0), (1, 1)])
     p, s = reduce_pole(num, 2)
     assert s == 1  # dimension one
-    num0 = hilbert_numerator([])
-    assert num0 == {0: 1}
+    assert _numerator([]) == {0: 1}
     # finite-length case: total = standard monomial count
-    num2 = hilbert_numerator([(2, 0), (0, 2)])
+    num2 = _numerator([(2, 0), (0, 2)])
     p2, s2 = reduce_pole(num2, 2)
     assert s2 == 0
     assert eval_at_one(p2) == _brute_standard([(2, 0), (0, 2)], 2, 2) == 4
@@ -172,12 +223,11 @@ def test_hilbert_numerator_random_ideals(weights):
     box = [m for m in product(range(7), repeat=3) if sum(m) <= 6]
     every = Counter(deg(m) for m in box)
     rng = random.Random(2014)
-    for _ in range(40):
-        monos = [
-            tuple(rng.randint(0, 3) for _ in range(3))
-            for _ in range(rng.randint(1, 6))
-        ]
-        num = hilbert_numerator(monos, weights=weights)
+    draws = [
+        [tuple(rng.randint(0, 3) for _ in range(3)) for _ in range(rng.randint(1, 6))]
+        for _ in range(40)
+    ]
+    for monos, num in zip(draws, hilbert_numerators(draws, weights)):
         if weights is None:
             num = {(d,): c for d, c in num.items()}
         std = Counter(
@@ -189,6 +239,71 @@ def test_hilbert_numerator_random_ideals(weights):
                 rest = tuple(a - b for a, b in zip(d, e))
                 total += c * every.get(rest, 0)
             assert total == std.get(d, 0), (monos, d)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize(
+    "weights", [None, "bigraded"], ids=["total", "bigraded"]
+)
+def test_packed_numerators_match_tuple_recursion(n, weights):
+    """Seeded ideals in 4 and 5 variables, one call per batch: the packed
+    recursion equals the tuple recursion, graded and bigraded (a weight
+    entry of 2), with exponents on both sides of the 3/4- and 4/5-bit
+    field widths (7/8, 15/16), duplicate generators, the unit ideal and
+    the zero ideal; where an ideal has finite length its colength is the
+    brute-force count of standard monomials."""
+    rng = random.Random(22 + n)
+    if weights:
+        weights = (tuple(rng.randint(0, 1) for _ in range(n - 1)) + (2,), (1,) * n)
+    rows = weights or ((1,) * n,)
+    zero = (0,) * len(rows)
+
+    def deg(m):
+        return tuple(sum(w * e for w, e in zip(row, m)) for row in rows)
+
+    for top in (3, 7, 8, 15, 16):
+        batch = [[], [(0,) * n], [(0,) * n, (1,) * n]]
+        for _ in range(12):
+            monos = [
+                tuple(rng.choice((0, 0, 1, 2, top)) for _ in range(n))
+                for _ in range(rng.randint(1, 6))
+            ]
+            batch.append(monos + monos[: rng.randint(0, 2)])
+        # pure powers of every variable: finite length, so brute-force countable
+        pure = [tuple(rng.choice((1, 2)) if i == j else 0 for i in range(n)) for j in range(n)]
+        batch.append(pure + [(1,) * n])
+        memo = {}
+        got = hilbert_numerators(batch, weights)
+        assert len(got) == len(batch)
+        for monos, num in zip(batch, got):
+            want = _tuple_numerator(monos, deg, zero, memo)
+            if weights is None:
+                want = {d: c for (d,), c in want.items()}
+            assert num == want, (top, monos)
+        assert got[0] == ({0: 1} if weights is None else {(0, 0): 1})
+        assert got[1] == got[2] == {}
+        p, s = reduce_pole(_numerator(batch[-1]), n)
+        assert s == 0 and eval_at_one(p) == _brute_standard(batch[-1], n, 3)
+
+
+def test_rank_3_numerator_sums_shifted_components():
+    """A rank-3 module with twists (0, 2, -1): component 0 is S/(x^2, xy^3),
+    component 1 is killed by a unit relation and component 2 is free.  Its
+    numerator is the sum of the per-component numerators shifted by the
+    twists, and component 1 adds nothing."""
+    ring = PolyRing(("x", "y", "z"))
+    x, y, z = ring.gens()
+    amb = FreeModule(ring, 3, (0, 2, -1))
+    cols = [amb.inject(x**2, 0), amb.inject(x * y**3, 0), amb.inject(ring.one, 1)]
+    pres = Presentation(Algebra(ring, ()), 3, amb.twists, cols)
+    parts = hilbert_numerators([[(2, 0, 0), (1, 3, 0)], [(0, 0, 0)], []])
+    assert parts[1] == {}
+    want = {}
+    for part, twist in zip(parts, amb.twists):
+        want = poly_add(want, poly_shift(part, twist))
+    assert pres.hilbert_numerator() == want
+    assert pres.dim() == 3 and pres.degree_multiplicity() == 1
+    assert pres.length() is None
 
 
 def test_module_hilbert_series_matches_quotient():
