@@ -7,6 +7,7 @@ violated (an engine bug by construction), 2 input or usage error.
 import argparse
 import sys
 from contextlib import contextmanager
+from functools import cache
 
 from . import report as report_mod
 from .dsl import (
@@ -51,6 +52,7 @@ def _parse_degree_cap(text):
     return cap
 
 
+@cache  # parse_args leaves the parser as it is, so one serves every call
 def build_arg_parser():
     ap = argparse.ArgumentParser(
         prog="homdeg",

@@ -3,13 +3,15 @@
 A rational is a Python int when it is integral and a fractions.Fraction
 only when it is not, so the common integral case runs on int arithmetic.
 Sums and products of a Fraction may be integral Fractions; they compare
-and hash as the equal int, and `div`, `primitive`, `monic` and
-`canonical` hand back ints for them.  `div` is the one coefficient
-division of the package: the true division `/` of two ints is a float.
+and hash as the equal int, and `div`, `integral`, `primitive` and
+`monic` hand back ints for them.  Every coefficient division of the
+package is here: the true division `/` of two ints is a float.
 
 Each field also says how the Groebner engine scales its basis elements
-(`primitive`) and how reduced elements and normal forms leave the engine
-(`monic`, `canonical`).  A term dict there leads with its lead term.
+(`primitive`) and reduced elements (`monic`).  Its reduction kernel
+divides nothing: it clears denominators (`integral`) and scales by the
+`cofactors` of a step; normal forms leave divided by that scale.  A term
+dict there leads with its lead term.
 """
 
 from fractions import Fraction
@@ -73,15 +75,6 @@ class RationalField:
         q = a / b
         return q.numerator if q.denominator == 1 else q
 
-    def canonical(self, terms):
-        """terms with every integral coefficient an int."""
-        try:
-            gcd(*terms.values())  # a TypeError unless every value is an int
-            return terms
-        except TypeError:
-            return {t: v if type(v) is int or v.denominator != 1 else v.numerator
-                    for t, v in terms.items()}
-
     def primitive(self, terms):
         """The integer multiple of terms with content 1 and a positive lead
         coefficient: the Groebner engine's basis elements over QQ.  math.gcd
@@ -91,20 +84,34 @@ class RationalField:
         try:
             g = gcd(*terms.values())
         except TypeError:  # a Fraction among the values: clear denominators
-            den = lcm(*(v.denominator for v in terms.values() if type(v) is not int))
-            terms = {t: v * den if type(v) is int else v.numerator * (den // v.denominator)
-                     for t, v in terms.items()}
+            terms = self.integral(terms)[0]
             g = gcd(*terms.values())
         if next(iter(terms.values())) < 0:
             g = -g
         return terms if g == 1 else {t: v // g for t, v in terms.items()}
 
+    def integral(self, terms):
+        """(d * terms, d), a new dict, for the least int d > 0 that makes
+        every coefficient an int."""
+        try:
+            gcd(*terms.values())  # a TypeError unless every value is an int
+            return dict(terms), 1
+        except TypeError:
+            d = lcm(*(v.denominator for v in terms.values() if type(v) is not int))
+            return {t: v * d if type(v) is int else v.numerator * (d // v.denominator)
+                    for t, v in terms.items()}, d
+
+    def cofactors(self, a, b):
+        """(b / g, a / g), g = gcd(a, b), for ints a and b != 0: the least
+        s > 0 (for b > 0) and the q with s a = q b."""
+        g = gcd(a, b)
+        return b // g, a // g
+
     def monic(self, terms):
-        """terms scaled to lead coefficient 1, every integral coefficient
-        an int."""
+        """terms, of int coefficients, scaled to lead coefficient 1."""
         lc = next(iter(terms.values()))
         if lc == 1:
-            return self.canonical(terms)
+            return terms
         div = self.div
         return {t: div(v, lc) for t, v in terms.items()}
 
@@ -173,8 +180,8 @@ class PrimeField:
     def div(self, a, b):
         return a / b
 
-    def canonical(self, terms):
-        return terms
+    def integral(self, terms):
+        return dict(terms), self.one
 
     def monic(self, terms):
         """terms scaled to lead coefficient 1."""

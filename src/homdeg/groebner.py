@@ -54,8 +54,9 @@ def _layout(module, order):
 
 
 def _pack(module, layout, terms):
-    """layout.pack(terms), or DegreeCapError if a term is too high for its
-    fields to hold the terms a reduction makes from it.
+    """layout.pack(terms) for a homogeneous element of module, else
+    InhomogeneousError; DegreeCapError if its terms are too high for their
+    fields to hold the terms a reduction makes from them.
 
     Reducing a term of degree D (with twist) against homogeneous elements
     makes terms of degree D, in any component c; their raw degree is at
@@ -64,11 +65,17 @@ def _pack(module, layout, terms):
     wraps.  Within the cap the bound holds by the choice of width.
     """
     deg, twists = module.ring.mono_degree, module.twists
-    top = layout.fmax + min((0, *twists))
-    for c, m in terms:
-        if deg(m) + twists[c] > top:
-            raise DegreeCapError(module.ring.degree_cap)
+    degs = {deg(m) + twists[c] for c, m in terms}
+    if len(degs) > 1:
+        raise InhomogeneousError(repr(FreeElement(module, terms)))
+    if degs and degs.pop() > layout.fmax + min((0, *twists)):
+        raise DegreeCapError(module.ring.degree_cap)
     return layout.pack(terms)
+
+
+def _unscaled(r, c, field):
+    """r / c, the normal form of the kernel's (r, c)."""
+    return r if c == field.one else {t: field.div(v, c) for t, v in r.items()}
 
 
 def _entry(terms, one):
@@ -80,12 +87,12 @@ def _entry(terms, one):
     return lead, None if lc == one else lc, terms
 
 
-def _by_lead(elems, layout, one):
+def _by_lead(elems, layout, field):
     """comp -> [(lead, lc, terms)], the kernel's view of packed elements
-    that each lead with their lead term."""
+    that each lead with their lead term, scaled by field.primitive."""
     by_comp = {}
     for terms in elems:
-        entry = _entry(terms, one)
+        entry = _entry(field.primitive(terms), field.one)
         by_comp.setdefault(entry[0] & layout.cmask, []).append(entry)
     return by_comp
 
@@ -99,8 +106,8 @@ class GroebnerEngine:
     reduced_elements; leads keeps the lead of each basis element as a
     (comp, mono) pair.  Basis elements are scaled by field.primitive:
     primitive integer vectors with a positive lead over QQ, monic over
-    GF(p).  What leaves the engine is canonical (field.canonical), and
-    reduced elements are monic.
+    GF(p), so over QQ the engine's reductions run on ints.  A normal form
+    leaves it divided by the kernel's scale, a reduced element monic.
     """
 
     def __init__(self, module, order=None):
@@ -121,8 +128,6 @@ class GroebnerEngine:
     def add(self, el):
         if not isinstance(el, FreeElement) or el.module != self.module:
             raise EngineBugError("element added to engine over a different ambient")
-        if not el.is_homogeneous():
-            raise InhomogeneousError(repr(el))
         self._add_terms(_pack(self.module, self.layout, el.terms))
 
     def normal_form(self, terms):
@@ -130,13 +135,13 @@ class GroebnerEngine:
         the engine holds, as {(comp, mono): coef} in descending term
         order."""
         self.compute()
-        layout, field = self.layout, self.field
-        nf = layout.reduce(_pack(self.module, layout, terms), self.by_comp, field)
-        return layout.unpack(field.canonical(nf))
+        layout = self.layout
+        r, c = layout.reduce(_pack(self.module, layout, terms), self.by_comp, self.field)
+        return layout.unpack(_unscaled(r, c, self.field))
 
     def _add_terms(self, terms):
         layout, field = self.layout, self.field
-        nf = layout.reduce(terms, self.by_comp, field)
+        nf = layout.reduce(terms, self.by_comp, field)[0]
         if not nf:
             return
         entry = _entry(field.primitive(nf), field.one)
@@ -234,10 +239,10 @@ def interreduce(elems, leads, layout, field):
     Elements whose lead is divisible by another lead go (of equal leads the
     first stays); the rest is still a Groebner basis.  Against it each
     kept element's tail is reduced once, and the stored lead term goes
-    back in front: the normal form is unique and linear, so for g = c L +
-    T, c L + NF(T) = c L - NF(c L) is the reduced element, up to the
-    scale c.  A term divisible by an element's own lead is of higher
-    degree, so it is never in that element's (homogeneous) tail.
+    back in front, times the kernel's scale s: NF is unique and linear, so
+    for g = a L + T, s (a L + NF(T)) = s (a L - NF(a L)) is the reduced
+    element up to the scale s a.  A term divisible by an element's own
+    lead is of higher degree, so it is never in its (homogeneous) tail.
     """
     divides, cmask = layout.divides, layout.cmask
     by_lead = {}
@@ -251,14 +256,15 @@ def interreduce(elems, leads, layout, field):
         )
     ]
     kept.sort(key=leads.__getitem__)  # a packed term is its order key
-    by_comp = _by_lead([elems[i] for i in kept], layout, field.one)
+    by_comp = _by_lead([elems[i] for i in kept], layout, field)
     out = []
     for i in kept:
         lead = leads[i]
         terms = elems[i]
         tail = {t: v for t, v in terms.items() if t != lead}
-        reduced = {lead: terms[lead]}
-        reduced.update(layout.reduce(tail, by_comp, field))
+        r, c = layout.reduce(tail, by_comp, field)
+        reduced = {lead: terms[lead] * c}
+        reduced.update(r)
         out.append(field.monic(reduced))
     return out
 
@@ -279,9 +285,9 @@ def groebner_basis(gens, module=None, order=None):
         eng.add(g)
     reduced = eng._reduced()
     layout, field = eng.layout, eng.field
-    by_comp = _by_lead(reduced, layout, field.one)
+    by_comp = _by_lead(reduced, layout, field)
     for g in gens:
-        if layout.reduce(_pack(module, layout, g.terms), by_comp, field):
+        if layout.reduce(_pack(module, layout, g.terms), by_comp, field)[0]:
             raise EngineBugError("generator does not reduce to zero against its own basis")
     return [FreeElement(module, layout.unpack(t)) for t in reduced]
 
@@ -294,22 +300,19 @@ def normal_form(el, gb, order=None):
 
 def normal_forms(els, gb, order=None):
     """The normal_form of each of els, elements of one module, against gb,
-    which is packed once."""
+    which is packed once (as primitive copies: _by_lead)."""
     if not els:
         return []
     module = els[0].module
     if order is None:
         order = TermOrder(module.rank)
     layout = _layout(module, order)
-    for g in gb:
-        if not g.is_homogeneous():
-            raise InhomogeneousError(repr(g))
     field = module.ring.field
-    by_comp = _by_lead([_pack(module, layout, g.terms) for g in gb], layout, field.one)
+    by_comp = _by_lead([_pack(module, layout, g.terms) for g in gb], layout, field)
     out = []
     for el in els:
-        nf = layout.reduce(_pack(module, layout, el.terms), by_comp, field)
-        out.append(FreeElement(module, layout.unpack(field.canonical(nf))))
+        r, c = layout.reduce(_pack(module, layout, el.terms), by_comp, field)
+        out.append(FreeElement(module, layout.unpack(_unscaled(r, c, field))))
     return out
 
 

@@ -40,8 +40,8 @@ so the lead term of a normal form is its first key, `next(iter(nf))`.
 Callers rely on that instead of rescanning for the lead.  Every basis
 element a reduction reads leads with its lead term too.  Its lead
 coefficient need not be 1: over QQ the engine keeps primitive integer
-elements, and a reduction step divides by the lead coefficient only when
-it is not 1 (fields.RationalField.div).
+elements, and `reduce` is fraction-free, returning the remainder with
+one scale instead of dividing by a lead coefficient.
 """
 
 from heapq import heapify, heappop, heappush
@@ -52,15 +52,6 @@ KERNEL_NAME = "python"  # read by the benchmark's result stamp
 
 def mono_mul(a, b):
     return tuple(x + y for x, y in zip(a, b))
-
-
-def mono_div(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def mono_divides(a, b):
-    """True if a divides b."""
-    return all(x <= y for x, y in zip(a, b))
 
 
 def mono_lcm(a, b):
@@ -146,15 +137,21 @@ class Layout:
         return ((b | guard) - a) & guard == guard
 
     def reduce(self, f, by_comp, field):
-        """Full normal form of the packed element f against a basis.
+        """Full normal form of the packed element f against a basis, up to
+        a scale: (r, c) with r = c * NF(f) and c a nonzero field element.
 
         by_comp maps a component to a list of (lead, lc, terms) entries,
         lead the packed lead term, terms a packed dict whose first key is
-        lead, and lc its lead coefficient, or None when that is 1.  Only
-        an entry with an lc makes a step call field.div.  Returns the
-        remainder in descending term order: no remaining term is
-        divisible by any basis lead term.  Its coefficients are field
-        elements; over QQ some may be integral Fractions.
+        lead, and lc its lead coefficient, or None when that is 1 (always
+        over GF(p)); over QQ an entry with an lc holds ints.  r is in
+        descending term order: no remaining term is divisible by any
+        basis lead term.
+
+        c starts at the lcm of the denominators of f (field.integral).  A
+        step by an entry with an lc takes (k, q) = field.cofactors(coef,
+        lc), scales the remainder (pending and emitted) and c by k, and
+        subtracts q times the shifted entry.  With positive leads, c is a
+        positive int and r holds ints; over GF(p), c is one.
 
         The remainder's terms sit in a min-heap of ints.  A term cancelled
         to zero leaves a stale heap entry, skipped when popped; it may be
@@ -162,8 +159,8 @@ class Layout:
         every term a reduction step adds is smaller than the term it
         reduces.
         """
-        guard, cmask, div = self.guard, self.cmask, field.div
-        work = dict(f)
+        guard, cmask = self.guard, self.cmask
+        work, c = field.integral(f)
         heap = list(work)
         heapify(heap)
         out = {}
@@ -181,7 +178,13 @@ class Layout:
                 continue
             lead, lc, bt = entry
             if lc is not None:
-                coef = div(coef, lc)
+                k, coef = field.cofactors(coef, lc)
+                if k != 1:
+                    c *= k
+                    for u, v in work.items():
+                        work[u] = v * k
+                    for u, v in out.items():
+                        out[u] = v * k
             q = t - lead
             tail = iter(bt.items())
             next(tail)  # the lead term cancels against the popped term
@@ -197,4 +200,4 @@ class Layout:
                         work[u] = s
                     else:
                         del work[u]
-        return out
+        return out, c

@@ -1,9 +1,10 @@
 """Groebner bases, normal forms, syzygies, and the standard-monomial /
 Hilbert-numerator machinery, checked against brute-force oracles (the
 packed numerator kernel also against the tuple pivot recursion); the
-engine's contracts (descending normal forms, reduced bases, primitive
-basis elements, QQ coefficients that are ints when integral) on seeded
-random ideals, rank-2 modules and the corpus; and the packed term layout
+engine's contracts (descending normal forms, fraction-free reduction,
+reduced bases, primitive basis elements, QQ coefficients that are ints
+when integral) on seeded random ideals, rank-2 modules and the corpus;
+and the packed term layout
 (order, product, divisibility, and a field width that holds every term
 within the degree cap), against the tuple order_key and tuple oracles."""
 
@@ -11,7 +12,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -27,10 +28,9 @@ from homdeg import (
     normal_form,
 )
 from homdeg.errors import DegreeCapError, InhomogeneousError
-from homdeg.fields import QQ
-from homdeg.groebner import GroebnerEngine, TermOrder, interreduce
+from homdeg.fields import QQ, PrimeField
+from homdeg.groebner import GroebnerEngine, TermOrder, interreduce, normal_forms
 from homdeg import kernel
-from homdeg.kernel import mono_divides
 from homdeg.verify import gen_example_39, gen_example_46
 from homdeg.modules import Presentation
 from homdeg.monomial_ideals import (
@@ -40,6 +40,16 @@ from homdeg.monomial_ideals import (
     poly_shift,
     reduce_pole,
 )
+
+
+def mono_div(a, b):
+    """The exponent tuple of the monomial quotient a / b."""
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def mono_divides(a, b):
+    """True if the monomial a divides b."""
+    return all(x <= y for x, y in zip(a, b))
 
 
 @pytest.fixture
@@ -360,7 +370,7 @@ def _max_reduce(f, by_comp, key):
             out[(c, m)] = coef
             continue
         bm, bt = hit
-        q = kernel.mono_div(m, bm)
+        q = mono_div(m, bm)
         for (tc, tm), tcoef in bt.items():
             if (tc, tm) == (c, bm):
                 continue
@@ -381,16 +391,16 @@ def _engine_layout(n, twists, split, weight, cap=64):
     return GroebnerEngine(module, TermOrder(split, weight)).layout
 
 
-def _pack_by_comp(layout, by_comp):
+def _pack_by_comp(layout, by_comp, one=1):
     """The kernel's view of a tuple by_comp: each element packed, lead
-    term first, with its lead coefficient when that is not 1."""
+    term first, with its lead coefficient when that is not one."""
     out = {}
     for c, entries in by_comp.items():
         for bm, bt in entries:
             lead = (c, bm)
             packed = layout.pack({lead: bt[lead], **bt})
             lc = bt[lead]
-            out.setdefault(c, []).append((next(iter(packed)), None if lc == 1 else lc, packed))
+            out.setdefault(c, []).append((next(iter(packed)), None if lc == one else lc, packed))
     return out
 
 
@@ -444,8 +454,21 @@ def test_packed_terms_sort_as_order_key(seed):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_reduction_emits_descending_irreducible_terms(seed):
+    """Layout.reduce returns (r, c) with r = c * NF, NF the oracle's normal
+    form, in descending order and with no term divisible by a lead.  Over
+    QQ, c is a positive int: against monic Fraction bases (no step
+    scales), and against integer multiples of primitive bases, whose
+    leads are mostly not 1 and where r holds ints, for an integral input
+    and for one whose denominators c clears.  Over GF(p), c is one and r the oracle's NF taken mod p."""
     rng = random.Random(300 + seed)
     scales = random.Random(400 + seed)  # apart from rng, which draws the cases
+    gf = PrimeField(32003)
+
+    def mod_p(terms):
+        mapped = {t: gf.div(gf.from_int(v.numerator), gf.from_int(v.denominator))
+                  for t, v in terms.items()}
+        return {t: v for t, v in mapped.items() if v}
+
     for _ in range(80):
         n = rng.randint(1, 3)
         twists = tuple(rng.randint(0, 1) for _ in range(rng.randint(1, 2)))
@@ -463,22 +486,56 @@ def test_reduction_emits_descending_irreducible_terms(seed):
                 )
         f = _homogeneous_terms(rng, n, twists, rng.randint(2, 5))
         layout = _engine_layout(n, twists, split, weight)
-        out = layout.unpack(layout.reduce(layout.pack(f), _pack_by_comp(layout, by_comp), QQ))
         expected = _max_reduce(f, by_comp, key)
-        assert list(out.items()) == list(expected.items())
-        # scaling the basis elements, as the engine's primitive ones are,
-        # leaves the normal form as it is
+        r, c = layout.reduce(layout.pack(f), _pack_by_comp(layout, by_comp), QQ)
+        assert type(c) is int and c > 0
+        out = layout.unpack(r)
+        assert list(out.items()) == [(t, c * v) for t, v in expected.items()]
+        # integer multiples of the primitive basis elements, as the
+        # engine's are: the same normal form, on ints for an integral input
         scaled = {}
-        for c, entries in by_comp.items():
+        for comp, entries in by_comp.items():
             for bm, bt in entries:
-                k = scales.choice([-3, 2, 5])
-                scaled.setdefault(c, []).append((bm, {t: k * v for t, v in bt.items()}))
-        again = layout.unpack(layout.reduce(layout.pack(f), _pack_by_comp(layout, scaled), QQ))
-        assert list(again.items()) == list(out.items())
+                k = scales.choice([1, 2, 6])
+                primitive = QQ.primitive({(comp, bm): bt[comp, bm], **bt})
+                scaled.setdefault(comp, []).append((bm, {t: k * v for t, v in primitive.items()}))
+        den = lcm(*(v.denominator for v in f.values()))
+        for g, d in ((f, 1), ({t: (den * v).numerator for t, v in f.items()}, den)):
+            r, c = layout.reduce(layout.pack(g), _pack_by_comp(layout, scaled), QQ)
+            assert type(c) is int and c > 0
+            assert list(layout.unpack(r).items()) == [
+                (t, c * d * v) for t, v in expected.items()
+            ]
+            assert all(type(v) is int for v in r.values())
+        r, c = layout.reduce(
+            layout.pack(mod_p(f)),
+            _pack_by_comp(layout, {comp: [(bm, mod_p(bt)) for bm, bt in entries]
+                                   for comp, entries in by_comp.items()}, gf.one),
+            gf,
+        )
+        assert c == gf.one
+        assert layout.unpack(r) == mod_p(expected)
         keys = [key(t) for t in out]
         assert all(a > b for a, b in zip(keys, keys[1:]))
-        for c, m in out:
-            assert not any(mono_divides(bm, m) for bm, _ in by_comp.get(c, ()))
+        for comp, m in out:
+            assert not any(mono_divides(bm, m) for bm, _ in by_comp.get(comp, ()))
+
+
+def test_fraction_free_step_scales_by_the_least_cofactor():
+    """A step by a lead coefficient lc scales by lc / gcd(coef, lc) alone,
+    the terms already emitted and the scale c with it, and does not scale
+    when lc divides coef.  Against 4y + 3z over QQ[x, y, z], x + 6y has
+    normal form x - 9/2 z: the step scales by 2 and emits 2x - 9z, c = 2."""
+    layout = _engine_layout(3, (0,), 1, None)
+    basis = _pack_by_comp(layout, {0: [((0, 1, 0), {(0, (0, 1, 0)): 4, (0, (0, 0, 1)): 3})]})
+    x, y, z = ((0, (1, 0, 0)), (0, (0, 1, 0)), (0, (0, 0, 1)))
+    for f, nf, c in (
+        ({x: 1, y: 6}, {x: 2, z: -9}, 2),
+        ({x: 1, y: 8}, {x: 1, z: -6}, 1),
+        ({x: Fraction(1, 3), y: 2}, {x: 2, z: -9}, 6),
+    ):
+        r, scale = layout.reduce(layout.pack(f), basis, QQ)
+        assert (layout.unpack(r), scale) == (nf, c)
 
 
 def _fixed_point_interreduce(elems, leads, order):
@@ -673,6 +730,57 @@ def test_qq_coefficients_are_ints_when_integral(seed):
             _assert_qq_coefficients(terms)
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_fraction_free_normal_forms_match_a_fraction_reducer(seed):
+    """Over QQ, normal_forms reduces on ints against primitive copies of
+    the reduced basis, whose leads are often not 1, and divides by the
+    kernel's scale once.  On Fraction inputs it equals an all-Fraction
+    reducer (_max_reduce against the monic reduced basis).  The engine's
+    own reduction of an integral input leaves no Fraction in r, and r / c
+    is the same normal form."""
+    rng = random.Random(1100 + seed)
+    ring = PolyRing(("x", "y", "z"))
+    scaled_steps = 0
+    for _ in range(12):
+        twists = tuple(rng.randint(0, 1) for _ in range(rng.randint(1, 2)))
+        module = FreeModule(ring, len(twists), twists)
+        gens = [
+            FreeElement(module, terms)
+            for terms in (_homogeneous_terms(rng, 3, twists, rng.randint(1, 3)) for _ in range(4))
+            if terms
+        ]
+        probes = [
+            FreeElement(module, terms)
+            for terms in (_homogeneous_terms(rng, 3, twists, rng.randint(2, 4)) for _ in range(4))
+            if terms
+        ]
+        if not gens or not probes:
+            continue
+        gb = groebner_basis(gens, module=module)
+        by_comp = {}
+        for g in gb:
+            c, m = next(iter(g.terms))
+            by_comp.setdefault(c, []).append((m, {t: Fraction(v) for t, v in g.terms.items()}))
+        key = _lead_key(len(twists), None)
+        eng = GroebnerEngine(module)
+        for g in gens:
+            eng.add(g)
+        eng.compute()
+        layout = eng.layout
+        scaled_steps += sum(lc is not None for es in eng.by_comp.values() for _, lc, _ in es)
+        for el, nf in zip(probes, normal_forms(probes, gb)):
+            expected = _max_reduce(el.terms, by_comp, key)
+            assert list(nf.terms.items()) == list(expected.items())
+            _assert_qq_coefficients(nf.terms)
+            den = lcm(*(v.denominator for v in el.terms.values()))
+            integral = {t: (den * v).numerator for t, v in el.terms.items()}
+            r, c = layout.reduce(layout.pack(integral), eng.by_comp, QQ)
+            assert type(c) is int and c > 0
+            assert all(type(v) is int for v in r.values())
+            assert layout.unpack(r) == {t: c * den * v for t, v in expected.items()}
+    assert scaled_steps
+
+
 # ---- the packed field width ---------------------------------------------
 
 
@@ -691,7 +799,7 @@ def _s_pairs_reduce_to_zero(gb, key):
         lcm = kernel.mono_lcm(mi, mj)
         s = Counter()
         for g, m, sign in ((gb[i], mi, 1), (gb[j], mj, -1)):
-            q = kernel.mono_div(lcm, m)
+            q = mono_div(lcm, m)
             for (c, tm), v in g.terms.items():
                 s[c, kernel.mono_mul(q, tm)] += sign * v
         if _max_reduce({t: v for t, v in s.items() if v}, by_comp, key):

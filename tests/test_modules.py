@@ -21,13 +21,23 @@ from homdeg import (
 )
 from homdeg.errors import EngineBugError
 from homdeg.groebner import TermOrder, groebner_basis, lift_relations
-from homdeg.kernel import mono_div, mono_divides, mono_lcm, mono_mul
+from homdeg.kernel import mono_lcm, mono_mul
 from homdeg.modules import (
     colon_by_ideal,
     ideal_cache_key,
     intersect_submodules,
     submodule_key,
 )
+
+
+def mono_div(a, b):
+    """The exponent tuple of the monomial quotient a / b."""
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def mono_divides(a, b):
+    """True if the monomial a divides b."""
+    return all(x <= y for x, y in zip(a, b))
 
 
 def _monomial(ring, m):
