@@ -122,6 +122,7 @@ class GroebnerEngine:
         self.leads = []         # (comp, mono) per basis element
         self.packed_leads = []  # packed lead per basis element
         self.by_comp = {}       # comp -> [(packed lead, lc, terms)] view for the kernel
+        self.members = {}       # comp -> indices of the basis elements leading there
         self.pairs = []         # heap of (degree, i, j)
         self.pending = {}       # (i, j) -> packed lcm of the leads, None above the cap
 
@@ -156,14 +157,14 @@ class GroebnerEngine:
         self.packed_leads.append(lead)
         self.by_comp.setdefault(c, []).append(entry)
         base, units = layout.base[c], layout.units
-        for j, (jc, jm) in enumerate(self.leads[:idx]):
-            if jc != c:
-                continue
-            lcm = mono_lcm(jm, m)
+        members = self.members.setdefault(c, [])
+        for j in members:
+            lcm = mono_lcm(self.leads[j][1], m)
             pdeg = self.deg(lcm) + twist
             heapq.heappush(self.pairs, (pdeg, j, idx))
             # Within the cap the lcm fits its fields.
             self.pending[(j, idx)] = base + sum(map(mul, lcm, units)) if pdeg <= self.cap else None
+        members.append(idx)
 
     def compute(self):
         coprime_test = self.module.rank == 1
@@ -183,11 +184,14 @@ class GroebnerEngine:
         return self
 
     def _chain_skip(self, i, j, lcm):
-        guard, cmask = self.layout.guard, self.layout.cmask
-        comp = lcm & cmask
+        """The chain criterion: some other lead k in the component of the
+        pair divides lcm and neither (i, k) nor (j, k) is still pending.
+        Only that component's members are scanned."""
+        guard, packed = self.layout.guard, self.packed_leads
+        members = self.members[lcm & self.layout.cmask]
         lcm |= guard
-        for k, lead in enumerate(self.packed_leads):
-            if k == i or k == j or lead & cmask != comp or (lcm - lead) & guard != guard:
+        for k in members:
+            if k == i or k == j or (lcm - packed[k]) & guard != guard:
                 continue
             a, b = (i, k) if i < k else (k, i)
             if (a, b) in self.pending:

@@ -21,7 +21,7 @@ from math import comb
 from .errors import EngineBugError, InhomogeneousError
 from .freemod import FreeElement, FreeModule
 from .groebner import GroebnerEngine, TermOrder
-from .modules import Algebra, Presentation, check_ideal_ring
+from .modules import Algebra, Presentation, check_ideal_ring, linear_rows
 from .monomial_ideals import (
     divide_one_minus_t,
     eval_at_one,
@@ -80,45 +80,18 @@ def _linearize(pres, linear, others):
 
     Returns (isomorphic presentation, pivot indices, the polynomials in
     others under the same change).  Redundant linear generators are
-    dropped by row reduction.
+    dropped by row reduction (modules.linear_rows): each pivot x_p goes to
+    x_p minus the tail of its reduced row.
     """
     if not linear:
         return pres, [], others
     ring = pres.ring
-    n = ring.n
-    zero, div = ring.field.zero, ring.field.div
-    rows = []
-    for g in linear:
-        rows.append(
-            [c if c is not None else zero for c in g.coefficient_of_degree_one()]
-        )
-    # exact Gaussian elimination to reduced row echelon form
-    pivots = []
-    r = 0
-    for col in range(n):
-        pr = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][col]
-        rows[r] = [div(x, pv) for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    rows = rows[:r]
-    # substitution x_p -> x_p - (non-pivot tail of its row)
-    sub = [None] * n
+    rows, pivots = linear_rows(ring, linear)
+    sub = [None] * ring.n
     for row, p in zip(rows, pivots):
-        tail = ring.zero
-        for j in range(n):
-            if j != p and row[j]:
-                tail = tail + ring.var(j).scale(row[j])
-        sub[p] = ring.var(p) - tail
+        sub[p] = ring.var(p) - sum(
+            (ring.var(j).scale(c) for j, c in enumerate(row) if c and j != p), ring.zero
+        )
     phi = lambda poly: poly.substitute(sub)
     new_algebra = type(pres.algebra)(ring, [phi(g) for g in pres.algebra.relations])
     new_cols = [c.map_monos(phi) for c in pres.columns]

@@ -20,10 +20,12 @@ from .hilbert import (
 )
 from .koszul import euler_char_1
 from .modules import (
+    LinearBaseChange,
     Presentation,
     check_ideal_ring,
     check_parameter_ideal,
     colon_by_ideal,
+    linear_annihilators,
     saturate,
 )
 from .monomial_ideals import poly_add, poly_shift, series_length
@@ -47,6 +49,11 @@ def hdeg(pres, q_gens):
 
     with hdeg = l(M) when s <= 0.  The recursion descends through the
     graded local-cohomology duals and terminates because dim M_j <= j < s.
+    Each M_j of dimension >= 1 is taken, with Q, over S' = S/(l) for the
+    linear forms l that kill it (modules.linear_annihilators; the pair
+    cached on M_j): lengths and e0 are the same there, and by Rees' lemma
+    so are the duals of M_j up to a twist, so hdeg is too.  M itself
+    stays over S.
     Cached on pres, keyed by Q, so the duals (cached on pres too) keep
     their own hdeg across calls.
     """
@@ -63,8 +70,21 @@ def _hdeg(pres, q_gens):
     out = multiplicity(pres, q_gens)
     duals = _duals(pres)
     for j in range(s):
-        out += comb(s - 1, j) * hdeg(duals[j], q_gens)
+        out += comb(s - 1, j) * _dual_hdeg(duals[j], q_gens)
     return out
+
+
+def _dual_hdeg(dual, q_gens):
+    """hdeg(M_j), over S/(l) when dim M_j >= 1 (see hdeg)."""
+    if dual.dim() < 1:
+        return hdeg(dual, q_gens)
+
+    def descend():
+        change = LinearBaseChange(dual.ring, linear_annihilators(dual))
+        return change, change.presentation(dual)
+
+    change, down = dual.cached("descent", descend)
+    return hdeg(down, [change.poly(g) for g in q_gens])
 
 
 def torsion(pres, q_gens, i):
@@ -76,7 +96,7 @@ def torsion(pres, q_gens, i):
         raise ValueError(f"torsion index {i} out of range 1..{s - 1}")
     duals = _duals(pres)
     return sum(
-        comb(s - i - 1, j - 1) * hdeg(duals[j], q_gens) for j in range(1, s - i + 1)
+        comb(s - i - 1, j - 1) * _dual_hdeg(duals[j], q_gens) for j in range(1, s - i + 1)
     )
 
 

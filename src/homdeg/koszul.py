@@ -21,13 +21,18 @@ so HS(H_i) = HS(C_i) - HS(F_{i-1} otimes S/Q) + HS(C_{i-1}).  C_0 is
 M/QM, cached on M.  For i >= min(d, pd M), F otimes S/Q is exact above
 F_i (Tor_j = 0 for j > d, F_j = 0 for j > pd M), so HS(C_i) telescopes
 down from the top, sum_{j >= i} (-1)^(j-i) HS(F_j otimes S/Q), with no
-Groebner basis.  Each C_i with 1 <= i < min(d, pd M) costs one.  No
-homology module is ever presented.
+Groebner basis.  Each C_i with 1 <= i < min(d, pd M) costs one, over
+fewer variables when Q has linear generators l_1..l_r: C_i is killed by
+them, so it is the cokernel over S' = S/(l) (modules.LinearBaseChange) of
+the image of d_{i+1} and of the images of Q's other generators times
+F_i.  Its numerator over (1-t)^(n-r), times (1-t)^r, is the one over
+(1-t)^n.  No homology module is ever presented.
 """
 
 from .errors import EngineBugError
 from .modules import (
     Algebra,
+    LinearBaseChange,
     NotParameterIdealError,
     Presentation,
     check_parameter_ideal,
@@ -63,14 +68,19 @@ def _homology_lengths(pres, seq):
         free.append(num)
     free += [{}] * (d + 1 - len(free))
     top = min(d, res.length)
-    plain = Algebra(pres.ring)
+    change = LinearBaseChange(pres.ring, [a for a in seq if a.degree() == 1])
+    others = [change.poly(a) for a in seq if a.degree() != 1]
+    plain = Algebra(change.target)
     cokernels = [pres.quotient_by_ideal(seq).hilbert_numerator()] + [None] * d
     for i in range(1, top):
-        f = res.modules[i]
+        f = change.free(res.modules[i])
         # Q F_i ahead of the boundaries: Buchberger runs shorter that way
-        q_f = [f.inject(a, c) for a in seq for c in range(f.rank)]
-        c_i = Presentation(plain, f.rank, f.twists, q_f + list(res.diffs[i]))
-        cokernels[i] = c_i.hilbert_numerator()
+        q_f = [f.inject(a, c) for a in others for c in range(f.rank)]
+        cols = [change.element(col, f) for col in res.diffs[i]]
+        num = Presentation(plain, f.rank, f.twists, q_f + cols).hilbert_numerator()
+        for _ in change.pivots:  # back over (1-t)^n
+            num = poly_add(num, poly_shift(num, 1), sign=-1)
+        cokernels[i] = num
     tail = {}
     for i in range(len(free) - 1, max(top, 1) - 1, -1):
         tail = poly_add(free[i], tail, sign=-1)

@@ -10,9 +10,10 @@ from collections import Counter
 
 from .errors import EngineBugError, InhomogeneousError
 from .freemod import FreeElement, FreeModule
-from .groebner import GroebnerEngine, groebner_basis, lift_relations
-from .kernel import mono_deg
+from .groebner import GroebnerEngine, groebner_basis, lift_relations, normal_forms
+from .kernel import mono_deg, mono_mul
 from .monomial_ideals import eval_at_one, hilbert_numerators, poly_add, poly_shift, reduce_pole
+from .ring import Polynomial, PolyRing
 
 #: Krull dimension marker for the zero module.
 DIM_ZERO = -1
@@ -238,6 +239,164 @@ def check_parameter_ideal(pres, gens):
         raise NotParameterIdealError(f"{len(gens)} generators, but dim M = {d}")
     if d >= 1 and pres.quotient_by_ideal(gens).length() is None:
         raise NotParameterIdealError("M/QM has infinite length")
+
+
+# ---- one linear base change S -> S/(l) --------------------------------
+
+
+def row_reduce(rows, field):
+    """(R, pivots): the reduced row echelon form R of rows (lists of one
+    length over field), zero rows dropped, and its pivot columns in
+    increasing order.  Row i of R has a 1 at pivots[i] and every other
+    row a 0 there.  The package's one row reduction."""
+    rows = [list(row) for row in rows]
+    div = field.div
+    pivots = []
+    for col in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        pv = rows[r][col]
+        row = rows[r] = [div(x, pv) for x in rows[r]]
+        for i, other in enumerate(rows):
+            f = other[col]
+            if i != r and f:
+                rows[i] = [a - f * b for a, b in zip(other, row)]
+        pivots.append(col)
+        if len(pivots) == len(rows):
+            break
+    return rows[: len(pivots)], pivots
+
+
+def linear_rows(ring, forms):
+    """row_reduce of the coefficient vectors of the linear forms forms."""
+    zero = ring.field.zero
+    return row_reduce(
+        [[zero if c is None else c for c in f.coefficient_of_degree_one()] for f in forms if f],
+        ring.field,
+    )
+
+
+class LinearBaseChange:
+    """The map of S onto S' = S/(l_1, ..., l_c) = k[non-pivot variables]
+    for linear forms l_i of S.  The forms are row-reduced (linear_rows);
+    each pivot variable x_p goes to minus the tail of its row, which holds
+    non-pivot variables only, and every other variable to itself.  It
+    maps polynomials, free elements and presentations.  With no forms S'
+    is S and every map returns its argument.
+
+    An S-module N killed by the l_i (c pivots) is the S'-module N' = N
+    otimes S', with the same Hilbert function: a numerator of N' over
+    (1-t)^(n-c), times (1-t)^c, is one of N over (1-t)^n.  Its Ext and
+    local cohomology descend too: Ext^{i+c}_S(N, S) = Ext^i_{S'}(N',
+    S')(c) (Rees; Bruns and Herzog, Cohen-Macaulay Rings, 3.1.16), and
+    H^i_m(N) = H^i_{m'}(N') (Independence Theorem; Brodmann and Sharp,
+    Local Cohomology, 4.2.1).
+    """
+
+    def __init__(self, ring, forms):
+        rows, self.pivots = linear_rows(ring, forms)
+        if not self.pivots:
+            self.target = ring
+            return
+        keep = self.keep = [j for j in range(ring.n) if j not in self.pivots]
+        self.target = PolyRing(
+            [ring.names[j] for j in keep],
+            ring.field,
+            ring.degree_cap,
+            [ring.degrees[j] for j in keep],
+        )
+        var = self.target.var
+        self.images = [  # of the pivot variables
+            sum((var(i).scale(-row[j]) for i, j in enumerate(keep) if row[j]), self.target.zero)
+            for row in rows
+        ]
+        self._powers = {}
+
+    def _power(self, exps):
+        """The image of prod x_p^exps[k] over the pivots, as a term map."""
+        img = self._powers.get(exps)
+        if img is None:
+            p = self.target.one
+            for image, e in zip(self.images, exps):
+                if e:
+                    p = p * image**e
+            img = self._powers[exps] = p.terms
+        return img
+
+    def _map(self, terms):
+        """{(c, m): v} over S -> its image over S'."""
+        keep, pivots, power = self.keep, self.pivots, self._power
+        out = {}
+        for (c, m), v in terms.items():
+            rest = tuple([m[j] for j in keep])
+            for mm, w in power(tuple([m[p] for p in pivots])).items():
+                t = (c, mono_mul(rest, mm))
+                s = out.get(t)
+                s = v * w if s is None else s + v * w
+                if s:
+                    out[t] = s
+                else:
+                    del out[t]
+        return out
+
+    def poly(self, f):
+        if not self.pivots:
+            return f
+        image = self._map({(0, m): v for m, v in f.terms.items()})
+        return Polynomial(self.target, {m: v for (_, m), v in image.items()})
+
+    def free(self, module):
+        """F otimes S' for a free module F over S."""
+        if not self.pivots:
+            return module
+        return FreeModule(self.target, module.rank, module.twists)
+
+    def element(self, el, module):
+        """The image of el in module = self.free(el.module)."""
+        if not self.pivots:
+            return el
+        return FreeElement(module, self._map(el.terms))
+
+    def presentation(self, pres):
+        """M otimes S' = F' / (image of the relations of M)."""
+        if not self.pivots:
+            return pres
+        algebra = Algebra(self.target, [self.poly(g) for g in pres.algebra.relations])
+        ambient = self.free(pres.ambient)
+        cols = [self.element(c, ambient) for c in pres.columns]
+        return Presentation(algebra, pres.rank, pres.twists, cols)
+
+
+def linear_annihilators(pres):
+    """A basis of the linear forms l with l M = 0, for M = F / N.
+
+    l = sum_k a_k x_k kills M iff sum_k a_k NF(x_k e_c) = 0 for every
+    basis element e_c of F: n * rank normal forms against the cached basis
+    of N, and one kernel over the field.  Each equation is keyed by the
+    source component c and a term of the normal forms, since NF(x_k e_c)
+    and NF(x_k e_c') may share terms that must not be merged."""
+    ring, n = pres.ring, pres.ring.n
+    gb = pres.gb()
+    if not gb:
+        return []
+    zero = ring.field.zero
+    inject = pres.ambient.inject
+    gens = [inject(ring.var(k), c) for c in range(pres.rank) for k in range(n)]
+    eqs = {}
+    for i, nf in enumerate(normal_forms(gens, gb)):
+        c, k = divmod(i, n)
+        for t, v in nf.terms.items():
+            eqs.setdefault((c, t), [zero] * n)[k] = v
+    rows, pivots = row_reduce(eqs.values(), ring.field)
+    var = ring.var
+    return [
+        var(f) - sum((var(p).scale(row[f]) for row, p in zip(rows, pivots) if row[f]), ring.zero)
+        for f in range(n)
+        if f not in pivots
+    ]
 
 
 def _prune_constants(ring, rank, twists, cols):

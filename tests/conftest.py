@@ -173,4 +173,4 @@ def ex46_family():
 
 @pytest.fixture(scope="session")
 def ex39_family():
-    return {(l, m): gen_example_39(l, m) for (l, m) in ((2, 1), (3, 1), (2, 2))}
+    return {(l, m): gen_example_39(l, m) for (l, m) in ((2, 1), (3, 1), (2, 2), (3, 2), (4, 1))}

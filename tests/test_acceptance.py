@@ -50,10 +50,12 @@ def test_criterion_1_mixed_surface_family(ex46_family):
     assert time.monotonic() - t0 < 30
 
 
-def test_criterion_2_linear_intersection_family(ex39_family):
-    """(l,m) in {(2,1),(3,1),(2,2)}: dim = l+m, depth = m+1, e0 = 2,
-    l(A/Q) = l+1, chi1 = l-1, hdeg = 2 + C(l+m-1, m+1); first theorem's
-    condition (1) holds exactly when l = 2.  Under 30 s per instance."""
+def test_criterion_2_linear_intersection_family(ex39_family, tmp_path, capsys):
+    """(l,m) in {(2,1),(3,1),(2,2),(3,2),(4,1)}: dim = l+m, depth = m+1,
+    e0 = 2, l(A/Q) = l+1, chi1 = l-1, hdeg = 2 + C(l+m-1, m+1) and
+    T^i = C(l+m-i-1, m); first theorem's condition (1) holds exactly when
+    l = 2.  Under 30 s per instance.  At (4,1) the CLI's JSON report is
+    the same over QQ and GF(32003)."""
     for (l, m), inst in ex39_family.items():
         t0 = time.monotonic()
         inv = invariant_report(inst.pres, inst.q_gens)
@@ -63,10 +65,21 @@ def test_criterion_2_linear_intersection_family(ex39_family):
         assert _colength(inst.pres, inst.q_gens) == l + 1, f"(l,m)=({l},{m})"
         assert inv.chi1 == l - 1, f"(l,m)=({l},{m})"
         assert inv.hdeg == 2 + comb(l + m - 1, m + 1), f"(l,m)=({l},{m})"
+        want = tuple(comb(l + m - i - 1, m) for i in range(1, l + m))
+        assert inv.torsions == want, f"(l,m)=({l},{m})"
         v = check_thm1(inst)
         assert v.condition1 == (l == 2), f"(l,m)=({l},{m})"
         assert v.equivalence_consistent, f"(l,m)=({l},{m})"
         assert time.monotonic() - t0 < 30, f"(l,m)=({l},{m})"
+    script = tmp_path / "ex39_4_1.hd"
+    script.write_text("example ex39 l=4 m=1;\ncheck invariants;\ncheck thm1;\ncheck audit;\n")
+    reports = []
+    for field in ("qq", "fp:32003"):
+        code = cli_main(["--input", str(script), "--format", "json", "--field", field])
+        assert code == 0, field
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["torsions"] == ["3", "2", "1", "0"]
 
 
 def test_criterion_3_inequality_audit(corpus):

@@ -6,6 +6,7 @@ the duals, depth and Ext codimensions against Ext at every index."""
 import random
 from collections import Counter
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -21,15 +22,24 @@ from homdeg import (
     depth,
     euler_char_1,
     free_resolution,
+    hdeg,
     koszul_homology_lengths,
     lift_relations,
     local_cohomology_duals,
+    multiplicity,
+    torsions,
 )
 from homdeg import resolution
 from homdeg.errors import EngineBugError
 from homdeg.groebner import GroebnerEngine
 from homdeg.invariants import h0_length, h0_torsion_module, invariant_report
-from homdeg.modules import colon_by_ideal, minimal_generators
+from homdeg.modules import (
+    LinearBaseChange,
+    colon_by_ideal,
+    linear_annihilators,
+    minimal_generators,
+)
+from homdeg.monomial_ideals import poly_add, poly_shift, series_length
 from homdeg.resolution import FreeResolution, _ext_at, ext_codims
 from homdeg.verify import check_thm1, gen_example_39, gen_example_46
 
@@ -457,3 +467,196 @@ def test_h0_length_by_series_matches_presented_torsion(corpus):
         assert h0_length(pres) == want, pres
         nonzero += want > 0
     assert nonzero >= 5
+
+
+# ---- the linear base change S -> S' = S/(l) ---------------------------
+
+
+def test_base_change_without_forms_is_the_identity():
+    """With no linear form S' is S and every map hands back its argument."""
+    pres, q = _instance(gen_example_46(2))
+    change = LinearBaseChange(pres.ring, [])
+    assert change.target is pres.ring and change.pivots == []
+    assert change.poly(q[0]) is q[0]
+    assert change.free(pres.ambient) is pres.ambient
+    col = pres.ideal_times_ambient(q)[0]
+    assert change.element(col, pres.ambient) is col
+    assert change.presentation(pres) is pres
+
+
+def test_base_change_substitutes_fully_reduced_rows():
+    """Each pivot goes to minus the tail of its fully reduced row, so
+    every form maps to zero and no pivot is left in an image: (y + z,
+    x + y, x - z) has rank 2, and x -> z, y -> -z over k[z]."""
+    ring = PolyRing(("x", "y", "z"))
+    x, y, z = ring.gens()
+    change = LinearBaseChange(ring, [y + z, x + y, x - z])
+    assert change.pivots == [0, 1] and change.target.names == ("z",)
+    assert all(not change.poly(f) for f in (y + z, x + y, x - z))
+    (t,) = change.target.gens()
+    assert change.poly(x * y + x**2 - y * z) == -(t**2) + t**2 + t**2
+    assert change.poly(x**3 - 2 * z**2 * y).is_homogeneous()
+    # a module killed by the forms keeps its Hilbert function over S'
+    pres = Algebra(ring, [y + z, x + y, z**3]).as_module()
+    down = change.presentation(pres)
+    assert down.ring is change.target and down.length() == pres.length() == 3
+
+
+def _draw_module(rng):
+    """A sheared monomial quotient of k[x,y,z] or k[x,y,z,w], or a twisted
+    rank-2 cokernel over k[x,y,z]; over QQ or GF(32003).  Rank-2 draws in
+    four variables are left out: over QQ their resolutions can meet the
+    coefficient growth recorded for lift_relations, which has no bound but
+    the degree cap."""
+    field = QQ if rng.random() < 0.5 else PrimeField(32003)
+    if rng.random() < 0.5:
+        return _twisted_rank_two(rng, PolyRing(("x", "y", "z"), field=field))
+    ring = PolyRing(("x", "y", "z", "w")[: rng.choice((3, 4))], field=field)
+    return _sheared_monomial_quotient(rng, ring)
+
+
+def _over_s(numerator, change):
+    """A numerator over S' put back over (1-t)^n: times (1-t)^c."""
+    for _ in change.pivots:
+        numerator = poly_add(numerator, poly_shift(numerator, 1), sign=-1)
+    return numerator
+
+
+def _hdeg_over_s(pres, q):
+    """hdeg by its recursion over S alone, no dual moved to fewer
+    variables: the oracle of the route through linear_annihilators."""
+    s = pres.dim()
+    if s <= 0:
+        return pres.length()
+    duals = local_cohomology_duals(pres)
+    return multiplicity(pres, q) + sum(comb(s - 1, j) * _hdeg_over_s(duals[j], q) for j in range(s))
+
+
+def _torsions_over_s(pres, q):
+    s = pres.dim()
+    duals = local_cohomology_duals(pres)
+    return tuple(
+        sum(comb(s - i - 1, j - 1) * _hdeg_over_s(duals[j], q) for j in range(1, s - i + 1))
+        for i in range(1, s)
+    )
+
+
+def _check_descent(pres, q):
+    """pres (dim >= 1) and its linear descent agree on the Hilbert
+    function, e0, hdeg and every torsion, each over its own ring; returns
+    the change."""
+    forms = linear_annihilators(pres)
+    change = LinearBaseChange(pres.ring, forms)
+    down, q_down = change.presentation(pres), [change.poly(g) for g in q]
+    assert all(not change.poly(l) for l in forms)
+    assert _over_s(down.hilbert_numerator(), change) == pres.hilbert_numerator()
+    assert multiplicity(down, q_down) == multiplicity(pres, q)
+    assert hdeg(down, q_down) == _hdeg_over_s(pres, q)
+    assert torsions(down, q_down) == _torsions_over_s(pres, q)
+    return change
+
+
+def test_rank_two_dual_keeps_its_equations_apart():
+    """Q = (x - 2y - 3z, -x - 3y - 2z) on k[x,y,z]/(xy^2, x^2y, x^3): the
+    dual M_1 has rank 2 and no linear form kills it.  Equations of x e_0
+    and x e_1 merged into one would find x - y and give T^1 = 2."""
+    ring = PolyRing(("x", "y", "z"))
+    x, y, z = ring.gens()
+    pres = Algebra(ring, [x * y**2, x**2 * y, x**3]).as_module()
+    q = [x - 2 * y - 3 * z, -x - 3 * y - 2 * z]
+    m1 = local_cohomology_duals(pres)[1]
+    assert m1.rank == 2 and m1.dim() == 1
+    assert linear_annihilators(m1) == []
+    _check_descent(m1, q)
+    inv = invariant_report(pres, q)
+    assert inv.torsions == _torsions_over_s(pres, q) == (3,)
+    assert inv.hdeg == _hdeg_over_s(pres, q) == 4
+
+
+def test_hdeg_by_linear_descent_matches_the_route_over_s():
+    """On seeded modules (_draw_module) with linear Q, and on every dual
+    of dimension >= 1 among them, the descent to S/(l) gives the Hilbert
+    function, e0, hdeg and torsions of the route over S, and the report
+    (which descends at every dual) gives hdeg and torsions of that route."""
+    rng = random.Random(4401)
+    seen = Counter()
+    cases = [_instance(gen_example_39(2, 1)), _instance(gen_example_39(2, 2))]
+    for _ in range(160):
+        pres = _draw_module(rng)
+        ring = pres.ring
+        q = [_linear(rng, ring) for _ in range(max(pres.dim(), 0))]
+        if pres.dim() >= 1 and _is_parameter_system(pres, q):
+            cases.append((pres, q))
+    for pres, q in cases:
+        inv = invariant_report(pres, q)
+        assert (inv.hdeg, inv.torsions) == (_hdeg_over_s(pres, q), _torsions_over_s(pres, q))
+        modules = [pres] + [m for m in local_cohomology_duals(pres)[: pres.dim()] if m.dim() >= 1]
+        for k, m in enumerate(modules):
+            change = _check_descent(m, q)
+            kind = "dual" if k else "module"
+            seen[kind] += 1
+            seen[kind, "moved"] += bool(change.pivots)
+            seen[kind, "rank 2"] += m.rank >= 2
+    assert seen["module"] >= 80 and seen["module", "moved"] >= 30, seen
+    assert seen["dual"] >= 18 and seen["dual", "moved"] >= 8 and seen["dual", "rank 2"] >= 4, seen
+
+
+def _lengths_over_s(pres, seq):
+    """l(H_i(Q; M)) by the route over S: every C_i = F_i / (Q F_i + im
+    d_{i+1}), i = 0..d, presented over S with no base change, and HS(H_i) =
+    HS(C_i) - HS(F_{i-1} otimes S/Q) + HS(C_{i-1}).  The oracle of the
+    route over S/(linear generators of Q)."""
+    res = free_resolution(pres)
+    s_mod_q = {0: 1}
+    for a in seq:
+        s_mod_q = poly_add(s_mod_q, poly_shift(s_mod_q, a.degree()), sign=-1)
+    cokernels, free = [], []
+    for i in range(len(seq) + 1):
+        if i > res.length:
+            cokernels.append({})
+            free.append({})
+            continue
+        f = res.modules[i]
+        cols = [f.inject(a, c) for a in seq for c in range(f.rank)]
+        cols += res.diffs[i] if i < res.length else []
+        cokernels.append(Presentation(Algebra(pres.ring), f.rank, f.twists, cols).hilbert_numerator())
+        num = {}
+        for t in f.twists:
+            num = poly_add(num, poly_shift(s_mod_q, t))
+        free.append(num)
+    out = [series_length(cokernels[0], pres.ring.n)]
+    for i in range(1, len(seq) + 1):
+        num = poly_add(poly_add(cokernels[i], free[i - 1], sign=-1), cokernels[i - 1])
+        out.append(series_length(num, pres.ring.n))
+    return out
+
+
+@pytest.mark.parametrize("kind", ["linear", "linear and a quadric", "no linear"])
+def test_koszul_lengths_over_s_prime_match_the_route_over_s(kind):
+    """Seeded systems of parameters on modules (_draw_module), rank-2
+    twisted cokernels among them: all linear, linear with one quadric, or
+    no linear generator at all.  The Tor route, which presents C_i over
+    S/(linear generators of Q), gives the lengths of the route over S."""
+    rng = random.Random(2404)
+    compared = Counter()
+    for _ in range(120):
+        pres = _draw_module(rng)
+        ring, rank_two, d = pres.ring, pres.rank == 2, pres.dim()
+        seq = [_linear(rng, ring) for _ in range(max(d, 0))]
+        if kind != "linear" and d >= 1:
+            for k in range(d) if kind == "no linear" else [rng.randrange(d)]:
+                seq[k] = seq[k] * _linear(rng, ring) + _random_form(rng, ring, 2)
+        if d < 1 or not all(seq) or not _is_parameter_system(pres, seq):
+            continue
+        assert koszul_homology_lengths(pres, seq) == _lengths_over_s(pres, seq), (pres, seq)
+        top = min(d, free_resolution(pres).length)
+        compared["all"] += 1
+        compared["C_i"] += top >= 2
+        compared["rank 2"] += rank_two and top >= 2
+    assert compared["all"] >= 60 and compared["C_i"] >= 20 and compared["rank 2"] >= 8, compared
+
+
+@pytest.mark.parametrize("l, m", [(2, 1), (3, 1), (2, 2)])
+def test_koszul_lengths_of_ex39_match_the_route_over_s(l, m):
+    pres, q = _instance(gen_example_39(l, m))
+    assert koszul_homology_lengths(pres, q) == _lengths_over_s(pres, q)
