@@ -99,7 +99,10 @@ def _by_lead(elems, layout, field):
 
 class GroebnerEngine:
     """Incremental Buchberger.  Elements can be added after a compute();
-    the engine resumes with the new pairs only.
+    the engine resumes with the new pairs only.  Pairs run lowest degree
+    first, and on homogeneous input the basis is complete up to the degree
+    of the last pair run (a truncated Groebner basis): compute() runs every
+    pair, normal_form only those up to the degree it reduces.
 
     Terms are packed (kernel.Layout) on the way in, by add and
     normal_form, and unpacked on the way out, by normal_form and
@@ -132,12 +135,19 @@ class GroebnerEngine:
         self._add_terms(_pack(self.module, self.layout, el.terms))
 
     def normal_form(self, terms):
-        """The full normal form of {(comp, mono): coef} modulo the submodule
-        the engine holds, as {(comp, mono): coef} in descending term
-        order."""
-        self.compute()
+        """The full normal form of {(comp, mono): coef}, homogeneous of
+        degree D, modulo the submodule the engine holds, as {(comp, mono):
+        coef} in descending term order.
+
+        Only the pairs of degree <= D are run: leads of higher degree
+        divide no term of degree D, so the basis up to degree D gives the
+        normal form a full basis gives."""
         layout = self.layout
-        r, c = layout.reduce(_pack(self.module, layout, terms), self.by_comp, self.field)
+        packed = _pack(self.module, layout, terms)
+        if packed:
+            c, m = next(iter(terms))
+            self._run(self.deg(m) + self.module.twists[c])
+        r, c = layout.reduce(packed, self.by_comp, self.field)
         return layout.unpack(_unscaled(r, c, self.field))
 
     def _add_terms(self, terms):
@@ -167,11 +177,18 @@ class GroebnerEngine:
         members.append(idx)
 
     def compute(self):
+        """Run every pending pair: the basis is then a Groebner basis."""
+        self._run(None)
+        return self
+
+    def _run(self, upto):
+        """Run the pending pairs of degree <= upto (all when upto is
+        None), lowest degree first."""
         coprime_test = self.module.rank == 1
         base = self.layout.base[0] if coprime_test else None
-        packed = self.packed_leads
-        while self.pairs:
-            deg, i, j = heapq.heappop(self.pairs)
+        packed, pairs = self.packed_leads, self.pairs
+        while pairs and (upto is None or pairs[0][0] <= upto):
+            deg, i, j = heapq.heappop(pairs)
             lcm = self.pending.pop((i, j))
             if lcm is None:
                 raise DegreeCapError(self.cap)
@@ -181,7 +198,6 @@ class GroebnerEngine:
             if self._chain_skip(i, j, lcm):
                 continue
             self._add_terms(self._spair(i, j, qi, lcm - packed[j]))
-        return self
 
     def _chain_skip(self, i, j, lcm):
         """The chain criterion: some other lead k in the component of the

@@ -11,7 +11,7 @@ from collections import Counter
 from .errors import EngineBugError, InhomogeneousError
 from .freemod import FreeElement, FreeModule
 from .groebner import GroebnerEngine, groebner_basis, lift_relations, normal_forms
-from .kernel import mono_deg, mono_mul
+from .kernel import mono_mul
 from .monomial_ideals import eval_at_one, hilbert_numerators, poly_add, poly_shift, reduce_pole
 from .ring import Polynomial, PolyRing
 
@@ -188,13 +188,15 @@ class Presentation:
         return Presentation(self.algebra, len(gens), twists, cols)
 
     def minimized(self):
-        """An isomorphic presentation with no constant matrix entries."""
-        rank, twists, cols = _prune_constants(
-            self.ring, self.rank, self.twists, self.relation_gens()
-        )
-        # J re-enters via Presentation's relation_gens; stripping duplicate
-        # copies of it here is only an optimization, not required.
-        return Presentation(self.algebra, rank, twists, cols)
+        """An isomorphic presentation with no constant matrix entries: M
+        itself when no relation has one, else M presented (subquotient) on
+        the minimal_generators of the basis of F modulo the relations."""
+        rels = self.relation_gens()
+        zero = self.ring.zero_mono
+        if all(m != zero for col in rels for _, m in col.terms):
+            return self
+        basis = [self.ambient.basis(i) for i in range(self.rank)]
+        return self.subquotient(minimal_generators(basis, rels))
 
     def __repr__(self):
         return (
@@ -399,47 +401,6 @@ def linear_annihilators(pres):
     ]
 
 
-def _prune_constants(ring, rank, twists, cols):
-    """Gaussian elimination of unit matrix entries (graded Nakayama)."""
-    cols = [c for c in cols if c]
-    while True:
-        hit = None
-        for ci, col in enumerate(cols):
-            for (comp, m), v in col.terms.items():
-                if mono_deg(m) == 0:
-                    hit = (ci, comp, v)
-                    break
-            if hit:
-                break
-        if hit is None:
-            break
-        ci, comp, v = hit
-        col = cols[ci]
-        inv = ring.field.div(ring.field.one, v)
-        new_cols = []
-        for j, d in enumerate(cols):
-            if j == ci:
-                continue
-            p = d.component(comp)
-            if p:
-                d = d - (p.scale(inv) * col)
-            new_cols.append(d)
-        # drop the eliminated component everywhere
-        rank -= 1
-        twists = twists[:comp] + twists[comp + 1 :]
-        module = FreeModule(ring, rank, twists)
-        cols = []
-        for d in new_cols:
-            terms = {}
-            for (c, m), coeff in d.terms.items():
-                if c == comp:
-                    raise EngineBugError("pruning left a term in a dropped component")
-                terms[(c - 1 if c > comp else c, m)] = coeff
-            if terms:
-                cols.append(FreeElement(module, terms))
-    return rank, twists, cols
-
-
 # ---- submodule calculus inside a presentation ------------------------
 
 
@@ -535,17 +496,22 @@ def submodule_gb(pres, gens):
     return groebner_basis(gens + pres.relation_gens(), module=pres.ambient)
 
 
-def minimal_generators(gens):
-    """A minimal homogeneous generating subset (graded Nakayama greedy)."""
+def minimal_generators(gens, modulo=()):
+    """A minimal homogeneous generating subset of the images of gens in
+    F / <modulo>, the package's one minimality rule (graded Nakayama): in
+    ascending degree, a generator is kept iff it is not in <modulo> +
+    <kept>.  Each test runs the engine's pairs only up to the degree of
+    the generator it tests (GroebnerEngine.normal_form)."""
     gens = [g for g in gens if g]
     if not gens:
         return []
-    module = gens[0].module
-    order = sorted(range(len(gens)), key=lambda i: gens[i].homogeneous_degree())
-    eng = GroebnerEngine(module)
+    eng = GroebnerEngine(gens[0].module)
+    for m in modulo:
+        if m:
+            eng.add(m)
     kept = []
-    for i in order:
-        if eng.normal_form(gens[i].terms):
-            kept.append(gens[i])
-            eng.add(gens[i])
+    for g in sorted(gens, key=FreeElement.homogeneous_degree):
+        if eng.normal_form(g.terms):
+            kept.append(g)
+            eng.add(g)
     return kept

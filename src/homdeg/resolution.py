@@ -5,10 +5,13 @@ Everything is computed over the polynomial cover S; a module over A = S/J
 is just an S-module killed by J.  The resolution is minimal (no constant
 entries in any differential), so its length equals the projective
 dimension and is bounded by the number of variables; depth M = n - pd M
-(Auslander-Buchsbaum).  Each syzygy step is
-groebner.lift_relations(columns, []), minimally generated.  Ext^i is the
-homology of the dualized resolution, presented by two more
-lift_relations calls: the cycles, then the cycles modulo the boundaries.
+(Auslander-Buchsbaum).  Minimality has one rule,
+modules.minimal_generators (graded Nakayama), whose membership tests run
+Groebner pairs only up to the degree they test: F_0 comes from
+Presentation.minimized, and each syzygy step is the minimal generators of
+groebner.lift_relations(columns, []).  Ext^i is the homology of the
+dualized resolution, presented by two more lift_relations calls: the
+cycles, then the minimal generators of the cycles modulo the boundaries.
 Only Ext^{n-d}..Ext^n are computed: Ext^i vanishes below the grade
 n - d, d = dim M (Bruns and Herzog, Cohen-Macaulay Rings, 1.2.10).
 """
@@ -16,8 +19,8 @@ n - d, d = dim M (Bruns and Herzog, Cohen-Macaulay Rings, 1.2.10).
 from .errors import EngineBugError
 from .freemod import FreeElement, FreeModule
 from .groebner import lift_relations
+from .kernel import mono_mul
 from .modules import Algebra, Presentation, minimal_generators
-from .ring import Polynomial
 
 
 class FreeResolution:
@@ -72,15 +75,18 @@ def _resolve(pres):
 
 
 def _check_complex(res):
-    """Verify d_{i} o d_{i+1} = 0 for every consecutive pair."""
+    """Verify d_{i} o d_{i+1} = 0 for every consecutive pair: the image of
+    each column of d_{i+1} is summed term by term in one dict."""
+    zero = res.modules[0].ring.field.zero
     for i in range(1, len(res.diffs)):
-        prev_cols = res.diffs[i - 1]
-        lower = res.modules[i - 1]
+        prev_cols = [col.terms for col in res.diffs[i - 1]]
         for col in res.diffs[i]:
-            img = lower.zero()
+            img = {}
             for (c, m), v in col.terms.items():
-                img = img + Polynomial(lower.ring, {m: v}) * prev_cols[c]
-            if img:
+                for (c2, m2), v2 in prev_cols[c].items():
+                    t = (c2, mono_mul(m, m2))
+                    img[t] = img.get(t, zero) + v * v2
+            if any(img.values()):
                 raise EngineBugError("resolution differentials do not compose to zero")
 
 
@@ -109,7 +115,8 @@ def _ext_at(res, i):
 
     The cycles are the relations of the outgoing columns, re-homed to
     F_i^* (all of F_i^* when i = L); Ext^i is the subquotient they span
-    in F_i^* modulo the boundaries, the incoming columns."""
+    in F_i^* modulo the boundaries, the incoming columns, presented on
+    their minimal_generators modulo the boundaries."""
     plain = Algebra(res.modules[0].ring, ())
     L = res.length
     if i > L:
@@ -127,7 +134,7 @@ def _ext_at(res, i):
     else:
         cycles = [dual_fi.basis(j) for j in range(dual_fi.rank)]
     f_dual = Presentation(plain, dual_fi.rank, dual_fi.twists, boundaries)
-    return f_dual.subquotient(cycles).minimized()
+    return f_dual.subquotient(minimal_generators(cycles, boundaries))
 
 
 def local_cohomology_duals(pres):

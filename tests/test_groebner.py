@@ -781,6 +781,54 @@ def test_fraction_free_normal_forms_match_a_fraction_reducer(seed):
     assert scaled_steps
 
 
+def test_normal_form_runs_pairs_only_up_to_its_degree():
+    """normal_form of a degree-3 element runs the pair of degree 3 and
+    leaves those of degree 5 and 6: its normal form is the one a fully
+    computed engine gives, and no pair of degree <= 3 is left."""
+    ring = PolyRing(("x", "y", "z"))
+    x, y, z = ring.gens()
+    mod = FreeModule(ring, 1)
+    probe = mod.inject(x**2 * y + x * z**2 + y**3).terms
+
+    def engine():
+        eng = GroebnerEngine(mod)
+        for g in (x**2 + y * z, x * y + z**2, y**4 + x * z**3):
+            eng.add(mod.inject(g))
+        return eng
+
+    lazy = engine()
+    assert lazy.normal_form(probe) == engine().compute().normal_form(probe)
+    assert lazy.pairs and all(deg > 3 for deg, _, _ in lazy.pairs)
+    assert len(lazy.basis) == 4  # the S-pair of degree 3 was added
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_truncated_normal_forms_match_a_computed_engine(seed):
+    """On seeded rank-1 and rank-2 draws, probes of degree D in any order:
+    each normal form equals the fully computed engine's, and the pairs
+    left on the heap are all of degree > D."""
+    rng = random.Random(1300 + seed)
+    ring = PolyRing(("x", "y", "z"))
+    left = 0
+    for _ in range(10):
+        twists = tuple(rng.randint(0, 1) for _ in range(rng.randint(1, 2)))
+        module = FreeModule(ring, len(twists), twists)
+        lazy, full = GroebnerEngine(module), GroebnerEngine(module)
+        for terms in (_homogeneous_terms(rng, 3, twists, rng.randint(1, 3)) for _ in range(4)):
+            if terms:
+                lazy.add(FreeElement(module, terms))
+                full.add(FreeElement(module, terms))
+        full.compute()
+        for deg in rng.sample(range(1, 6), 5):
+            probe = _homogeneous_terms(rng, 3, twists, deg)
+            if not probe:
+                continue
+            assert lazy.normal_form(probe) == full.normal_form(probe)
+            assert all(d > deg for d, _, _ in lazy.pairs)
+            left += bool(lazy.pairs)
+    assert left
+
+
 # ---- the packed field width ---------------------------------------------
 
 

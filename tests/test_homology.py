@@ -70,15 +70,59 @@ def test_resolution_koszul_complex():
     assert res.betti_numbers() == [1, 3, 3, 1]
 
 
+def _constant_entries(cols):
+    """The constant entries of a list of columns: none in a minimal map."""
+    return [v for col in cols for (_, m), v in col.terms.items() if not any(m)]
+
+
 def test_resolution_minimality():
+    """No differential of the resolution and no column of a
+    local-cohomology dual has a constant entry, on k[x,y]/(x^2, xy) and on
+    seeded draws: Presentation.minimized and _ext_at keep them minimal by
+    minimal_generators alone."""
     ring = PolyRing(("x", "y"))
     x, y = ring.gens()
-    pres = Algebra(ring, [x**2, x * y]).as_module()
-    res = free_resolution(pres)
-    for cols in res.diffs:
-        for col in cols:
-            for (c, m), v in col.terms.items():
-                assert sum(m) > 0  # no constant entries: resolution minimal
+    rng = random.Random(2500)
+    for pres in [Algebra(ring, [x**2, x * y]).as_module()] + [_draw_module(rng) for _ in range(16)]:
+        for cols in free_resolution(pres).diffs:
+            assert not _constant_entries(cols), pres
+        for j, mj in enumerate(local_cohomology_duals(pres)):
+            assert not _constant_entries(mj.columns), (pres, j)
+
+
+def _found_rank_two(field):
+    """The cokernel over k[x,y,z,w]/(x^2 z) with twists (0, 1) whose
+    resolution once took half a minute over GF(32003)."""
+    ring = PolyRing(("x", "y", "z", "w"), field=field)
+    x, y, z, w = ring.gens()
+    ambient = FreeModule(ring, 2, (0, 1))
+    entries = [
+        (y * w**2 + z * w**2, y**2 + 3 * y * w),
+        (y**2 * z - 2 * x * w**2, -2 * x * y),
+        (-2 * y**2 * w + z * w**2, -(y**2)),
+        (-2 * x * z + y * w, 3 * w),
+    ]
+    cols = [ambient.inject(a, 0) + ambient.inject(b, 1) for a, b in entries]
+    return Presentation(Algebra(ring, [x**2 * z]), 2, (0, 1), cols)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["QQ", "GF(32003)"])
+def test_rank_two_module_in_four_variables_resolves(field):
+    assert free_resolution(_found_rank_two(field)).betti_numbers() == [2, 6, 15, 17, 6]
+
+
+def test_check_complex_catches_a_perturbed_differential():
+    """d o d = 0 is checked: one entry of d_2 of the Koszul resolution of
+    k, doubled, makes the differentials compose to x y != 0."""
+    ring = PolyRing(("x", "y", "z"))
+    res = free_resolution(Algebra(ring, list(ring.gens())).as_module())
+    resolution._check_complex(res)
+    diffs = [list(cols) for cols in res.diffs]
+    col = diffs[1][0]
+    t, v = next(iter(col.terms.items()))
+    diffs[1][0] = FreeElement(col.module, {**col.terms, t: v * 2})
+    with pytest.raises(EngineBugError, match="do not compose to zero"):
+        resolution._check_complex(FreeResolution(res.modules, diffs))
 
 
 def test_ext_principal_ideal():

@@ -26,6 +26,7 @@ from homdeg.modules import (
     colon_by_ideal,
     ideal_cache_key,
     intersect_submodules,
+    minimal_generators,
     submodule_key,
 )
 
@@ -190,6 +191,61 @@ def test_colon_matches_reference_colon():
                 sub,
                 f,
             )
+
+
+def _redundant_gens(rng, ring, module):
+    """Seeded generators of a submodule of module: random elements of
+    degree 1-2, then combinations of them with random forms (which lie in
+    their span, often only through an S-pair) and a few fresh elements of
+    degree 2-3, in a shuffled order."""
+    base = [_random_element(rng, ring, module, rng.randint(1, 2)) for _ in range(rng.randint(1, 3))]
+    gens = [b for b in base if b]
+    for _ in range(rng.randint(1, 4)):
+        deg = rng.randint(2, 3)
+        el = module.zero()
+        for b in gens:
+            k = deg - b.homogeneous_degree()
+            if k >= 0:
+                el = el + _random_form(rng, ring, k) * b
+        gens.append(el)
+    gens += [_random_element(rng, ring, module, rng.randint(2, 3)) for _ in range(rng.randint(0, 2))]
+    rng.shuffle(gens)
+    return [g for g in gens if g]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["QQ", "GF(32003)"])
+def test_minimal_generators_meet_graded_nakayama(field):
+    """minimal_generators(gens, modulo) keeps l(N/mN) of gens, N the
+    submodule they span in F/<modulo> (read off the presentation of the
+    subquotient modulo the variables), and kept + modulo spans what gens
+    + modulo spans.  Rank 1-2, with and without modulo, seeded."""
+    rng = random.Random(1906)
+    ring = PolyRing(("x", "y", "z"), field=field)
+    plain = Algebra(ring)
+    dropped = 0
+    for rank in (1, 1, 2, 2):
+        for with_modulo in (False, True):
+            for _ in range(4):
+                twists = tuple(sorted(rng.randint(0, 1) for _ in range(rank)))
+                module = FreeModule(ring, rank, twists)
+                gens = _redundant_gens(rng, ring, module)
+                modulo = []
+                if with_modulo:
+                    modulo = [
+                        _random_element(rng, ring, module, rng.randint(1, 3))
+                        for _ in range(rng.randint(1, 2))
+                    ]
+                if not gens:
+                    continue
+                kept = minimal_generators(gens, modulo)
+                assert all(g in gens for g in kept)
+                sub = Presentation(plain, rank, twists, modulo).subquotient(gens)
+                assert len(kept) == sub.quotient_by_ideal(ring.gens()).length()
+                assert submodule_key(groebner_basis(kept + modulo, module=module)) == submodule_key(
+                    groebner_basis(gens + modulo, module=module)
+                )
+                dropped += len(gens) - len(kept)
+    assert dropped
 
 
 def test_lift_relations_of_zero_gens_are_units():
