@@ -18,7 +18,7 @@ from .dsl import (
     ParamsDecl,
     parse_input,
 )
-from .errors import DslError, EngineBugError, HomdegError
+from .errors import DegreeCapError, DslError, EngineBugError, HomdegError
 from .fields import QQ, PrimeField
 from .invariants import invariant_report
 from .verify import (
@@ -76,10 +76,11 @@ def build_arg_parser():
 @contextmanager
 def _positioned(stmt):
     """Report a ValueError raised while stmt runs, the library rejecting
-    its input, as a DslError at stmt."""
+    its input, or a DegreeCapError, a bound stopping it, as a DslError at
+    stmt."""
     try:
         yield
-    except ValueError as exc:
+    except (ValueError, DegreeCapError) as exc:
         raise DslError(str(exc), stmt.line, stmt.col) from exc
 
 

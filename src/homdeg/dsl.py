@@ -29,7 +29,7 @@ since the last `ring`.
 
 from dataclasses import dataclass, field
 
-from .errors import DslError
+from .errors import DegreeCapError, DslError
 from .fields import QQ, PrimeField
 from .freemod import FreeElement, FreeModule
 from .modules import Algebra, Presentation, intersect_submodules
@@ -389,7 +389,7 @@ class _Parser:
             b = self.expect_int() if t.text == "power" else self._ideal_expr()
             self.expect(")")
             if t.text == "intersect":
-                return self._intersect(a, b)
+                return self._intersect(t, a, b)
             if t.text == "product":
                 return _dedupe(f * g for f in a for g in b)
             out = a
@@ -416,13 +416,16 @@ class _Parser:
             return self._ideal_expr()
         return [self._poly()]
 
-    def _intersect(self, a, b):
+    def _intersect(self, tok, a, b):
+        """The generators of (a) cap (b); a degree-cap stop is an error at
+        tok."""
         one_mod = FreeModule(self.ring.ring, 1)
-        a = [g for g in a if g]
-        b = [g for g in b if g]
-        inter = intersect_submodules(
-            [one_mod.inject(g) for g in a], [one_mod.inject(g) for g in b], one_mod
-        )
+        a = [one_mod.inject(g) for g in a if g]
+        b = [one_mod.inject(g) for g in b if g]
+        try:
+            inter = intersect_submodules(a, b, one_mod)
+        except DegreeCapError as exc:
+            raise DslError(str(exc), tok.line, tok.col) from exc
         return [el.component(0) for el in inter]
 
     def _algebra(self):

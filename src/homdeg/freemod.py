@@ -6,7 +6,9 @@ from .ring import Polynomial
 
 
 class FreeModule:
-    """S^r with basis degrees (twists).  twists[i] is the degree of e_i."""
+    """S^r with basis degrees (twists).  twists[i] is the degree of e_i;
+    low = min(0, *twists), the twist floor the Groebner engine's packed
+    layout reserves room for."""
 
     def __init__(self, ring, rank, twists=None):
         self.ring = ring
@@ -14,6 +16,7 @@ class FreeModule:
         self.twists = tuple(twists) if twists is not None else (0,) * rank
         if len(self.twists) != rank:
             raise ValueError("twists length must equal rank")
+        self.low = min((0, *self.twists))
 
     def zero(self):
         return FreeElement(self, {})
@@ -135,15 +138,6 @@ class FreeElement:
         """The polynomial entry at component i."""
         terms = {m: c for (c_, m), c in self.terms.items() if c_ == i}
         return Polynomial(self.module.ring, terms)
-
-    def map_monos(self, f):
-        """Apply f to every monomial (used by ring substitutions)."""
-        ring = self.module.ring
-        out = self.module.zero()
-        for (c_, m), coef in self.terms.items():
-            p = f(Polynomial(ring, {m: coef}))
-            out = out + self.module.inject(p, c_)
-        return out
 
     def __repr__(self):
         if not self.terms:

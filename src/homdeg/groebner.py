@@ -42,10 +42,10 @@ class TermOrder:
 def _layout(module, order):
     """The packed layout of the terms of module under order, cached on the
     ring.  Its fields hold the largest raw degree of a term within the
-    ring's degree cap, the cap minus the smallest (negative) twist; the
+    ring's degree cap, the cap minus the twist floor module.low; the
     cap is read now, so a cap set after the ring was built holds."""
     ring = module.ring
-    bound = ring.degree_cap - min((0, *module.twists))
+    bound = ring.degree_cap - module.low
     key = (module.rank, max(bound, 1).bit_length(), order.split, order.weight)
     layout = ring.layouts.get(key)
     if layout is None:
@@ -61,14 +61,14 @@ def _pack(module, layout, terms):
     Reducing a term of degree D (with twist) against homogeneous elements
     makes terms of degree D, in any component c; their raw degree is at
     most D - twists[c], since every variable has degree >= 1.  So every
-    such term fits when D - min(0, *twists) <= fmax, and packing never
+    such term fits when D - module.low <= fmax, and packing never
     wraps.  Within the cap the bound holds by the choice of width.
     """
     deg, twists = module.ring.mono_degree, module.twists
     degs = {deg(m) + twists[c] for c, m in terms}
     if len(degs) > 1:
         raise InhomogeneousError(repr(FreeElement(module, terms)))
-    if degs and degs.pop() > layout.fmax + min((0, *twists)):
+    if degs and degs.pop() > layout.fmax + module.low:
         raise DegreeCapError(module.ring.degree_cap)
     return layout.pack(terms)
 

@@ -1,8 +1,10 @@
 """Hilbert series and Hilbert-Samuel functions, polynomials, and
 multiplicities with respect to an ideal generated by homogeneous forms.
 
-One route serves every homogeneous Q.  A change of coordinates turns the
-linear generators of Q into variables x_p (p a pivot).  Each remaining
+One route serves every homogeneous Q.  The package's one linear change of
+coordinates (modules.LinearBaseChange), with S kept as its target rather
+than S/(l) as for Tor and the descent of the duals, turns the linear
+generators of Q into variables x_p (p a pivot).  Each remaining
 generator f_j is adjoined as a new variable u_j of degree deg f_j, with
 the relations u_j e_i - f_j e_i: then M' = F'/(N + (u_j - f_j)F') is M
 again, and (x_P, u)^n M' = Q^n M.  One Groebner basis of the relations
@@ -21,7 +23,7 @@ from math import comb
 from .errors import EngineBugError, InhomogeneousError
 from .freemod import FreeElement, FreeModule
 from .groebner import GroebnerEngine, TermOrder
-from .modules import Algebra, Presentation, check_ideal_ring, linear_rows
+from .modules import Algebra, LinearBaseChange, Presentation, check_ideal_ring
 from .monomial_ideals import (
     divide_one_minus_t,
     eval_at_one,
@@ -74,31 +76,6 @@ def _ideal_gens(q_gens):
     return gens
 
 
-def _linearize(pres, linear, others):
-    """Change coordinates so that every linear generator of Q becomes a
-    variable.
-
-    Returns (isomorphic presentation, pivot indices, the polynomials in
-    others under the same change).  Redundant linear generators are
-    dropped by row reduction (modules.linear_rows): each pivot x_p goes to
-    x_p minus the tail of its reduced row.
-    """
-    if not linear:
-        return pres, [], others
-    ring = pres.ring
-    rows, pivots = linear_rows(ring, linear)
-    sub = [None] * ring.n
-    for row, p in zip(rows, pivots):
-        sub[p] = ring.var(p) - sum(
-            (ring.var(j).scale(c) for j, c in enumerate(row) if c and j != p), ring.zero
-        )
-    phi = lambda poly: poly.substitute(sub)
-    new_algebra = type(pres.algebra)(ring, [phi(g) for g in pres.algebra.relations])
-    new_cols = [c.map_monos(phi) for c in pres.columns]
-    new_pres = Presentation(new_algebra, pres.rank, pres.twists, new_cols)
-    return new_pres, pivots, [phi(f) for f in others]
-
-
 def _adjoin(pres, others):
     """(ambient, relations) of M' = F'/(N + (u_j - f_j)F') over the ring
     with a variable u_j of degree deg f_j appended for each f_j."""
@@ -134,43 +111,42 @@ def hilbert_coefficients(pres, q_gens):
     return pres.cached("samuel", lambda: exact_coefficients(pres, q_gens), q_gens)
 
 
-def _gr_basis(pres, q_gens, carry=()):
+def _gr_basis(pres, q_gens):
     """The one weighted Groebner basis that presents gr_Q(M).
 
-    _linearize and _adjoin turn Q into (x_p : p in P) + (u_j); the
-    relations of M' go into one engine under TermOrder(rank, pivot), pivot
-    the weight 1 on the x_p and the u_j.  The polynomials in carry take
-    the same change of coordinates.  Returns (computed engine, pivot,
-    carried polynomials, still over the ring of M).
+    A LinearBaseChange that keeps S makes each row-reduced linear
+    generator of Q a variable x_p; _adjoin then turns Q into (x_p : p in
+    P) + (u_j), and the relations of M' go into one engine under
+    TermOrder(rank, pivot), pivot the weight 1 on the x_p and the u_j.
+    Returns (computed engine, pivot, the change of coordinates).
     """
     gens = _ideal_gens(q_gens)
-    others = [g for g in gens if g.degree() != 1]
-    pres, pivots, moved = _linearize(
-        pres, [g for g in gens if g.degree() == 1], others + list(carry)
-    )
-    others, carried = moved[: len(others)], moved[len(others) :]
+    change = LinearBaseChange(pres.ring, [g for g in gens if g.degree() == 1], quotient=False)
+    pres = change.presentation(pres)
+    others = [change.poly(g) for g in gens if g.degree() != 1]
     if others:
         ambient, rels = _adjoin(pres, others)
     else:
         ambient, rels = pres.ambient, pres.relation_gens()
     nvars = ambient.ring.n
     pivot = [0] * nvars
-    for p in pivots + list(range(pres.ring.n, nvars)):
+    for p in change.pivots + list(range(pres.ring.n, nvars)):
         pivot[p] = 1
     eng = GroebnerEngine(ambient, TermOrder(pres.rank, pivot))
     for rel in rels:
         eng.add(rel)
     eng.compute()
-    return eng, pivot, carried
+    return eng, pivot, change
 
 
 def exact_coefficients(pres, q_gens):
     """The Samuel polynomial of Q on M from one weighted Groebner basis.
 
-    After _linearize and _adjoin, Q = (x_p : p in P) + (u_j) with r pivots
-    and k adjoined variables, c = n - r other variables.  The lead terms
-    of the relations under TermOrder(rank, weight = pivot indicator) span
-    a monomial module with the bigraded Hilbert series of gr_Q(M),
+    After _gr_basis's change of coordinates and _adjoin, Q = (x_p : p in
+    P) + (u_j) with r pivots and k adjoined variables, c = n - r other
+    variables.  The lead terms of the relations under TermOrder(rank,
+    weight = pivot indicator) span a monomial module with the bigraded
+    Hilbert series of gr_Q(M),
 
         N(t_x, t_y) / ((1 - t_x)^(r + k) (1 - t_y)^c),
 
@@ -231,12 +207,14 @@ def associated_graded(pres, q_gens, a):
 
     G = F'/in_w(N') is presented by the lowest-weight parts of the
     weighted reduced basis, which generate in_w(N').  a* is the weight-1
-    part of the normal form of a modulo J + (u_j - f_j), whose basis is
-    the weighted basis of A itself.  Reduction under the weighted order
-    never lowers the weight of the term it reduces, so a term of weight 0
-    survives iff a is not in Q + J: then ValueError.
+    part of the normal form of a (in the coordinates of _gr_basis) modulo
+    J + (u_j - f_j), whose basis is the weighted basis of A itself.
+    Reduction under the weighted order never lowers the weight of the
+    term it reduces, so a term of weight 0 survives iff a is not in
+    Q + J: then ValueError.
     """
-    eng, pivot, (a,) = _gr_basis(pres, q_gens, [a])
+    eng, pivot, change = _gr_basis(pres, q_gens)
+    a = change.poly(a)
     same = pres.rank == 1 and not pres.columns  # M = A: one basis serves both
     j_basis = eng if same else _gr_basis(pres.algebra.as_module(), q_gens)[0]
     ring = eng.ring

@@ -282,14 +282,20 @@ def linear_rows(ring, forms):
 
 
 class LinearBaseChange:
-    """The map of S onto S' = S/(l_1, ..., l_c) = k[non-pivot variables]
-    for linear forms l_i of S.  The forms are row-reduced (linear_rows);
-    each pivot variable x_p goes to minus the tail of its row, which holds
-    non-pivot variables only, and every other variable to itself.  It
-    maps polynomials, free elements and presentations.  With no forms S'
-    is S and every map returns its argument.
+    """The package's one linear change of coordinates, for linear forms
+    l_1, ..., l_c of S, row-reduced (linear_rows): each pivot variable x_p
+    goes to an image built from the tail of its row, which holds non-pivot
+    variables only, and every other variable to itself.  It maps
+    polynomials, free elements and presentations, onto one of two targets.
+    With no forms the target is S and every map returns its argument.
 
-    An S-module N killed by the l_i (c pivots) is the S'-module N' = N
+    - quotient=True: S' = S/(l_1, ..., l_c) = k[non-pivot variables], and
+      x_p goes to minus its tail, so every l_i maps to 0.
+    - quotient=False: S' is S itself (the ring object), and x_p goes to
+      x_p minus its tail, so each reduced row maps to its pivot x_p.  This
+      is the change of coordinates that makes the l_i variables.
+
+    An S-module N killed by the l_i (c pivots) is the S/(l)-module N' = N
     otimes S', with the same Hilbert function: a numerator of N' over
     (1-t)^(n-c), times (1-t)^c, is one of N over (1-t)^n.  Its Ext and
     local cohomology descend too: Ext^{i+c}_S(N, S) = Ext^i_{S'}(N',
@@ -298,22 +304,31 @@ class LinearBaseChange:
     Local Cohomology, 4.2.1).
     """
 
-    def __init__(self, ring, forms):
+    def __init__(self, ring, forms, quotient=True):
         rows, self.pivots = linear_rows(ring, forms)
+        self.target = ring
         if not self.pivots:
-            self.target = ring
             return
-        keep = self.keep = [j for j in range(ring.n) if j not in self.pivots]
-        self.target = PolyRing(
-            [ring.names[j] for j in keep],
-            ring.field,
-            ring.degree_cap,
-            [ring.degrees[j] for j in keep],
-        )
+        n = ring.n
+        keep = [j for j in range(n) if j not in self.pivots]
+        if quotient:
+            self.target = PolyRing(
+                [ring.names[j] for j in keep],
+                ring.field,
+                ring.degree_cap,
+                [ring.degrees[j] for j in keep],
+            )
+        # variable i of the target takes the exponent at source[i] of
+        # m + (0,): a pivot of S reads that 0, its power goes to _power
+        self.source = keep if quotient else [n if j in self.pivots else j for j in range(n)]
         var = self.target.var
+        at = {j: i for i, j in enumerate(self.source)}
         self.images = [  # of the pivot variables
-            sum((var(i).scale(-row[j]) for i, j in enumerate(keep) if row[j]), self.target.zero)
-            for row in rows
+            sum(
+                (var(at[j]).scale(-row[j]) for j in keep if row[j]),
+                self.target.zero if quotient else var(p),
+            )
+            for row, p in zip(rows, self.pivots)
         ]
         self._powers = {}
 
@@ -330,10 +345,11 @@ class LinearBaseChange:
 
     def _map(self, terms):
         """{(c, m): v} over S -> its image over S'."""
-        keep, pivots, power = self.keep, self.pivots, self._power
+        source, pivots, power = self.source, self.pivots, self._power
         out = {}
         for (c, m), v in terms.items():
-            rest = tuple([m[j] for j in keep])
+            m0 = m + (0,)
+            rest = tuple([m0[j] for j in source])
             for mm, w in power(tuple([m[p] for p in pivots])).items():
                 t = (c, mono_mul(rest, mm))
                 s = out.get(t)
@@ -352,7 +368,7 @@ class LinearBaseChange:
 
     def free(self, module):
         """F otimes S' for a free module F over S."""
-        if not self.pivots:
+        if module.ring is self.target:
             return module
         return FreeModule(self.target, module.rank, module.twists)
 

@@ -187,29 +187,6 @@ class Polynomial:
             raise InhomogeneousError(str(self))
         return self.degree()
 
-    def substitute(self, sub):
-        """Apply the map x_i -> sub[i] (a Polynomial, or None to keep x_i)."""
-        ring = self.ring
-        out = ring.zero
-        pow_cache = {}
-        for m, c in self.terms.items():
-            part = Polynomial(ring, {ring.zero_mono: c})
-            plain = [0] * ring.n
-            for i, e in enumerate(m):
-                if not e:
-                    continue
-                if sub[i] is None:
-                    plain[i] = e
-                else:
-                    key = (i, e)
-                    if key not in pow_cache:
-                        pow_cache[key] = sub[i] ** e
-                    part = part * pow_cache[key]
-            if any(plain):
-                part = part * Polynomial(ring, {tuple(plain): ring.field.one})
-            out = out + part
-        return out
-
     def coefficient_of_degree_one(self):
         """Vector of coefficients of the linear monomials; None entries mean 0.
 

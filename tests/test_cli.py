@@ -246,21 +246,31 @@ def test_sample_cap_flag_is_gone(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "text",
+    "text, where",
     [
-        "ring S = QQ[x, y, z];\nideal J = (x*y^2, x*z);\nalgebra A = S / J;\n"
-        "params Q = (x - y, x - z);\ncheck invariants;\n",
-        "example ex46 l=2;\ncheck invariants;\n",
+        (
+            "ring S = QQ[x, y, z];\nideal J = (x*y^2, x*z);\nalgebra A = S / J;\n"
+            "params Q = (x - y, x - z);\ncheck invariants;\n",
+            "5:1",
+        ),
+        ("example ex46 l=2;\ncheck invariants;\n", "2:1"),
+        (
+            "ring S = QQ[x, y, z];\nideal J = intersect((x^2*y), (y^2*z));\n"
+            "algebra A = S / J;\nparams Q = (x - z, y - z);\ncheck invariants;\n",
+            "2:11",
+        ),
     ],
-    ids=["declared-ring", "example"],
+    ids=["declared-ring", "example", "intersect"],
 )
-def test_degree_cap_reaches_the_engine(tmp_path, capsys, text):
+def test_degree_cap_reaches_the_engine(tmp_path, capsys, text, where):
     """--degree-cap bounds the Groebner runs over a declared ring and over
-    a built-in example's ring alike."""
+    a built-in example's ring alike.  A stop exits 2, with no traceback,
+    at the statement that ran, or at the intersect token when the engine
+    runs while the script is parsed."""
     script = tmp_path / "cap.hd"
     script.write_text(text)
     code, out, err = run_cli(capsys, "--input", str(script), "--degree-cap", "2")
     assert code == 2
-    assert "error: computation exceeded the degree cap 2" in err
+    assert err == f"{script}:{where}: error: computation exceeded the degree cap 2\n"
     code, out, err = run_cli(capsys, "--input", str(script), "--degree-cap", "64")
     assert code == 0, err

@@ -119,13 +119,6 @@ def test_ring_mismatch(ring):
         ring.var(0) + other.var(0)
 
 
-def test_substitute(ring):
-    x, y, z = ring.gens()
-    p = x**2 + y * z
-    q = p.substitute([x - y, None, None])
-    assert q == (x - y) ** 2 + y * z
-
-
 def test_repr_round_trips_through_parser(ring):
     from homdeg.dsl import parse_input
 

@@ -37,6 +37,7 @@ from homdeg.modules import (
     LinearBaseChange,
     colon_by_ideal,
     linear_annihilators,
+    linear_rows,
     minimal_generators,
 )
 from homdeg.monomial_ideals import poly_add, poly_shift, series_length
@@ -364,6 +365,18 @@ def _random_form(rng, ring, deg):
     return form
 
 
+def _substitute(f, sub):
+    """f with x_i -> sub[i], term by term: the shear of the sheared
+    quotients, and the oracle of LinearBaseChange."""
+    out = f.ring.zero
+    for m, c in f.terms.items():
+        term = Polynomial(f.ring, {f.ring.zero_mono: c})
+        for form, e in zip(sub, m):
+            term = term * form**e
+        out = out + term
+    return out
+
+
 def _sheared_monomial_quotient(rng, ring):
     """k[x,y,z]/J for a monomial J moved by a unitriangular substitution."""
     sub = []
@@ -374,7 +387,7 @@ def _sheared_monomial_quotient(rng, ring):
         sub.append(form)
     rels = []
     for _ in range(rng.randint(1, 4)):
-        rels.append(_random_form(rng, ring, rng.randint(1, 3)).substitute(sub))
+        rels.append(_substitute(_random_form(rng, ring, rng.randint(1, 3)), sub))
     return Algebra(ring, rels).as_module()
 
 
@@ -517,15 +530,17 @@ def test_h0_length_by_series_matches_presented_torsion(corpus):
 
 
 def test_base_change_without_forms_is_the_identity():
-    """With no linear form S' is S and every map hands back its argument."""
+    """With no linear form S' is S and every map hands back its argument,
+    onto either target."""
     pres, q = _instance(gen_example_46(2))
-    change = LinearBaseChange(pres.ring, [])
-    assert change.target is pres.ring and change.pivots == []
-    assert change.poly(q[0]) is q[0]
-    assert change.free(pres.ambient) is pres.ambient
     col = pres.ideal_times_ambient(q)[0]
-    assert change.element(col, pres.ambient) is col
-    assert change.presentation(pres) is pres
+    for quotient in (True, False):
+        change = LinearBaseChange(pres.ring, [], quotient=quotient)
+        assert change.target is pres.ring and change.pivots == []
+        assert change.poly(q[0]) is q[0]
+        assert change.free(pres.ambient) is pres.ambient
+        assert change.element(col, pres.ambient) is col
+        assert change.presentation(pres) is pres
 
 
 def test_base_change_substitutes_fully_reduced_rows():
@@ -544,6 +559,24 @@ def test_base_change_substitutes_fully_reduced_rows():
     pres = Algebra(ring, [y + z, x + y, z**3]).as_module()
     down = change.presentation(pres)
     assert down.ring is change.target and down.length() == pres.length() == 3
+    # keeping S, x -> x + z and y -> y - z: each reduced row maps to its
+    # pivot, and x_p -> 0 after it is the projection above
+    keep = LinearBaseChange(ring, [y + z, x + y, x - z], quotient=False)
+    assert keep.target is ring and keep.pivots == [0, 1]
+    assert keep.poly(x - z) == x and keep.poly(y + z) == y
+    rng = random.Random(2601)
+    ambient = FreeModule(ring, 2, (0, 1))
+    down = change.free(ambient)
+    for _ in range(20):
+        deg = rng.randint(1, 4)
+        f = _random_form(rng, ring, deg)
+        el = ambient.inject(f) + ambient.inject(_random_form(rng, ring, deg - 1), 1)
+        kept = keep.poly(f).terms
+        assert {m[2:]: v for m, v in kept.items() if not any(m[:2])} == change.poly(f).terms
+        kept = keep.element(el, ambient).terms
+        assert {
+            (c, m[2:]): v for (c, m), v in kept.items() if not any(m[:2])
+        } == change.element(el, down).terms
 
 
 def _draw_module(rng):
@@ -557,6 +590,40 @@ def _draw_module(rng):
         return _twisted_rank_two(rng, PolyRing(("x", "y", "z"), field=field))
     ring = PolyRing(("x", "y", "z", "w")[: rng.choice((3, 4))], field=field)
     return _sheared_monomial_quotient(rng, ring)
+
+
+def test_base_change_keeping_s_is_the_substitution():
+    """On seeded modules (_draw_module) and seeded linear forms, the map
+    that keeps S presents M by the relations _substitute gives under x_p
+    -> x_p - tail_p, tail_p from the reduced rows (linear_rows)."""
+    rng = random.Random(2602)
+    moved = 0
+    for _ in range(40):
+        pres = _draw_module(rng)
+        ring = pres.ring
+        forms = [_linear(rng, ring) for _ in range(rng.randint(1, 3))]
+        sub = list(ring.gens())
+        rows, pivots = linear_rows(ring, forms)
+        for row, p in zip(rows, pivots):
+            sub[p] = sub[p] - sum(
+                (ring.var(j).scale(c) for j, c in enumerate(row) if c and j != p), ring.zero
+            )
+        change = LinearBaseChange(ring, forms, quotient=False)
+        image = change.presentation(pres)
+        assert image.ring is ring
+        assert [g.terms for g in image.algebra.relations] == [
+            _substitute(g, sub).terms for g in pres.algebra.relations
+        ]
+        assert [c.terms for c in image.columns] == [
+            {
+                (i, m): v
+                for i in range(pres.rank)
+                for m, v in _substitute(c.component(i), sub).terms.items()
+            }
+            for c in pres.columns
+        ]
+        moved += bool(pres.columns) and len(pivots) >= 2
+    assert moved >= 5
 
 
 def _over_s(numerator, change):
