@@ -460,7 +460,7 @@ class _Parser:
                     f"inhomogeneous matrix column {j}", ntok.line, ntok.col
                 )
             cols.append(el)
-        pres = Presentation(alg, rank, (0,) * rank, cols)
+        pres = Presentation(alg, ambient, cols)
         return self._declare(ModuleDecl(ntok.text, pres))
 
     def _params(self):
@@ -541,10 +541,10 @@ class _Parser:
             num = int(t.text)
             if self.peek().text == "/":
                 self.next()
-                den = self.expect_int()
-                if den == 0:
+                den = ring.field.from_int(self.expect_int())
+                if not den:  # 0 in the field: p | den over FP(p)
                     raise DslError("zero denominator", t.line, t.col)
-                c = ring.field.div(ring.field.from_int(num), ring.field.from_int(den))
+                c = ring.field.div(ring.field.from_int(num), den)
                 return Polynomial(ring, {ring.zero_mono: c} if c else {})
             return ring.const(num)
         if t.kind == "name":

@@ -336,23 +336,27 @@ def normal_forms(els, gb, order=None):
     return out
 
 
-def lift_relations(gens, modulo):
-    """Relations among the images of gens in F / <modulo>.
+def lift_relations(gens, modulo, source):
+    """Relations among the images of gens in F / <modulo>, written into
+    source, the free module whose i-th basis vector maps to gens[i].
 
-    Returns {a in S^k : sum a_i gens_i in <modulo>} as a reduced Groebner
-    basis in canonical order: the presentation matrix columns of the
-    subquotient (<gens> + <modulo>) / <modulo> on the generators gens.
-    They live in S^k with twists = the generator degrees, so they are
-    homogeneous.  lift_relations(gens, []) is the syzygy module of gens.
+    Returns {a in source : sum a_i gens_i in <modulo>} as a reduced
+    Groebner basis in canonical order: the presentation matrix columns of
+    the subquotient (<gens> + <modulo>) / <modulo> on the generators
+    gens.  lift_relations(gens, [], source) is the syzygy module of gens.
+    The one condition on source: its twists exceed the degrees of the
+    nonzero gens by one common shift, so the relations are homogeneous
+    (a zero generator's twist is free).
 
-    One Groebner run in F + S^k: only gens are tagged, g_i + e_{r+i} (a
-    zero g_i leaves e_{r+i}, its unit relation), and the modulo elements
-    go in untagged, in F alone.  Under the elimination order that puts F
-    first, the reduced basis elements whose lead lies in S^k are free of
-    F, and they are the reduced basis of the relations: an element a of
-    S^k lies in the span iff sum a_i g_i + sum b_j m_j = 0 for some b.
+    One Groebner run in F + source: only gens are tagged, g_i + e_{r+i}
+    (a zero g_i leaves e_{r+i}, its unit relation), with the tags twisted
+    by source's twists minus the shift, and the modulo elements go in
+    untagged, in F alone.  Under the elimination order that puts F first,
+    the reduced basis elements whose lead lies in the tags are free of F,
+    and they are the reduced basis of the relations: an element a of
+    source lies in the span iff sum a_i g_i + sum b_j m_j = 0 for some b.
     The kernel key ignores twists and keeps the order of the tag
-    components, so re-homed to S^k they stay reduced and in order.
+    components, so written into source they stay reduced and in order.
 
     This is the one relation-lifting primitive of the engine: syzygies and
     free resolutions, submodule presentations, colons and intersections
@@ -361,12 +365,13 @@ def lift_relations(gens, modulo):
     """
     if not gens:
         return []
+    if source.rank != len(gens):
+        raise ValueError("source rank must equal the number of generators")
     ambient = gens[0].module
     ring = ambient.ring
     r = ambient.rank
-    degs = tuple(g.homogeneous_degree() if g else 0 for g in gens)
-    target = FreeModule(ring, len(gens), degs)
-    big = FreeModule(ring, r + len(gens), ambient.twists + degs)
+    shift = next((t - g.homogeneous_degree() for t, g in zip(source.twists, gens) if g), 0)
+    big = FreeModule(ring, r + len(gens), ambient.twists + tuple(t - shift for t in source.twists))
     zero, one = ring.zero_mono, ring.field.one
     inputs = [
         FreeElement(big, {**g.terms, (r + i, zero): one}) for i, g in enumerate(gens)
@@ -376,5 +381,5 @@ def lift_relations(gens, modulo):
     for el in groebner_basis(inputs, module=big, order=TermOrder(r)):
         if next(iter(el.terms))[0] >= r:
             terms = {(c - r, m): v for (c, m), v in el.terms.items()}
-            out.append(FreeElement(target, terms))
+            out.append(FreeElement(source, terms))
     return out

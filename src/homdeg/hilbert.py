@@ -24,13 +24,7 @@ from .errors import EngineBugError, InhomogeneousError
 from .freemod import FreeElement, FreeModule
 from .groebner import GroebnerEngine, TermOrder
 from .modules import Algebra, LinearBaseChange, Presentation, check_ideal_ring
-from .monomial_ideals import (
-    divide_one_minus_t,
-    eval_at_one,
-    hilbert_numerators,
-    poly_add,
-    reduce_pole,
-)
+from .monomial_ideals import hilbert_numerators, poly_add, reduce_pole, series_length
 from .ring import PolyRing, Polynomial
 
 
@@ -151,9 +145,10 @@ def exact_coefficients(pres, q_gens):
         N(t_x, t_y) / ((1 - t_x)^(r + k) (1 - t_y)^c),
 
     t_x counting the pivot degree.  Every graded piece Q^j M / Q^(j+1) M
-    has finite length iff (1 - t_y)^c divides N exactly (ValueError if not
-    because M/QM has infinite length, else an engine bug); setting t_y = 1
-    then leaves sum_j l(Q^j M / Q^(j+1) M) t^j = h(t) / (1 - t)^s, so
+    has finite length iff (1 - t_y)^c divides N exactly: series_length of
+    each t_x-row over (1 - t_y)^c is then finite (ValueError if not
+    because M/QM has infinite length, else an engine bug).  Setting t_y =
+    1 leaves sum_j l(Q^j M / Q^(j+1) M) t^j = h(t) / (1 - t)^s, so
     e_i = h^(i)(1) / i! and l(M / Q^(n+1) M) = sum_k h_k C(n - k + s, s).
     """
     s = pres.dim()
@@ -173,14 +168,13 @@ def exact_coefficients(pres, q_gens):
         rows.setdefault(a, {})[b] = c
     series = {}
     for a, p in rows.items():
-        for _ in range(nvars - sum(pivot)):
-            if eval_at_one(p):
-                if pres.quotient_by_ideal(q_gens).length() is None:
-                    raise ValueError("not an ideal of definition: M/QM has infinite length")
-                raise EngineBugError("a graded piece of gr_Q(M) has infinite length")
-            p = divide_one_minus_t(p)
-        if eval_at_one(p):
-            series[a] = eval_at_one(p)
+        ln = series_length(p, nvars - sum(pivot))
+        if ln is None:
+            if pres.quotient_by_ideal(q_gens).length() is None:
+                raise ValueError("not an ideal of definition: M/QM has infinite length")
+            raise EngineBugError("a graded piece of gr_Q(M) has infinite length")
+        if ln:
+            series[a] = ln
     h, pole = reduce_pole(series, sum(pivot))
     if pole != s:
         raise EngineBugError(
@@ -233,7 +227,7 @@ def associated_graded(pres, q_gens, a):
         low = weight(next(iter(g.terms))[1])
         terms = {(c, m): v for (c, m), v in g.terms.items() if weight(m) == low}
         cols.append(FreeElement(eng.module, terms))
-    return Presentation(Algebra(ring, ()), pres.rank, pres.twists, cols), a_star
+    return Presentation(Algebra(ring, ()), eng.module, cols), a_star
 
 
 def _eval_samuel(coeffs, n, s):

@@ -134,7 +134,7 @@ def _sub_length(quotient, gens):
     submodule is presented."""
     if not any(normal_forms(gens, quotient.gb())):
         return 0
-    outer = Presentation(quotient.algebra, quotient.rank, quotient.twists, gens)
+    outer = Presentation(quotient.algebra, quotient.ambient, gens)
     return series_length(_series_drop(quotient, outer), quotient.ring.n)
 
 
@@ -229,7 +229,7 @@ def is_d_sequence(pres, seq):
             cut = pres.quotient_by_ideal([*seq[: i - 1], seq[j - 1]])
             rhs = poly_shift(_series_drop(quotient, cut), a.homogeneous_degree())
             cols = quotient.columns + tuple(pres.ideal_times_ambient([a * seq[j - 1]]))
-            by_product = Presentation(pres.algebra, pres.rank, pres.twists, cols)
+            by_product = Presentation(pres.algebra, pres.ambient, cols)
             if _series_drop(quotient, by_product) != rhs:
                 return False, (i, j)
     return True, None

@@ -77,7 +77,7 @@ def _homology_lengths(pres, seq):
         # Q F_i ahead of the boundaries: Buchberger runs shorter that way
         q_f = [f.inject(a, c) for a in others for c in range(f.rank)]
         cols = [change.element(col, f) for col in res.diffs[i]]
-        num = Presentation(plain, f.rank, f.twists, q_f + cols).hilbert_numerator()
+        num = Presentation(plain, f, q_f + cols).hilbert_numerator()
         for _ in change.pivots:  # back over (1-t)^n
             num = poly_add(num, poly_shift(num, 1), sign=-1)
         cokernels[i] = num

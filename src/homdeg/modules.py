@@ -39,7 +39,7 @@ class Algebra:
 
     def as_module(self):
         """A as a module over itself."""
-        return Presentation(self, 1, (0,), ())
+        return Presentation(self, FreeModule(self.ring, 1), ())
 
     def __eq__(self, other):
         return (
@@ -58,25 +58,27 @@ class Algebra:
 
 
 class Presentation:
-    """A finitely generated graded module M = F / N, with F = S^rank
-    (twisted) and N spanned by the matrix columns plus J copies.
+    """A finitely generated graded module M = F / N, with F = ambient, a
+    FreeModule over the ring of algebra, and N spanned by the matrix
+    columns plus J copies.  Every column is an element of that ambient
+    object itself; rank and twists are read off it.
 
     Immutable.  Every quantity derived from M (its Groebner basis, its
     Hilbert series, M/QM, resolutions, duals, hdeg, ...) is computed on
     first use through `cached`, the one cache.
     """
 
-    def __init__(self, algebra, rank, twists, columns):
+    def __init__(self, algebra, ambient, columns):
         self.algebra = algebra
         self.ring = algebra.ring
-        self.rank = rank
-        self.twists = tuple(twists)
-        self.ambient = FreeModule(self.ring, rank, self.twists)
+        self.ambient = ambient
+        self.rank = ambient.rank
+        self.twists = ambient.twists
         cols = []
         for c in columns:
             if not c:
                 continue
-            if c.module != self.ambient:
+            if c.module is not ambient:
                 raise EngineBugError("presentation column in wrong ambient")
             if not c.is_homogeneous():
                 raise InhomogeneousError(repr(c))
@@ -173,7 +175,7 @@ class Presentation:
 
         def compute():
             cols = list(self.columns) + self.ideal_times_ambient(ideal_gens)
-            return Presentation(self.algebra, self.rank, self.twists, cols)
+            return Presentation(self.algebra, self.ambient, cols)
 
         return self.cached("quotient", compute, ideal_gens)
 
@@ -181,11 +183,9 @@ class Presentation:
         """The submodule of M spanned by (the images of) gens, presented on
         those generators."""
         gens = [g for g in gens if g]
-        if not gens:
-            return Presentation(self.algebra, 0, (), ())
-        cols = lift_relations(gens, self.relation_gens())
-        twists = tuple(g.homogeneous_degree() for g in gens)
-        return Presentation(self.algebra, len(gens), twists, cols)
+        source = FreeModule(self.ring, len(gens), [g.homogeneous_degree() for g in gens])
+        cols = lift_relations(gens, self.relation_gens(), source)
+        return Presentation(self.algebra, source, cols)
 
     def minimized(self):
         """An isomorphic presentation with no constant matrix entries: M
@@ -384,8 +384,7 @@ class LinearBaseChange:
             return pres
         algebra = Algebra(self.target, [self.poly(g) for g in pres.algebra.relations])
         ambient = self.free(pres.ambient)
-        cols = [self.element(c, ambient) for c in pres.columns]
-        return Presentation(algebra, pres.rank, pres.twists, cols)
+        return Presentation(algebra, ambient, [self.element(c, ambient) for c in pres.columns])
 
 
 def linear_annihilators(pres):
@@ -434,7 +433,8 @@ def intersect_submodules(gens1, gens2, module):
     g1 = [g for g in gens1 if g]
     if not g1 or not any(gens2):
         return []
-    out = [_image(a, g1, module) for a in lift_relations(g1, gens2)]
+    source = FreeModule(module.ring, len(g1), [g.homogeneous_degree() for g in g1])
+    out = [_image(a, g1, module) for a in lift_relations(g1, gens2, source)]
     out = [el for el in out if el]
     return groebner_basis(out, module=module) if out else []
 
@@ -444,13 +444,11 @@ def colon_by_ideal(pres, sub_gens, ideal_gens):
     N = <sub_gens> inside M and I = (ideal_gens), as a reduced Groebner
     basis in the ambient F of pres.  The zero ideal gives all of M.
 
-    One lift_relations: the relations of the images of e_1, ..., e_r under
-    u -> (f_1 u, ..., f_s u) in F^s, modulo a copy of N + relations(M) in
-    every block.  Block k is twisted by D - deg f_k (D = max deg f_k), so
-    every image is homogeneous of degree t_i + D.  The lift returns the
-    reduced basis of the colon in S^r twisted by t_i + D; the term order
-    ignores twists, so re-homed to F it is the reduced basis there, in
-    the same order."""
+    One lift_relations into F: the relations of the images of e_1, ...,
+    e_r under u -> (f_1 u, ..., f_s u) in F^s, modulo a copy of N +
+    relations(M) in every block.  Block k is twisted by D - deg f_k (D =
+    max deg f_k), so every image is homogeneous of degree t_i + D: the
+    twist t_i of e_i in F, shifted by the common D."""
     module = pres.ambient
     ideal_gens = [f for f in ideal_gens if f]
     if not ideal_gens:
@@ -472,7 +470,7 @@ def colon_by_ideal(pres, sub_gens, ideal_gens):
         for k in range(len(ideal_gens))
         for g in big_n
     ]
-    return [FreeElement(module, a.terms) for a in lift_relations(images, copies)]
+    return lift_relations(images, copies, module)
 
 
 def saturate(pres, sub_gens, ideal_gens):
@@ -480,7 +478,7 @@ def saturate(pres, sub_gens, ideal_gens):
     colon is taken in the free ambient F, with no relations appended:
     current already contains N + relations(M), so it is the same
     submodule."""
-    free = Presentation(Algebra(pres.ring), pres.rank, pres.twists, ())
+    free = Presentation(Algebra(pres.ring), pres.ambient, ())
     current = submodule_gb(pres, sub_gens)
     while True:
         nxt = colon_by_ideal(free, current, ideal_gens)

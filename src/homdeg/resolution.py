@@ -9,9 +9,10 @@ dimension and is bounded by the number of variables; depth M = n - pd M
 modules.minimal_generators (graded Nakayama), whose membership tests run
 Groebner pairs only up to the degree they test: F_0 comes from
 Presentation.minimized, and each syzygy step is the minimal generators of
-groebner.lift_relations(columns, []).  Ext^i is the homology of the
-dualized resolution, presented by two more lift_relations calls: the
-cycles, then the minimal generators of the cycles modulo the boundaries.
+groebner.lift_relations(columns, [], F_{i+1}), written straight into the
+next free module.  Ext^i is the homology of the dualized resolution,
+presented by two more lift_relations calls: the cycles, into F_i^*, then
+the minimal generators of the cycles modulo the boundaries.
 Only Ext^{n-d}..Ext^n are computed: Ext^i vanishes below the grade
 n - d, d = dim M (Bruns and Herzog, Cohen-Macaulay Rings, 1.2.10).
 """
@@ -27,7 +28,8 @@ class FreeResolution:
     """0 <- M <- F_0 <- F_1 <- ... <- F_L <- 0 with minimal differentials.
 
     modules[i] is F_i; diffs[i] is the list of columns of
-    d_{i+1} : F_{i+1} -> F_i, so diffs[0] presents M.
+    d_{i+1} : F_{i+1} -> F_i, elements of the object modules[i], so
+    diffs[0] presents M.
     """
 
     def __init__(self, modules, diffs):
@@ -62,13 +64,10 @@ def _resolve(pres):
     while current:
         if len(diffs) >= guard:
             raise EngineBugError("resolution exceeds the syzygy-theorem bound")
-        lower = modules[-1]
-        # re-home the columns in the target of the differential
-        cols = [FreeElement(lower, dict(g.terms)) for g in current]
-        diffs.append(cols)
-        degs = tuple(g.homogeneous_degree() for g in current)
-        modules.append(FreeModule(ring, len(current), degs))
-        current = minimal_generators(lift_relations(current, []))
+        diffs.append(current)
+        source = FreeModule(ring, len(current), [g.homogeneous_degree() for g in current])
+        modules.append(source)
+        current = minimal_generators(lift_relations(current, [], source))
     res = FreeResolution(modules, diffs)
     _check_complex(res)
     return res
@@ -95,45 +94,45 @@ def _dual(f):
     return FreeModule(f.ring, f.rank, tuple(-t for t in f.twists))
 
 
-def _transpose_columns(cols, source, target):
-    """Columns of the dual map: row i of the matrix whose columns are cols.
+def _transpose_columns(cols, dual):
+    """Columns of the dual map: row j of the matrix whose columns are cols.
 
-    cols : source -> target (free modules); the dual map goes
-    target^* -> source^*, and its column j collects entry j of each col.
-    """
-    dual_target = _dual(source)
-    rows = [{} for _ in range(target.rank)]
+    cols, a nonempty list, are the columns of a map F -> G of free
+    modules, each an element of the object G; dual is F^*.  The dual map
+    goes G^* -> F^*, and its column j, an element of dual, collects entry
+    j of each col (0 for a zero row)."""
+    rows = [{} for _ in range(cols[0].module.rank)]
     for i, col in enumerate(cols):
         for (c, m), v in col.terms.items():
             rows[c][(i, m)] = v
-    return [FreeElement(dual_target, t) for t in rows]
+    return [FreeElement(dual, t) for t in rows]
 
 
 def _ext_at(res, i):
     """Ext^i_S(M, S) = ker(d_{i+1}^*) / im(d_i^*) at F_i^*, minimally
     presented over S.
 
-    The cycles are the relations of the outgoing columns, re-homed to
-    F_i^* (all of F_i^* when i = L); Ext^i is the subquotient they span
-    in F_i^* modulo the boundaries, the incoming columns, presented on
-    their minimal_generators modulo the boundaries."""
-    plain = Algebra(res.modules[0].ring, ())
+    One F_i^* holds both: the boundaries, the incoming columns, and the
+    cycles, the relations of the outgoing columns written into it (all
+    of F_i^* when i = L).  Ext^i is the subquotient the cycles span in
+    F_i^* modulo the boundaries, presented on their minimal_generators
+    modulo the boundaries.  A zero row of d_{i+1} is a zero outgoing
+    column, and its basis vector of F_i^* keeps its own twist."""
+    ring = res.modules[0].ring
+    plain = Algebra(ring, ())
     L = res.length
     if i > L:
-        return Presentation(plain, 0, (), ())
+        return Presentation(plain, FreeModule(ring, 0), ())
     dual_fi = _dual(res.modules[i])
     # incoming d_i^* : F_{i-1}^* -> F_i^*, from diffs[i-1] : F_i -> F_{i-1}
-    if i >= 1:
-        boundaries = _transpose_columns(res.diffs[i - 1], res.modules[i], res.modules[i - 1])
-    else:
-        boundaries = []
+    boundaries = _transpose_columns(res.diffs[i - 1], dual_fi) if i >= 1 else []
     # outgoing d_{i+1}^* : F_i^* -> F_{i+1}^*, from diffs[i] : F_{i+1} -> F_i
     if i < L:
-        outgoing = _transpose_columns(res.diffs[i], res.modules[i + 1], res.modules[i])
-        cycles = [FreeElement(dual_fi, a.terms) for a in lift_relations(outgoing, [])]
+        outgoing = _transpose_columns(res.diffs[i], _dual(res.modules[i + 1]))
+        cycles = lift_relations(outgoing, [], dual_fi)
     else:
         cycles = [dual_fi.basis(j) for j in range(dual_fi.rank)]
-    f_dual = Presentation(plain, dual_fi.rank, dual_fi.twists, boundaries)
+    f_dual = Presentation(plain, dual_fi, boundaries)
     return f_dual.subquotient(minimal_generators(cycles, boundaries))
 
 

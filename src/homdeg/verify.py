@@ -24,8 +24,6 @@ from dataclasses import dataclass, field
 from itertools import permutations
 
 from .errors import EngineBugError
-from .freemod import FreeModule
-from .groebner import groebner_basis
 from .invariants import (
     _duals,
     _sub_length,
@@ -262,11 +260,8 @@ def gen_example_39(l, m, field=None, degree_cap=64):
     xs = [ring.var(i) for i in range(l)]
     ys = [ring.var(l + i) for i in range(l)]
     zs = [ring.var(2 * l + j) for j in range(m)]
-    # (X) cap (Y) of two monomial ideals is spanned by the lcms x_i y_j
-    one_mod = FreeModule(ring, 1)
-    inter = groebner_basis([one_mod.inject(x * y) for x in xs for y in ys], module=one_mod)
-    j_gens = [el.component(0) for el in inter]
-    pres = Algebra(ring, j_gens).as_module()
+    # (X) cap (Y) of two monomial ideals: the lcms x_i y_j, its reduced basis
+    pres = Algebra(ring, [x * y for x in xs for y in ys]).as_module()
     q = [x - y for x, y in zip(xs, ys)] + zs
     return ProblemInstance(pres, q, {"family": "ex39", "params": {"l": l, "m": m}})
 

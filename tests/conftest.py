@@ -24,8 +24,8 @@ def _alg_instance(names, rel_fn, q_fn, tag, **params):
 def _module_instance(names, rank, twists, cols_fn, q_fn, tag, **params):
     ring = PolyRing(names)
     gens = ring.gens()
-    alg = Algebra(ring, ())
-    pres = Presentation(alg, rank, twists, cols_fn(ring, *gens))
+    ambient = FreeModule(ring, rank, twists)
+    pres = Presentation(Algebra(ring, ()), ambient, cols_fn(ambient, *gens))
     q = list(q_fn(*gens))
     return ProblemInstance(pres, q, {"family": tag, "params": params})
 
@@ -82,7 +82,7 @@ def build_corpus():
             ("x", "y"),
             2,
             (0, 1),
-            lambda ring, x, y: [],
+            lambda ambient, x, y: [],
             lambda x, y: (x, y),
             "free_rank2",
         )
@@ -150,10 +150,7 @@ def build_corpus():
             ("x", "y"),
             2,
             (0, 0),
-            lambda ring, x, y: [
-                FreeModule(ring, 2).inject(x**2, 0),
-                FreeModule(ring, 2).inject(y, 1),
-            ],
+            lambda ambient, x, y: [ambient.inject(x**2, 0), ambient.inject(y, 1)],
             lambda x, y: (x + y,),
             "sum_thick_line",
         )

@@ -274,3 +274,23 @@ def test_degree_cap_reaches_the_engine(tmp_path, capsys, text, where):
     assert err == f"{script}:{where}: error: computation exceeded the degree cap 2\n"
     code, out, err = run_cli(capsys, "--input", str(script), "--degree-cap", "64")
     assert code == 0, err
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("ring S = QQ[x, y];\nideal J = (1/0*x*y);\n", "2:12"),
+        ("ring S = FP(5)[x, y];\nideal J = (1/5*x*y);\n", "2:12"),
+        ("ring S = FP(5)[x, y];\nmodule M = coker [[1/10*x]];\n", "2:20"),
+    ],
+    ids=["QQ", "FP(5)", "FP(5)-matrix"],
+)
+def test_zero_denominator_is_positioned(tmp_path, capsys, text, where):
+    """A denominator that is 0 in the script's field, also one divisible
+    by p over FP(p), is a positioned input error (exit 2), not an engine
+    failure."""
+    script = tmp_path / "den.hd"
+    script.write_text(text)
+    code, out, err = run_cli(capsys, "--input", str(script))
+    assert code == 2
+    assert err == f"{script}:{where}: error: zero denominator\n"

@@ -97,7 +97,7 @@ def test_gb_twisted_cubic():
 def test_syzygy_of_two_coprime(ring):
     x, y, z = ring.gens()
     mod = FreeModule(ring, 1)
-    syz = lift_relations([mod.inject(x), mod.inject(y)], [])
+    syz = lift_relations([mod.inject(x), mod.inject(y)], [], FreeModule(ring, 2, (1, 1)))
     # the only syzygy of (x, y) is the Koszul relation (y, -x)
     assert len(syz) == 1
     s = syz[0]
@@ -108,7 +108,7 @@ def test_syzygy_certifies(ring):
     x, y, z = ring.gens()
     mod = FreeModule(ring, 1)
     gens = [mod.inject(p) for p in (x * y, y * z, x * z)]
-    for s in lift_relations(gens, []):
+    for s in lift_relations(gens, [], FreeModule(ring, 3, (2, 2, 2))):
         total = mod.zero()
         for i, g in enumerate(gens):
             total = total + s.component(i) * g
@@ -119,7 +119,7 @@ def test_lift_relations_subquotient(ring):
     x, y, z = ring.gens()
     mod = FreeModule(ring, 1)
     # image of x in S/(x^2): one relation x * x = 0
-    rels = lift_relations([mod.inject(x)], [mod.inject(x**2)])
+    rels = lift_relations([mod.inject(x)], [mod.inject(x**2)], FreeModule(ring, 1, (1,)))
     assert any(r.component(0) == x for r in rels)
 
 
@@ -305,7 +305,7 @@ def test_rank_3_numerator_sums_shifted_components():
     x, y, z = ring.gens()
     amb = FreeModule(ring, 3, (0, 2, -1))
     cols = [amb.inject(x**2, 0), amb.inject(x * y**3, 0), amb.inject(ring.one, 1)]
-    pres = Presentation(Algebra(ring, ()), 3, amb.twists, cols)
+    pres = Presentation(Algebra(ring, ()), amb, cols)
     parts = hilbert_numerators([[(2, 0, 0), (1, 3, 0)], [(0, 0, 0)], []])
     assert parts[1] == {}
     want = {}
@@ -725,7 +725,8 @@ def test_qq_coefficients_are_ints_when_integral(seed):
             nf = normal_form(el, gb)
             assert eng.normal_form(el.terms) == nf.terms
             outputs.append(nf.terms)
-        outputs += [a.terms for a in lift_relations(gens, [])]
+        source = FreeModule(ring, len(gens), [g.homogeneous_degree() for g in gens])
+        outputs += [a.terms for a in lift_relations(gens, [], source)]
         for terms in outputs:
             _assert_qq_coefficients(terms)
 

@@ -19,7 +19,7 @@ from homdeg import (
     local_cohomology_duals,
     multiplicity,
 )
-from homdeg.errors import InhomogeneousError
+from homdeg.errors import DegreeCapError, InhomogeneousError
 from homdeg.hilbert import exact_coefficients
 from homdeg.modules import minimal_generators
 from homdeg.verify import gen_example_46
@@ -193,7 +193,7 @@ def _twisted_rank2_module(rng, ring):
         )
         if col:
             cols.append(col)
-    return Presentation(Algebra(ring, ()), 2, twists, cols)
+    return Presentation(Algebra(ring, ()), ambient, cols)
 
 
 def _twisted_rank2_draw(rng):
@@ -258,7 +258,7 @@ def test_nonlinear_samuel_rank2_twisted(field):
         ambient.inject(y**2, 0) + ambient.inject(x - z, 1),
         ambient.inject(x * y, 1),
     ]
-    pres = Presentation(algebra, 2, (0, 1), cols)
+    pres = Presentation(algebra, ambient, cols)
     _agree(pres, [(x - y) ** 2, (x - z) ** 2])
 
 
@@ -366,6 +366,20 @@ def test_nonlinear_samuel_rejects_inhomogeneous_generator():
     pres = Algebra(ring, [y]).as_module()
     with pytest.raises(InhomogeneousError):
         hilbert_coefficients(pres, [x**2 + y])
+
+
+def test_nonlinear_samuel_stops_at_the_degree_cap():
+    # the weighted basis is bounded by the ring's degree cap, like every
+    # Groebner run: at cap 3 it stops, at the default 64 it reads e
+    def samuel(cap):
+        ring = PolyRing(("x", "y", "z"), degree_cap=cap)
+        x, y, z = ring.gens()
+        pres = Algebra(ring, [x * y**2, x * z]).as_module()
+        return hilbert_coefficients(pres, [(x - y) ** 2, (x - z) ** 2])
+
+    with pytest.raises(DegreeCapError, match="degree cap 3"):
+        samuel(3)
+    assert samuel(64).e == (4, -4, -1)
 
 
 def test_coefficients_reject_inhomogeneous_linear_generator():

@@ -397,7 +397,7 @@ def _module_draw(rng):
             ambient.inject(_form(ring, rng, deg), 0)
             + ambient.inject(_form(ring, rng, deg - twists[1]), 1)
         )
-    return Presentation(Algebra(ring, ()), 2, twists, cols)
+    return Presentation(Algebra(ring, ()), ambient, cols)
 
 
 def _superficial_draw(rng):
@@ -644,7 +644,8 @@ def test_associated_graded_of_algebra_builds_one_basis(monkeypatch):
         return compute(eng)
 
     monkeypatch.setattr(GroebnerEngine, "compute", counted)
-    redundant = Presentation(algebra, 1, (0,), [FreeModule(ring, 1).inject(x * y)])
+    line = FreeModule(ring, 1)
+    redundant = Presentation(algebra, line, [line.inject(x * y)])
     for current, pres in (("algebra", algebra.as_module()), ("redundant", redundant)):
         assert is_superficial(pres, x - y, [x, y]) is True
         assert is_superficial(pres, x, [x, y]) is False

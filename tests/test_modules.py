@@ -19,7 +19,7 @@ from homdeg import (
     hdeg,
     koszul_homology_lengths,
 )
-from homdeg.errors import EngineBugError
+from homdeg.errors import EngineBugError, InhomogeneousError
 from homdeg.groebner import TermOrder, groebner_basis, lift_relations
 from homdeg.kernel import mono_lcm, mono_mul
 from homdeg.modules import (
@@ -100,8 +100,9 @@ def test_monomial_intersection_is_lcm():
 def _reference_intersect(gens1, gens2, module):
     g1 = [g for g in gens1 if g]
     g2 = [g for g in gens2 if g]
+    source = FreeModule(module.ring, len(g1 + g2), [g.homogeneous_degree() for g in g1 + g2])
     out = []
-    for s in lift_relations(g1 + g2, []):
+    for s in lift_relations(g1 + g2, [], source):
         el = module.zero()
         for (c, m), v in s.terms.items():
             if c < len(g1):
@@ -171,7 +172,7 @@ def _random_presentation(rng, ring, rank):
     twists = tuple(sorted(rng.randint(0, 1) for _ in range(rank)))
     ambient = FreeModule(ring, rank, twists)
     cols = [_random_element(rng, ring, ambient, rng.randint(1, 3)) for _ in range(rng.randint(0, 2))]
-    return Presentation(algebra, rank, twists, cols)
+    return Presentation(algebra, ambient, cols)
 
 
 def test_colon_matches_reference_colon():
@@ -239,7 +240,7 @@ def test_minimal_generators_meet_graded_nakayama(field):
                     continue
                 kept = minimal_generators(gens, modulo)
                 assert all(g in gens for g in kept)
-                sub = Presentation(plain, rank, twists, modulo).subquotient(gens)
+                sub = Presentation(plain, module, modulo).subquotient(gens)
                 assert len(kept) == sub.quotient_by_ideal(ring.gens()).length()
                 assert submodule_key(groebner_basis(kept + modulo, module=module)) == submodule_key(
                     groebner_basis(gens + modulo, module=module)
@@ -251,8 +252,28 @@ def test_minimal_generators_meet_graded_nakayama(field):
 def test_lift_relations_of_zero_gens_are_units():
     ring = PolyRing(("x", "y"))
     mod = FreeModule(ring, 2)
-    rels = lift_relations([mod.zero(), mod.zero()], [])
+    rels = lift_relations([mod.zero(), mod.zero()], [], FreeModule(ring, 2))
     assert set(rels) == {FreeModule(ring, 2).basis(i) for i in range(2)}
+
+
+def test_lift_relations_write_into_source():
+    """The relations are elements of the object source itself, on a source
+    whose twists exceed the generator degrees by 2, and the unit relation
+    of a zero generator keeps the twist source gives it.  A source whose
+    twists are not one shift of the degrees gives inhomogeneous
+    relations, which the lift refuses."""
+    ring = PolyRing(("x", "y"))
+    x, y = ring.gens()
+    line = FreeModule(ring, 1)
+    gens = [line.inject(x), line.zero(), line.inject(y)]
+    source = FreeModule(ring, 3, (3, 5, 3))
+    rels = lift_relations(gens, [], source)
+    assert all(r.module is source for r in rels)
+    koszul = x * source.basis(2) - y * source.basis(0)
+    assert submodule_key(rels) == submodule_key([source.basis(1), koszul])
+    assert sorted(r.homogeneous_degree() for r in rels) == [4, 5]
+    with pytest.raises(InhomogeneousError):
+        lift_relations([line.inject(x), line.inject(y**2)], [], FreeModule(ring, 2, (1, 1)))
 
 
 def _tagged_modulo_lift(gens, modulo):
@@ -304,10 +325,10 @@ def test_lift_relations_is_the_reduced_basis_of_the_tagged_lift():
                 if rng.random() < 0.3:
                     gens.insert(rng.randrange(len(gens) + 1), ambient.zero())
                 modulo = [draw() for _ in range(rng.randint(0, 3))]
-                got = lift_relations(gens, modulo)
                 target = FreeModule(
                     ring, len(gens), tuple(g.homogeneous_degree() if g else 0 for g in gens)
                 )
+                got = lift_relations(gens, modulo, target)
                 want = _tagged_modulo_lift(gens, modulo)
                 assert submodule_key(got) == submodule_key(
                     groebner_basis(want, module=target)
@@ -316,7 +337,7 @@ def test_lift_relations_is_the_reduced_basis_of_the_tagged_lift():
                 assert [list(g.terms.items()) for g in got] == [
                     list(g.terms.items()) for g in gb
                 ], (gens, modulo)
-                assert all(g.module == target for g in got)
+                assert all(g.module is target for g in got)
                 with_zero += not all(gens)
     assert with_zero == 25
 
@@ -327,7 +348,7 @@ def _element_colon(pres, sub_gens, f):
     module = pres.ambient
     big_n = [g for g in sub_gens if g] + pres.relation_gens()
     f_f = [module.inject(f, i) for i in range(module.rank)]
-    out = [FreeElement(module, a.terms) for a in lift_relations(f_f, big_n)]
+    out = lift_relations(f_f, big_n, module)
     return groebner_basis(out, module=module) if out else []
 
 
@@ -363,7 +384,7 @@ def test_colon_by_ideal_matches_intersected_element_colons():
 def test_colon_by_zero_ideal_is_all_of_m():
     ring = PolyRing(("x", "y"))
     x, y = ring.gens()
-    pres = Presentation(Algebra(ring, [x * y]), 2, (0, 1), [])
+    pres = Presentation(Algebra(ring, [x * y]), FreeModule(ring, 2, (0, 1)), [])
     every = submodule_key([pres.ambient.basis(i) for i in range(2)])
     sub = [pres.ambient.inject(x, 0)]
     assert submodule_key(colon_by_ideal(pres, sub, [])) == every

@@ -104,7 +104,7 @@ def test_twisted_rank_two_with_a_quadratic_parameter(data):
         for c in range(2):
             col = col + ambient.inject(_draw_form(data, ring, deg - twists[c], f"col{j}[{c}]"), c)
         cols.append(col)
-    pres = Presentation(Algebra(ring), 2, twists, cols)
+    pres = Presentation(Algebra(ring), ambient, cols)
     q = [_draw_linear(data, ring, f"q{i}") for i in range(max(pres.dim(), 0))]
     if q:
         q[0] = q[0] * _draw_linear(data, ring, "q0 factor")

@@ -4,13 +4,14 @@ import random
 
 import pytest
 
-from homdeg import QQ, Algebra, Polynomial, PolyRing, PrimeField
+from homdeg import QQ, Algebra, FreeModule, Polynomial, PolyRing, Presentation, PrimeField
 from homdeg.errors import EngineBugError
 from homdeg.groebner import normal_form
 from homdeg import invariants
 from homdeg.invariants import h0_torsion_gens, invariant_report
 from homdeg.modules import intersect_submodules
 from homdeg.verify import (
+    ProblemInstance,
     _qm_meets_h0,
     audit_inequalities,
     check_thm1,
@@ -91,6 +92,31 @@ def test_checks_read_the_one_cached_report(corpus, monkeypatch):
                 e[1] == -t[0],
                 inv.unmixed,
             ), inst.name
+
+
+def test_reports_compare_no_two_distinct_free_modules(monkeypatch):
+    """Every relation is written into the free module object its caller
+    owns, so invariant_report and check_thm1 never compare two distinct
+    FreeModule objects: on ex39(2,1) and on a rank-2 module over
+    k[x,y,z]/(xz)."""
+    ring = PolyRing(("x", "y", "z"))
+    x, y, z = ring.gens()
+    ambient = FreeModule(ring, 2, (0, 1))
+    cols = [ambient.inject(y**2, 0) + ambient.inject(x - z, 1), ambient.inject(x * y, 1)]
+    rank_two = Presentation(Algebra(ring, [x * z]), ambient, cols)
+    distinct = []
+    eq = FreeModule.__eq__
+
+    def counted(self, other):
+        if self is not other:
+            distinct.append((self, other))
+        return eq(self, other)
+
+    monkeypatch.setattr(FreeModule, "__eq__", counted)
+    for inst in (gen_example_39(2, 1), ProblemInstance(rank_two, [x - y, x + z])):
+        invariant_report(inst.pres, inst.q_gens)
+        check_thm1(inst)
+    assert not distinct
 
 
 def test_family_generators_validate():
