@@ -38,6 +38,7 @@ from .koszul import euler_char_1, koszul_homology_lengths
 from .modules import Algebra, Presentation
 from .resolution import (
     depth,
+    dual_series,
     free_resolution,
     local_cohomology_duals,
 )

@@ -130,7 +130,9 @@ class GroebnerEngine:
         self.pending = {}       # (i, j) -> packed lcm of the leads, None above the cap
 
     def add(self, el):
-        if not isinstance(el, FreeElement) or el.module != self.module:
+        if not isinstance(el, FreeElement) or (
+            el.module is not self.module and el.module != self.module
+        ):
             raise EngineBugError("element added to engine over a different ambient")
         self._add_terms(_pack(self.module, self.layout, el.terms))
 

@@ -28,9 +28,9 @@ from .modules import (
     linear_annihilators,
     saturate,
 )
-from .monomial_ideals import poly_add, poly_shift, series_length
-from .resolution import depth as depth_of, ext_codims
-from .resolution import local_cohomology_duals as _duals
+from .monomial_ideals import poly_add, poly_shift, series_dim, series_length
+from .resolution import depth as depth_of, dual_module, ext_codims
+from .resolution import dual_series as _duals
 
 
 class NotDSequenceError(ValueError):
@@ -49,11 +49,12 @@ def hdeg(pres, q_gens):
 
     with hdeg = l(M) when s <= 0.  The recursion descends through the
     graded local-cohomology duals and terminates because dim M_j <= j < s.
-    Each M_j of dimension >= 1 is taken, with Q, over S' = S/(l) for the
-    linear forms l that kill it (modules.linear_annihilators; the pair
-    cached on M_j): lengths and e0 are the same there, and by Rees' lemma
-    so are the duals of M_j up to a twist, so hdeg is too.  M itself
-    stays over S.
+    A dual of dimension <= 0 adds its length, read off dual_series; only
+    an M_j of dimension >= 1 is presented (dual_module).  It is taken,
+    with Q, over S' = S/(l) for the linear forms l that kill it
+    (modules.linear_annihilators; the pair cached on M_j): lengths and e0
+    are the same there, and by Rees' lemma so are the duals of M_j up to
+    a twist, so hdeg is too.  M itself stays over S.
     Cached on pres, keyed by Q, so the duals (cached on pres too) keep
     their own hdeg across calls.
     """
@@ -68,16 +69,18 @@ def _hdeg(pres, q_gens):
     if s <= 0:
         return pres.length()
     out = multiplicity(pres, q_gens)
-    duals = _duals(pres)
     for j in range(s):
-        out += comb(s - 1, j) * _dual_hdeg(duals[j], q_gens)
+        out += comb(s - 1, j) * _dual_hdeg(pres, j, q_gens)
     return out
 
 
-def _dual_hdeg(dual, q_gens):
-    """hdeg(M_j), over S/(l) when dim M_j >= 1 (see hdeg)."""
-    if dual.dim() < 1:
-        return hdeg(dual, q_gens)
+def _dual_hdeg(pres, j, q_gens):
+    """hdeg(M_j): its length off dual_series when dim M_j <= 0, else that
+    of the presented M_j over S/(l) (see hdeg)."""
+    num, n = _duals(pres)[j], pres.ring.n
+    if series_dim(num, n) < 1:
+        return series_length(num, n)
+    dual = dual_module(pres, j)
 
     def descend():
         change = LinearBaseChange(dual.ring, linear_annihilators(dual))
@@ -94,9 +97,8 @@ def torsion(pres, q_gens, i):
         raise ValueError("torsion requires dim M >= 2")
     if not 1 <= i <= s - 1:
         raise ValueError(f"torsion index {i} out of range 1..{s - 1}")
-    duals = _duals(pres)
     return sum(
-        comb(s - i - 1, j - 1) * _dual_hdeg(duals[j], q_gens) for j in range(1, s - i + 1)
+        comb(s - i - 1, j - 1) * _dual_hdeg(pres, j, q_gens) for j in range(1, s - i + 1)
     )
 
 
@@ -141,7 +143,8 @@ def _sub_length(quotient, gens):
 def h0_length(pres):
     """l(H^0_m(M)), cached on pres.  Computed once from the Hilbert series
     of M and of F/(0 :_M m^infinity), and cross-checked against the length
-    of the dual module M_0 (duality preserves length)."""
+    of the dual module M_0 (duality preserves length), read off
+    dual_series."""
     return pres.cached("h0_length", lambda: _h0_length(pres))
 
 
@@ -151,7 +154,7 @@ def _h0_length(pres):
     via_sat = _sub_length(pres, h0_torsion_gens(pres))
     if via_sat is None:
         raise EngineBugError("m-torsion submodule has infinite length")
-    via_dual = _duals(pres)[0].length()
+    via_dual = series_length(_duals(pres)[0], pres.ring.n)
     if via_sat != via_dual:
         raise EngineBugError(
             f"H^0 length mismatch: saturation gives {via_sat}, "
@@ -161,17 +164,19 @@ def _h0_length(pres):
 
 
 def is_generalized_cm(pres):
-    """True iff every dual M_j with j < dim M has finite length."""
+    """True iff every dual M_j with j < dim M has finite length, read off
+    dual_series."""
     s = pres.dim()
     if s <= 0:
         return True
     duals = _duals(pres)
-    return all(duals[j].dim() <= 0 for j in range(s))
+    return all(series_dim(duals[j], pres.ring.n) <= 0 for j in range(s))
 
 
 def stuckrad_vogel(pres, q_gens=None):
     """The invariant sum C(s-1, j) l(M_j) over j < s, defined exactly for
-    generalized Cohen-Macaulay modules; None otherwise.
+    generalized Cohen-Macaulay modules; None otherwise.  Each l(M_j) is
+    read off dual_series.
 
     With the ideal supplied, the identity sv = hdeg - e0 is asserted.
     """
@@ -181,7 +186,7 @@ def stuckrad_vogel(pres, q_gens=None):
         return None
     s = pres.dim()
     duals = _duals(pres)
-    sv = sum(comb(s - 1, j) * duals[j].length() for j in range(s)) if s > 0 else 0
+    sv = sum(comb(s - 1, j) * series_length(duals[j], pres.ring.n) for j in range(s))
     if q_gens is not None and s > 0:
         h = hdeg(pres, q_gens)
         e0 = multiplicity(pres, q_gens)

@@ -12,11 +12,10 @@ from .errors import EngineBugError, InhomogeneousError
 from .freemod import FreeElement, FreeModule
 from .groebner import GroebnerEngine, groebner_basis, lift_relations, normal_forms
 from .kernel import mono_mul
-from .monomial_ideals import eval_at_one, hilbert_numerators, poly_add, poly_shift, reduce_pole
+from .monomial_ideals import (
+    DIM_ZERO, eval_at_one, hilbert_numerators, poly_add, poly_shift, reduce_pole
+)
 from .ring import Polynomial, PolyRing
-
-#: Krull dimension marker for the zero module.
-DIM_ZERO = -1
 
 
 class Algebra:

@@ -9,6 +9,9 @@ component or degree field.  A "series polynomial" is a dict degree -> int
 coeff (degrees may be negative once twists enter).
 """
 
+#: Krull dimension marker for the zero module.
+DIM_ZERO = -1
+
 
 def poly_add(p, q, sign=1):
     out = dict(p)
@@ -136,6 +139,13 @@ def reduce_pole(num, n):
 
 def eval_at_one(p):
     return sum(p.values())
+
+
+def series_dim(num, n):
+    """Krull dimension of a module with series num/(1-t)^n; DIM_ZERO for
+    the zero series."""
+    p, s = reduce_pole(num, n)
+    return s if p else DIM_ZERO
 
 
 def series_length(num, n):

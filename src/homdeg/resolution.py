@@ -10,18 +10,27 @@ modules.minimal_generators (graded Nakayama), whose membership tests run
 Groebner pairs only up to the degree they test: F_0 comes from
 Presentation.minimized, and each syzygy step is the minimal generators of
 groebner.lift_relations(columns, [], F_{i+1}), written straight into the
-next free module.  Ext^i is the homology of the dualized resolution,
-presented by two more lift_relations calls: the cycles, into F_i^*, then
-the minimal generators of the cycles modulo the boundaries.
-Only Ext^{n-d}..Ext^n are computed: Ext^i vanishes below the grade
-n - d, d = dim M (Bruns and Herzog, Cohen-Macaulay Rings, 1.2.10).
+next free module.
+
+Ext^i vanishes below the grade n - d, d = dim M (Bruns and Herzog,
+Cohen-Macaulay Rings, 1.2.10), so the duals are Ext^{n-d}..Ext^n.  Most
+readers need only their Hilbert series: with D_i = coker(d_i^*) the
+sequence 0 -> Ext^i -> D_i -> F_{i+1}^* -> D_{i+1} -> 0 is exact, so
+HS(Ext^i) = HS(D_i) - HS(F_{i+1}^*) + HS(D_{i+1}), one Groebner basis
+per D_i (dual_series).  A dual is presented only on demand (dual_module),
+as the homology of the dualized resolution, by two more lift_relations
+calls: the cycles, into F_i^*, then the minimal generators of the cycles
+modulo the boundaries.
 """
+
+from collections import Counter
 
 from .errors import EngineBugError
 from .freemod import FreeElement, FreeModule
 from .groebner import lift_relations
 from .kernel import mono_mul
 from .modules import Algebra, Presentation, minimal_generators
+from .monomial_ideals import poly_add, series_dim
 
 
 class FreeResolution:
@@ -108,66 +117,92 @@ def _transpose_columns(cols, dual):
     return [FreeElement(dual, t) for t in rows]
 
 
+def _cokernel(res, i):
+    """D_i = coker(d_i^*) = F_i^* / im(d_i^*), presented on F_i^* by the
+    boundaries, the incoming columns (none at i = 0); i <= L."""
+    dual_fi = _dual(res.modules[i])
+    # d_i^* : F_{i-1}^* -> F_i^*, from diffs[i-1] : F_i -> F_{i-1}
+    boundaries = _transpose_columns(res.diffs[i - 1], dual_fi) if i >= 1 else []
+    return Presentation(Algebra(dual_fi.ring, ()), dual_fi, boundaries)
+
+
 def _ext_at(res, i):
     """Ext^i_S(M, S) = ker(d_{i+1}^*) / im(d_i^*) at F_i^*, minimally
     presented over S.
 
-    One F_i^* holds both: the boundaries, the incoming columns, and the
+    One F_i^* holds both: the boundaries, the columns of D_i, and the
     cycles, the relations of the outgoing columns written into it (all
     of F_i^* when i = L).  Ext^i is the subquotient the cycles span in
-    F_i^* modulo the boundaries, presented on their minimal_generators
-    modulo the boundaries.  A zero row of d_{i+1} is a zero outgoing
-    column, and its basis vector of F_i^* keeps its own twist."""
+    D_i, presented on their minimal_generators modulo the boundaries.  A
+    zero row of d_{i+1} is a zero outgoing column, and its basis vector
+    of F_i^* keeps its own twist."""
     ring = res.modules[0].ring
-    plain = Algebra(ring, ())
     L = res.length
     if i > L:
-        return Presentation(plain, FreeModule(ring, 0), ())
-    dual_fi = _dual(res.modules[i])
-    # incoming d_i^* : F_{i-1}^* -> F_i^*, from diffs[i-1] : F_i -> F_{i-1}
-    boundaries = _transpose_columns(res.diffs[i - 1], dual_fi) if i >= 1 else []
+        return Presentation(Algebra(ring, ()), FreeModule(ring, 0), ())
+    coker = _cokernel(res, i)
+    dual_fi = coker.ambient
     # outgoing d_{i+1}^* : F_i^* -> F_{i+1}^*, from diffs[i] : F_{i+1} -> F_i
     if i < L:
         outgoing = _transpose_columns(res.diffs[i], _dual(res.modules[i + 1]))
         cycles = lift_relations(outgoing, [], dual_fi)
     else:
         cycles = [dual_fi.basis(j) for j in range(dual_fi.rank)]
-    f_dual = Presentation(plain, dual_fi, boundaries)
-    return f_dual.subquotient(minimal_generators(cycles, boundaries))
+    return coker.subquotient(minimal_generators(cycles, coker.columns))
+
+
+def dual_series(pres):
+    """Hilbert numerators [HS(M_0), ..., HS(M_d)] of the duals M_j =
+    Ext^{n-j}_S(M, S), d = dim M, read off D_{n-d}..D_L (module
+    docstring; D_{L+1} = 0) and cached on pres.  Also validates dim M_j
+    <= j for every j, and cross-checks depth M = n - pd M
+    (Auslander-Buchsbaum, pd M = L) against min{j : M_j != 0}."""
+    return pres.cached("dual_series", lambda: _dual_series(pres))
+
+
+def _dual_series(pres):
+    n, d = pres.ring.n, pres.dim()
+    if d < 0:
+        return []
+    res = free_resolution(pres)
+    top = res.length
+    coker = {i: _cokernel(res, i).hilbert_numerator() for i in range(n - d, top + 1)}
+    series = []
+    for j in range(d + 1):
+        i = n - j
+        free = Counter(-t for t in res.modules[i + 1].twists) if i < top else {}
+        series.append(poly_add(poly_add(coker.get(i, {}), coker.get(i + 1, {})), free, sign=-1))
+    for j, num in enumerate(series):
+        if (dim := series_dim(num, n)) > j:
+            raise EngineBugError(f"local cohomology dual M_{j} has dimension {dim} > {j}")
+    depth_dual = next((j for j, num in enumerate(series) if num), None)
+    if depth_dual != n - top:
+        raise EngineBugError(
+            f"depth mismatch: Auslander-Buchsbaum gives {n - top}, "
+            f"first nonzero dual is {depth_dual}"
+        )
+    return series
+
+
+def dual_module(pres, j):
+    """M_j = Ext^{n-j}_S(M, S), presented by _ext_at on first use and
+    cached on pres by j: the hdeg and torsion recursion and the Q H^i = 0
+    test need it, every other reader takes dual_series.  Its Hilbert
+    numerator must equal dual_series(pres)[j]."""
+    presented = pres.cached("duals", dict)
+    if j not in presented:
+        num = dual_series(pres)[j]
+        mj = _ext_at(free_resolution(pres), pres.ring.n - j)
+        if mj.hilbert_numerator() != num:
+            raise EngineBugError(f"presented dual M_{j} disagrees with its Ext series")
+        presented[j] = mj
+    return presented[j]
 
 
 def local_cohomology_duals(pres):
-    """The graded duals of the local cohomology of M: the list
-    [M_0, ..., M_d] with M_j = Ext^{n-j}_S(M, S), d = dim M, cached on
-    pres.  These are the only Ext modules computed: Ext^i vanishes below
-    the grade n - d.
-
-    Also validates dim M_j <= j for every j, and cross-checks depth M =
-    n - pd M (Auslander-Buchsbaum, pd M the length of the minimal
-    resolution) against min{j : M_j != 0}.
-    """
-    return pres.cached("duals", lambda: _local_cohomology_duals(pres))
-
-
-def _local_cohomology_duals(pres):
-    n = pres.ring.n
-    res = free_resolution(pres)
-    duals = [_ext_at(res, n - j) for j in range(pres.dim() + 1)]
-    for j, mj in enumerate(duals):
-        if mj.dim() > j:
-            raise EngineBugError(
-                f"local cohomology dual M_{j} has dimension {mj.dim()} > {j}"
-            )
-    if pres.is_zero():
-        return duals
-    depth_ab = n - res.length
-    depth_dual = next((j for j, mj in enumerate(duals) if not mj.is_zero()), None)
-    if depth_dual != depth_ab:
-        raise EngineBugError(
-            f"depth mismatch: Auslander-Buchsbaum gives {depth_ab}, "
-            f"first nonzero dual is {depth_dual}"
-        )
-    return duals
+    """Every dual [M_0, ..., M_d] presented, by dual_module.  The report
+    never asks for them all."""
+    return [dual_module(pres, j) for j in range(len(dual_series(pres)))]
 
 
 def depth(pres):
@@ -180,9 +215,9 @@ def depth(pres):
 
 def ext_codims(pres):
     """codim Ext^i = n - dim Ext^i for i = 0..n (None where Ext^i = 0),
-    read off the duals: Ext^i = 0 below n - dim M, and Ext^i = M_{n-i}
+    read off dual_series: Ext^i = 0 below n - dim M, and Ext^i = M_{n-i}
     from there on."""
     n = pres.ring.n
-    duals = local_cohomology_duals(pres)
-    tail = [None if e.is_zero() else n - e.dim() for e in reversed(duals)]
-    return [None] * (n + 1 - len(duals)) + tail
+    series = dual_series(pres)
+    tail = [n - series_dim(num, n) if num else None for num in reversed(series)]
+    return [None] * (n + 1 - len(series)) + tail

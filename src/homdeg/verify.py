@@ -25,7 +25,6 @@ from itertools import permutations
 
 from .errors import EngineBugError
 from .invariants import (
-    _duals,
     _sub_length,
     h0_length,
     h0_torsion_gens,
@@ -33,6 +32,7 @@ from .invariants import (
     is_d_sequence,
 )
 from .modules import Algebra, submodule_key
+from .resolution import dual_module, dual_series
 from .ring import PolyRing
 
 
@@ -67,11 +67,12 @@ class TheoremVerdict:
 
 def _q_kills_dual(pres, q_gens, i):
     """True iff Q annihilates the dual module M_i, that is iff M_i/QM_i
-    (cached on M_i) has the Hilbert series of M_i."""
-    duals = _duals(pres)
-    if i >= len(duals):
+    (cached on M_i) has the Hilbert series of M_i.  A zero M_i, read off
+    dual_series, is not presented; a nonzero one is (dual_module)."""
+    series = dual_series(pres)
+    if i >= len(series) or not series[i]:
         return True
-    mi = duals[i]
+    mi = dual_module(pres, i)
     return mi.quotient_by_ideal(q_gens).hilbert_numerator() == mi.hilbert_numerator()
 
 
@@ -284,7 +285,7 @@ def audit_inequalities(inst):
     """Evaluate the unconditional inequalities chi1 >= 0, e1 <= 0 and
     e1 >= -T^1 (dim >= 2) on the cached invariant_report; any violation is
     fatal.  (invariant_report itself checks chi1 <= hdeg - e0, and
-    local_cohomology_duals dim M_j <= j.)  Returns the evaluated report.
+    dual_series dim M_j <= j.)  Returns the evaluated report.
     """
     inv = invariant_report(inst.pres, inst.q_gens)
     d, e, chi1, t = inv.dim, inv.e, inv.chi1, inv.torsions

@@ -27,7 +27,7 @@ from homdeg import (
     lift_relations,
     normal_form,
 )
-from homdeg.errors import DegreeCapError, InhomogeneousError
+from homdeg.errors import DegreeCapError, EngineBugError, InhomogeneousError
 from homdeg.fields import QQ, PrimeField
 from homdeg.groebner import GroebnerEngine, TermOrder, interreduce, normal_forms
 from homdeg import kernel
@@ -955,6 +955,23 @@ def test_engine_over_rank_zero_module():
     layout and an empty basis."""
     mod = FreeModule(PolyRing(("x",)), 0)
     assert GroebnerEngine(mod).reduced_elements() == []
+
+
+def test_engine_adds_over_an_equal_module_and_refuses_another():
+    """add takes an element over its own module object or over an equal,
+    distinct FreeModule, and raises for a different ambient."""
+    ring = PolyRing(("x", "y"))
+    x, y = ring.gens()
+    mod = FreeModule(ring, 2, (0, 1))
+    eng = GroebnerEngine(mod)
+    eng.add(mod.inject(x * y, 1))
+    twin = FreeModule(ring, 2, (0, 1))
+    assert twin is not mod and twin == mod
+    eng.add(twin.inject(x**2, 0))
+    assert set(eng.reduced_elements()) == {mod.inject(x**2, 0), mod.inject(x * y, 1)}
+    for other in (FreeModule(ring, 2, (0, 2)), FreeModule(ring, 1)):
+        with pytest.raises(EngineBugError, match="different ambient"):
+            eng.add(other.inject(y))
 
 
 def test_degree_cap_set_after_the_ring_reaches_the_engine():

@@ -40,8 +40,8 @@ from homdeg.modules import (
     linear_rows,
     minimal_generators,
 )
-from homdeg.monomial_ideals import poly_add, poly_shift, series_length
-from homdeg.resolution import FreeResolution, _ext_at, ext_codims
+from homdeg.monomial_ideals import poly_add, poly_shift, series_dim, series_length
+from homdeg.resolution import FreeResolution, _ext_at, dual_module, dual_series, ext_codims
 from homdeg.verify import check_thm1, gen_example_39, gen_example_46
 
 
@@ -228,10 +228,13 @@ def _full_ext_oracle(pres):
 
 def test_duals_depth_and_codims_match_ext_at_every_index(corpus):
     """Ext^i = 0 below the grade n - d; depth = n - max{i : Ext^i != 0};
-    ext_codims equals the codims of the full Ext list."""
+    ext_codims equals the codims of the full Ext list; dual_series, read
+    off the cokernels D_i, is the Hilbert numerator of Ext^{n-j} for every
+    j = 0..d.  On the corpus, seeded draws and ex39 (2,1) and (3,1)."""
     rng = random.Random(1216)
     cases = [(inst.name, inst.pres) for inst in corpus]
     cases += [(f"draw {k}", _random_instance(rng)[0]) for k in range(30)]
+    cases += [(f"ex39{lm}", gen_example_39(*lm).pres) for lm in ((2, 1), (3, 1))]
     ranks, fields = set(), set()
     for name, pres in cases:
         if pres.is_zero():
@@ -239,6 +242,7 @@ def test_duals_depth_and_codims_match_ext_at_every_index(corpus):
         n, d = pres.ring.n, pres.dim()
         exts = _full_ext_oracle(pres)
         assert all(e.is_zero() for e in exts[: n - d]), name
+        assert dual_series(pres) == [exts[n - j].hilbert_numerator() for j in range(d + 1)], name
         nonzero = [i for i, e in enumerate(exts) if not e.is_zero()]
         assert depth(pres) == n - max(nonzero), name
         want = [None if e.is_zero() else n - e.dim() for e in exts]
@@ -248,12 +252,49 @@ def test_duals_depth_and_codims_match_ext_at_every_index(corpus):
     assert {1, 2} <= ranks and {"QQ", "GF(32003)"} <= fields
 
 
+def _one_relation_short(ext_at):
+    """_ext_at that presents a wrong module: the last relation column of
+    Ext^i dropped wherever that changes its Hilbert series."""
+
+    def wrong(res, i):
+        ext = ext_at(res, i)
+        cut = Presentation(ext.algebra, ext.ambient, ext.columns[:-1])
+        return cut if cut.hilbert_numerator() != ext.hilbert_numerator() else ext
+
+    return wrong
+
+
+@pytest.mark.parametrize("which", ["ex39(2,1)", "rank-two dual"])
+def test_presented_dual_is_checked_against_its_series(monkeypatch, which):
+    """A dual presented with a relation missing disagrees with dual_series,
+    and presenting it raises, whether from hdeg's descent or directly."""
+    if which == "ex39(2,1)":
+        inst = gen_example_39(2, 1)
+        pres, q = inst.pres, inst.q_gens
+    else:
+        ring = PolyRing(("x", "y", "z"))
+        x, y, z = ring.gens()
+        pres = Algebra(ring, [x * y**2, x**2 * y, x**3]).as_module()
+        q = [x - 2 * y - 3 * z, -x - 3 * y - 2 * z]
+    n, d = pres.ring.n, pres.dim()
+    j = next(j for j in range(d) if series_dim(dual_series(pres)[j], n) >= 1)
+    res = free_resolution(pres)
+    wrong = _one_relation_short(_ext_at)(res, n - j)
+    assert wrong.hilbert_numerator() != _ext_at(res, n - j).hilbert_numerator()
+    monkeypatch.setattr(resolution, "_ext_at", _one_relation_short(_ext_at))
+    with pytest.raises(EngineBugError, match=f"presented dual M_{j} disagrees"):
+        hdeg(pres, q)
+    with pytest.raises(EngineBugError, match=f"presented dual M_{j} disagrees"):
+        dual_module(pres, j)
+
+
 def test_invariants_compute_ext_only_at_the_duals(monkeypatch):
     """invariant_report and check_thm1 on ex39(2,1) (n = 5, d = 3) call
-    _ext_at d + 1 times per module whose duals they need, at the indices
-    n - d..n only; a rerun computes no Ext."""
+    _ext_at only at i = n - j for the duals M_j with j < d and dim M_j >= 1,
+    once per resolution each, and never at the top index n - d: every
+    other dual is read off dual_series.  A rerun computes no Ext."""
     calls = []
-    dims = {}
+    owners = {}
     ext_at, resolve = resolution._ext_at, resolution._resolve
 
     def counted_ext(res, i):
@@ -262,7 +303,7 @@ def test_invariants_compute_ext_only_at_the_duals(monkeypatch):
 
     def recorded_resolve(pres):
         res = resolve(pres)
-        dims[id(res)] = (pres.ring.n, pres.dim(), res)  # res kept: ids stay unique
+        owners[id(res)] = (pres, res)  # res kept: ids stay unique
         return res
 
     monkeypatch.setattr(resolution, "_ext_at", counted_ext)
@@ -271,14 +312,18 @@ def test_invariants_compute_ext_only_at_the_duals(monkeypatch):
     assert (inst.pres.ring.n, inst.pres.dim()) == (5, 3)
     invariant_report(inst.pres, inst.q_gens)
     check_thm1(inst)
-    assert calls
-    per_res = Counter(key for key, _ in calls)
+    assert calls and len(set(calls)) == len(calls)
+    presented = Counter()
     for key, i in calls:
-        n, d, _ = dims[key]
-        assert n - d <= i <= n, (i, n, d)
-    for key, count in per_res.items():
-        n, d, _ = dims[key]
-        assert count == d + 1
+        pres = owners[key][0]
+        n, d = pres.ring.n, pres.dim()
+        assert 0 <= n - i < d, (i, n, d)
+        assert series_dim(dual_series(pres)[n - i], n) >= 1, (i, n, d)
+        presented[key] += 1
+    top = inst.pres
+    n, d = top.ring.n, top.dim()
+    wanted = [j for j in range(d) if series_dim(dual_series(top)[j], n) >= 1]
+    assert wanted and presented[id(free_resolution(top))] == len(wanted)
     first = len(calls)
     invariant_report(inst.pres, inst.q_gens)
     check_thm1(inst)
