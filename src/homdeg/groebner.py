@@ -291,12 +291,23 @@ def interreduce(elems, leads, layout, field):
     return out
 
 
-def groebner_basis(gens, module=None, order=None):
-    """Reduced Groebner basis of the submodule generated by gens.
+def _checked_basis(eng, inputs):
+    """The reduced basis of eng, packed, once every one of inputs (the
+    elements of eng.module that went in by add) reduces to zero against
+    it.  The membership self-check of every Groebner run of the package:
+    a failure is an engine bug, not bad input."""
+    reduced = eng._reduced()
+    layout, field = eng.layout, eng.field
+    by_comp = _by_lead(reduced, layout, field)
+    for g in inputs:
+        if layout.reduce(_pack(eng.module, layout, g.terms), by_comp, field)[0]:
+            raise EngineBugError("generator does not reduce to zero against its own basis")
+    return reduced
 
-    Verifies membership of every input generator (zero normal form) before
-    returning; a failure is an engine bug, not bad input.
-    """
+
+def groebner_basis(gens, module=None, order=None):
+    """Reduced Groebner basis of the submodule generated by gens, with the
+    membership self-check (_checked_basis) of every input generator."""
     gens = [g for g in gens if g]
     if module is None:
         if not gens:
@@ -305,30 +316,24 @@ def groebner_basis(gens, module=None, order=None):
     eng = GroebnerEngine(module, order)
     for g in gens:
         eng.add(g)
-    reduced = eng._reduced()
-    layout, field = eng.layout, eng.field
-    by_comp = _by_lead(reduced, layout, field)
-    for g in gens:
-        if layout.reduce(_pack(module, layout, g.terms), by_comp, field)[0]:
-            raise EngineBugError("generator does not reduce to zero against its own basis")
-    return [FreeElement(module, layout.unpack(t)) for t in reduced]
+    unpack = eng.layout.unpack
+    return [FreeElement(module, unpack(t)) for t in _checked_basis(eng, gens)]
 
 
-def normal_form(el, gb, order=None):
-    """Full normal form of el against a reduced basis under order, as
-    groebner_basis returns it: homogeneous elements of el's module."""
-    return normal_forms([el], gb, order)[0]
+def normal_form(el, gb):
+    """Full normal form of el against a reduced basis under the module
+    order, as groebner_basis returns it: homogeneous elements of el's
+    module."""
+    return normal_forms([el], gb)[0]
 
 
-def normal_forms(els, gb, order=None):
+def normal_forms(els, gb):
     """The normal_form of each of els, elements of one module, against gb,
     which is packed once (as primitive copies: _by_lead)."""
     if not els:
         return []
     module = els[0].module
-    if order is None:
-        order = TermOrder(module.rank)
-    layout = _layout(module, order)
+    layout = _layout(module, TermOrder(module.rank))
     field = module.ring.field
     by_comp = _by_lead([_pack(module, layout, g.terms) for g in gb], layout, field)
     out = []
@@ -338,17 +343,39 @@ def normal_forms(els, gb, order=None):
     return out
 
 
+def _tagged(big, g, tag):
+    """g + e_tag in big, g an element of F, the first components of big."""
+    return FreeElement(big, {**g.terms, (tag, big.ring.zero_mono): big.ring.field.one})
+
+
+def _tag_relations(eng, inputs, source, slot):
+    """The relations of a tagged lift in eng, an engine over F + tags under
+    TermOrder(rank F): the elements of its checked reduced basis
+    (_checked_basis over inputs) that lead in a tag, written into source:
+    tag component rank F + k becomes basis vector slot[k].  slot keeps the
+    order of the tags, so the relations stay reduced and in canonical
+    order."""
+    r, layout = eng.order.split, eng.layout
+    out = []
+    for terms in _checked_basis(eng, inputs):
+        if layout.unpack_term(next(iter(terms)))[0] >= r:
+            rel = {(slot[c - r], m): v for (c, m), v in layout.unpack(terms).items()}
+            out.append(FreeElement(source, rel))
+    return out
+
+
 def lift_relations(gens, modulo, source):
     """Relations among the images of gens in F / <modulo>, written into
     source, the free module whose i-th basis vector maps to gens[i].
 
     Returns {a in source : sum a_i gens_i in <modulo>} as a reduced
     Groebner basis in canonical order: the presentation matrix columns of
-    the subquotient (<gens> + <modulo>) / <modulo> on the generators
-    gens.  lift_relations(gens, [], source) is the syzygy module of gens.
-    The one condition on source: its twists exceed the degrees of the
-    nonzero gens by one common shift, so the relations are homogeneous
-    (a zero generator's twist is free).
+    the subquotient (<gens> + <modulo>) / <modulo> on all of the
+    generators gens (minimal_lift presents it on a minimal subset).
+    lift_relations(gens, [], source) is the syzygy module of gens.  The
+    one condition on source: its twists exceed the degrees of the nonzero
+    gens by one common shift, so the relations are homogeneous (a zero
+    generator's twist is free).
 
     One Groebner run in F + source: only gens are tagged, g_i + e_{r+i}
     (a zero g_i leaves e_{r+i}, its unit relation), with the tags twisted
@@ -360,28 +387,65 @@ def lift_relations(gens, modulo, source):
     The kernel key ignores twists and keeps the order of the tag
     components, so written into source they stay reduced and in order.
 
-    This is the one relation-lifting primitive of the engine: syzygies and
-    free resolutions, submodule presentations, colons and intersections
-    (modules.py) and the cycles and homology of Ext (resolution.py) all go
-    through it.
+    This is the one relation-lifting primitive of the engine; minimal_lift
+    runs the same tagged lift on a minimal subset of its generators.
+    lift_relations keeps every generator: colons and intersections
+    (modules.py) and the cycles of Ext (resolution.py).  Every minimal
+    presentation (the steps of a free resolution, Presentation.subquotient
+    and so minimized and each presented Ext) goes through minimal_lift.
     """
     if not gens:
         return []
     if source.rank != len(gens):
         raise ValueError("source rank must equal the number of generators")
     ambient = gens[0].module
-    ring = ambient.ring
     r = ambient.rank
     shift = next((t - g.homogeneous_degree() for t, g in zip(source.twists, gens) if g), 0)
-    big = FreeModule(ring, r + len(gens), ambient.twists + tuple(t - shift for t in source.twists))
-    zero, one = ring.zero_mono, ring.field.one
-    inputs = [
-        FreeElement(big, {**g.terms, (r + i, zero): one}) for i, g in enumerate(gens)
-    ]
+    big = FreeModule(
+        ambient.ring, r + len(gens), ambient.twists + tuple(t - shift for t in source.twists)
+    )
+    eng = GroebnerEngine(big, TermOrder(r))
+    inputs = [_tagged(big, g, r + i) for i, g in enumerate(gens)]
     inputs += [FreeElement(big, m.terms) for m in modulo if m]
-    out = []
-    for el in groebner_basis(inputs, module=big, order=TermOrder(r)):
-        if next(iter(el.terms))[0] >= r:
-            terms = {(c - r, m): v for (c, m), v in el.terms.items()}
-            out.append(FreeElement(source, terms))
-    return out
+    for el in inputs:
+        eng.add(el)
+    return _tag_relations(eng, inputs, source, range(len(gens)))
+
+
+def minimal_lift(gens, modulo, ambient):
+    """A minimal presentation of the submodule N that the images of gens,
+    elements of ambient = F, span in F / <modulo>: (source, kept,
+    relations).  kept is a minimal homogeneous generating subset of gens
+    (graded Nakayama), the package's one minimality rule: in ascending
+    degree, a generator is kept iff it is not in <modulo> + <kept>.
+    source = FreeModule(ring, len(kept), degrees of kept), and relations =
+    lift_relations(kept, modulo, source), written into source, so N =
+    coker(relations) on source.
+
+    One tagged engine, the lift of lift_relations under TermOrder(r), r =
+    rank F, over F plus one tag per generator: the modulo elements go in
+    untagged, first; then each generator g, in ascending degree, gets the
+    engine's normal_form, which runs pairs only up to deg g.  Under the
+    elimination order its remainder leads in F iff it has a part in F,
+    that is iff g is not in <modulo> + <kept>; such a g is kept and goes
+    in tagged, as g + e_{r+k}.  The relations are the elements of the
+    reduced basis that lead in a tag, renumbered into source.
+    """
+    gens = sorted((g for g in gens if g), key=FreeElement.homogeneous_degree)
+    ring, r = ambient.ring, ambient.rank
+    degs = [g.homogeneous_degree() for g in gens]
+    big = FreeModule(ring, r + len(gens), ambient.twists + tuple(degs))
+    eng = GroebnerEngine(big, TermOrder(r))
+    inputs = [FreeElement(big, m.terms) for m in modulo if m]
+    for el in inputs:
+        eng.add(el)
+    kept = []
+    for k, g in enumerate(gens):
+        nf = eng.normal_form(g.terms)
+        if nf and next(iter(nf))[0] < r:
+            kept.append(k)
+            inputs.append(_tagged(big, g, r + k))
+            eng.add(inputs[-1])
+    source = FreeModule(ring, len(kept), [degs[k] for k in kept])
+    slot = {k: i for i, k in enumerate(kept)}
+    return source, [gens[k] for k in kept], _tag_relations(eng, inputs, source, slot)

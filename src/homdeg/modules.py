@@ -10,7 +10,7 @@ from collections import Counter
 
 from .errors import EngineBugError, InhomogeneousError
 from .freemod import FreeElement, FreeModule
-from .groebner import GroebnerEngine, groebner_basis, lift_relations, normal_forms
+from .groebner import groebner_basis, lift_relations, minimal_lift, normal_forms
 from .kernel import mono_mul
 from .monomial_ideals import (
     DIM_ZERO, eval_at_one, hilbert_numerators, poly_add, poly_shift, reduce_pole
@@ -180,22 +180,19 @@ class Presentation:
 
     def subquotient(self, gens):
         """The submodule of M spanned by (the images of) gens, presented on
-        those generators."""
-        gens = [g for g in gens if g]
-        source = FreeModule(self.ring, len(gens), [g.homogeneous_degree() for g in gens])
-        cols = lift_relations(gens, self.relation_gens(), source)
+        a minimal subset of them by one minimal_lift: its relations modulo
+        those of M, and no constant entry."""
+        source, _, cols = minimal_lift(gens, self.relation_gens(), self.ambient)
         return Presentation(self.algebra, source, cols)
 
     def minimized(self):
         """An isomorphic presentation with no constant matrix entries: M
-        itself when no relation has one, else M presented (subquotient) on
-        the minimal_generators of the basis of F modulo the relations."""
-        rels = self.relation_gens()
+        itself when no relation has one, else the subquotient the basis of
+        F spans in M."""
         zero = self.ring.zero_mono
-        if all(m != zero for col in rels for _, m in col.terms):
+        if all(m != zero for col in self.relation_gens() for _, m in col.terms):
             return self
-        basis = [self.ambient.basis(i) for i in range(self.rank)]
-        return self.subquotient(minimal_generators(basis, rels))
+        return self.subquotient([self.ambient.basis(i) for i in range(self.rank)])
 
     def __repr__(self):
         return (
@@ -507,24 +504,3 @@ def submodule_gb(pres, gens):
     if not gens:
         return list(pres.gb())
     return groebner_basis(gens + pres.relation_gens(), module=pres.ambient)
-
-
-def minimal_generators(gens, modulo=()):
-    """A minimal homogeneous generating subset of the images of gens in
-    F / <modulo>, the package's one minimality rule (graded Nakayama): in
-    ascending degree, a generator is kept iff it is not in <modulo> +
-    <kept>.  Each test runs the engine's pairs only up to the degree of
-    the generator it tests (GroebnerEngine.normal_form)."""
-    gens = [g for g in gens if g]
-    if not gens:
-        return []
-    eng = GroebnerEngine(gens[0].module)
-    for m in modulo:
-        if m:
-            eng.add(m)
-    kept = []
-    for g in sorted(gens, key=FreeElement.homogeneous_degree):
-        if eng.normal_form(g.terms):
-            kept.append(g)
-            eng.add(g)
-    return kept

@@ -5,12 +5,13 @@ Everything is computed over the polynomial cover S; a module over A = S/J
 is just an S-module killed by J.  The resolution is minimal (no constant
 entries in any differential), so its length equals the projective
 dimension and is bounded by the number of variables; depth M = n - pd M
-(Auslander-Buchsbaum).  Minimality has one rule,
-modules.minimal_generators (graded Nakayama), whose membership tests run
-Groebner pairs only up to the degree they test: F_0 comes from
-Presentation.minimized, and each syzygy step is the minimal generators of
-groebner.lift_relations(columns, [], F_{i+1}), written straight into the
-next free module.
+(Auslander-Buchsbaum).  Every minimal presentation is one
+groebner.minimal_lift, one tagged Groebner run that keeps a graded-Nakayama
+subset of its generators and lifts their relations: F_0 comes from
+Presentation.minimized, and each step takes minimal_lift(candidates, (),
+F_i), whose kept candidates are the columns of d_{i+1}, whose source is
+F_{i+1} and whose relations, written into F_{i+1}, are the candidates of
+the next step.
 
 Ext^i vanishes below the grade n - d, d = dim M (Bruns and Herzog,
 Cohen-Macaulay Rings, 1.2.10), so the duals are Ext^{n-d}..Ext^n.  Most
@@ -18,18 +19,18 @@ readers need only their Hilbert series: with D_i = coker(d_i^*) the
 sequence 0 -> Ext^i -> D_i -> F_{i+1}^* -> D_{i+1} -> 0 is exact, so
 HS(Ext^i) = HS(D_i) - HS(F_{i+1}^*) + HS(D_{i+1}), one Groebner basis
 per D_i (dual_series).  A dual is presented only on demand (dual_module),
-as the homology of the dualized resolution, by two more lift_relations
-calls: the cycles, into F_i^*, then the minimal generators of the cycles
-modulo the boundaries.
+as the homology of the dualized resolution: one lift_relations for the
+cycles, into F_i^*, and one minimal_lift of the cycles modulo the
+boundaries (Presentation.subquotient).
 """
 
 from collections import Counter
 
 from .errors import EngineBugError
 from .freemod import FreeElement, FreeModule
-from .groebner import lift_relations
+from .groebner import lift_relations, minimal_lift
 from .kernel import mono_mul
-from .modules import Algebra, Presentation, minimal_generators
+from .modules import Algebra, Presentation
 from .monomial_ideals import poly_add, series_dim
 
 
@@ -63,20 +64,17 @@ def free_resolution(pres):
 
 
 def _resolve(pres):
-    ring = pres.ring
     mini = pres.minimized()
-    f0 = mini.ambient
-    modules = [f0]
+    modules = [mini.ambient]
     diffs = []
-    current = minimal_generators(mini.relation_gens())
-    guard = ring.n + 2
-    while current:
+    candidates = mini.relation_gens()
+    guard = pres.ring.n + 2
+    while candidates:
         if len(diffs) >= guard:
             raise EngineBugError("resolution exceeds the syzygy-theorem bound")
-        diffs.append(current)
-        source = FreeModule(ring, len(current), [g.homogeneous_degree() for g in current])
+        source, kept, candidates = minimal_lift(candidates, (), modules[-1])
+        diffs.append(kept)
         modules.append(source)
-        current = minimal_generators(lift_relations(current, [], source))
     res = FreeResolution(modules, diffs)
     _check_complex(res)
     return res
@@ -133,9 +131,10 @@ def _ext_at(res, i):
     One F_i^* holds both: the boundaries, the columns of D_i, and the
     cycles, the relations of the outgoing columns written into it (all
     of F_i^* when i = L).  Ext^i is the subquotient the cycles span in
-    D_i, presented on their minimal_generators modulo the boundaries.  A
-    zero row of d_{i+1} is a zero outgoing column, and its basis vector
-    of F_i^* keeps its own twist."""
+    D_i, coker.subquotient(cycles): one minimal_lift of the cycles modulo
+    the boundaries, presented on a minimal subset of them.  A zero row of
+    d_{i+1} is a zero outgoing column, and its basis vector of F_i^*
+    keeps its own twist."""
     ring = res.modules[0].ring
     L = res.length
     if i > L:
@@ -148,7 +147,7 @@ def _ext_at(res, i):
         cycles = lift_relations(outgoing, [], dual_fi)
     else:
         cycles = [dual_fi.basis(j) for j in range(dual_fi.rank)]
-    return coker.subquotient(minimal_generators(cycles, coker.columns))
+    return coker.subquotient(cycles)
 
 
 def dual_series(pres):

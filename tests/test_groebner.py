@@ -29,8 +29,8 @@ from homdeg import (
 )
 from homdeg.errors import DegreeCapError, EngineBugError, InhomogeneousError
 from homdeg.fields import QQ, PrimeField
-from homdeg.groebner import GroebnerEngine, TermOrder, interreduce, normal_forms
-from homdeg import kernel
+from homdeg.groebner import GroebnerEngine, TermOrder, interreduce, minimal_lift, normal_forms
+from homdeg import groebner, kernel
 from homdeg.verify import gen_example_39, gen_example_46
 from homdeg.modules import Presentation
 from homdeg.monomial_ideals import (
@@ -891,14 +891,22 @@ def test_field_width_holds_every_term_within_the_cap(twists, cap):
 
 def _assert_refused(module, order, g, f):
     """f reduced against the basis [g] would make a term too high for its
-    fields: normal_form and the engine's add both raise DegreeCapError."""
+    fields: the engine's normal_form and add both raise DegreeCapError."""
     assert groebner_basis([g], module=module, order=order) == [g]
-    with pytest.raises(DegreeCapError):
-        normal_form(f, [g], order)
     eng = GroebnerEngine(module, order)
     eng.add(g)
     with pytest.raises(DegreeCapError):
+        eng.normal_form(f.terms)
+    with pytest.raises(DegreeCapError):
         eng.add(f)
+
+
+def _engine_normal_form(module, order, g, f):
+    """The normal form of f against the basis [g] under order, read off
+    the engine (normal_form itself takes only the module order)."""
+    eng = GroebnerEngine(module, order)
+    eng.add(g)
+    return FreeElement(module, eng.normal_form(f.terms))
 
 
 def test_term_above_its_field_raises_and_never_wraps():
@@ -935,7 +943,7 @@ def test_term_above_its_field_raises_and_never_wraps():
     mod = FreeModule(ring, 2, (0, -3))
     order = TermOrder(1)
     g = mod.inject(y) + mod.inject(x**4, 1)
-    assert normal_form(mod.inject(y**4), [g], order) == mod.inject(-(x**4) * y**3, 1)
+    assert _engine_normal_form(mod, order, g, mod.inject(y**4)) == mod.inject(-(x**4) * y**3, 1)
     _assert_refused(mod, order, g, mod.inject(x**4 * y**3))
     # u of degree 2 at cap 7: fields of 3 bits, and under the weight
     # (1, 0) u^4 (raw degree 4) reduces by u - x^2 to x^8
@@ -944,10 +952,10 @@ def test_term_above_its_field_raises_and_never_wraps():
     mod = FreeModule(ring, 1)
     order = TermOrder(1, (1, 0))
     g = mod.inject(u - x**2)
-    assert normal_form(mod.inject(u**3), [g], order) == mod.inject(x**6)
+    assert _engine_normal_form(mod, order, g, mod.inject(u**3)) == mod.inject(x**6)
     _assert_refused(mod, order, g, mod.inject(u**4))
     with pytest.raises(InhomogeneousError):  # its tail could leave the field too
-        normal_form(mod.inject(u**3), [mod.inject(u - x)], order)
+        GroebnerEngine(mod, order).add(mod.inject(u - x))
 
 
 def test_engine_over_rank_zero_module():
@@ -1011,3 +1019,27 @@ def test_low_caps_give_the_report_or_degree_cap_error(make, first):
         else:
             inst = make(cap)
             assert invariant_report(inst.pres, inst.q_gens) == want, cap
+
+
+def test_membership_check_guards_minimal_lift(monkeypatch):
+    """The membership self-check runs over the inputs of minimal_lift: the
+    modulo elements and every tagged kept generator.  An interreduce that
+    drops the first element of the reduced basis drops x + e_1, a kept
+    generator, from the lift of (x, y), and x, a modulo element, from the
+    lift of y modulo x: both raise EngineBugError, as groebner_basis and
+    lift_relations do."""
+    ring = PolyRing(("x", "y"))
+    x, y = ring.gens()
+    line = FreeModule(ring, 1)
+    cases = [([line.inject(x), line.inject(y)], []), ([line.inject(y)], [line.inject(x)])]
+    for gens, modulo in cases:
+        assert minimal_lift(gens, modulo, line)[0].rank == len(gens)
+    real = groebner.interreduce
+    monkeypatch.setattr(groebner, "interreduce", lambda *args: real(*args)[1:])
+    for gens, modulo in cases:
+        with pytest.raises(EngineBugError, match="does not reduce to zero"):
+            minimal_lift(gens, modulo, line)
+    with pytest.raises(EngineBugError, match="does not reduce to zero"):
+        groebner_basis([line.inject(x)], module=line)
+    with pytest.raises(EngineBugError, match="does not reduce to zero"):
+        lift_relations([line.inject(x)], [], FreeModule(ring, 1, (1,)))

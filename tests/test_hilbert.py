@@ -21,7 +21,7 @@ from homdeg import (
 )
 from homdeg.errors import DegreeCapError, InhomogeneousError
 from homdeg.hilbert import exact_coefficients
-from homdeg.modules import minimal_generators
+from homdeg.groebner import minimal_lift
 from homdeg.verify import gen_example_46
 
 
@@ -124,12 +124,12 @@ def _pruned_samuel_values(pres, q, count):
     """Oracle: l(M / Q^(n+1) M) for n < count, each power of Q built from
     the previous one and pruned to minimal generators."""
     line = FreeModule(pres.ring, 1)
-    power = [e.component(0) for e in minimal_generators([line.inject(g) for g in q])]
+    power = [e.component(0) for e in minimal_lift([line.inject(g) for g in q], (), line)[1]]
     out = []
     for _ in range(count):
         out.append(pres.quotient_by_ideal(power).length())
         products = [line.inject(p * g) for p in power for g in q]
-        power = [e.component(0) for e in minimal_generators(products)]
+        power = [e.component(0) for e in minimal_lift(products, (), line)[1]]
     return out
 
 

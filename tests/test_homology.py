@@ -31,14 +31,13 @@ from homdeg import (
 )
 from homdeg import resolution
 from homdeg.errors import EngineBugError
-from homdeg.groebner import GroebnerEngine
+from homdeg.groebner import GroebnerEngine, minimal_lift
 from homdeg.invariants import h0_length, h0_torsion_module, invariant_report
 from homdeg.modules import (
     LinearBaseChange,
     colon_by_ideal,
     linear_annihilators,
     linear_rows,
-    minimal_generators,
 )
 from homdeg.monomial_ideals import poly_add, poly_shift, series_dim, series_length
 from homdeg.resolution import FreeResolution, _ext_at, dual_module, dual_series, ext_codims
@@ -80,7 +79,7 @@ def test_resolution_minimality():
     """No differential of the resolution and no column of a
     local-cohomology dual has a constant entry, on k[x,y]/(x^2, xy) and on
     seeded draws: Presentation.minimized and _ext_at keep them minimal by
-    minimal_generators alone."""
+    minimal_lift alone."""
     ring = PolyRing(("x", "y"))
     x, y = ring.gens()
     rng = random.Random(2500)
@@ -89,6 +88,40 @@ def test_resolution_minimality():
             assert not _constant_entries(cols), pres
         for j, mj in enumerate(local_cohomology_duals(pres)):
             assert not _constant_entries(mj.columns), (pres, j)
+
+
+def test_each_minimal_presentation_is_one_engine_run(monkeypatch):
+    """Every step of the resolution, d_1 included, builds one Groebner
+    engine (its minimal_lift), minimized() one more, and a presented dual
+    one beside the lift of its cycles (none at i = L): on a rank-2
+    cokernel with a unit entry, which minimized() reduces to rank 1, and
+    on k[x,y,z]/(x^2, xy, yz^2), whose relations have none."""
+    ring = PolyRing(("x", "y", "z"))
+    x, y, z = ring.gens()
+    ambient = FreeModule(ring, 2, (0, 1))
+    unit = ambient.inject(x) + ambient.inject(ring.one, 1)
+    cols = [unit, ambient.inject(y**2), ambient.inject(z, 1)]
+    cases = [
+        (Presentation(Algebra(ring), ambient, cols), 1),
+        (Algebra(ring, [x**2, x * y, y * z**2]).as_module(), 0),
+    ]
+    runs = Counter()
+    init = GroebnerEngine.__init__
+
+    def counted(eng, *args, **kwargs):
+        runs["engines"] += 1
+        init(eng, *args, **kwargs)
+
+    monkeypatch.setattr(GroebnerEngine, "__init__", counted)
+    for pres, minimize in cases:
+        runs.clear()
+        res = free_resolution(pres)
+        assert res.modules[0].rank == 1
+        assert runs["engines"] == res.length + minimize
+        for i in range(res.length + 1):
+            runs.clear()
+            _ext_at(res, i)
+            assert runs["engines"] == (2 if i < res.length else 1), (pres, i)
 
 
 def test_resolution_and_duals_live_in_their_own_modules():
@@ -518,9 +551,9 @@ def _reference_lengths(pres, seq):
             cycles = [mod.basis(j) for j in range(mod.rank)]
         else:
             lower = chain(i - 1)
-            cycles = minimal_generators(
-                lift_relations(images(i, lower), relations(i - 1, lower), mod)
-            )
+            cycles = minimal_lift(
+                lift_relations(images(i, lower), relations(i - 1, lower), mod), (), mod
+            )[1]
         modulo = relations(i, mod) + (images(i + 1, mod) if i < d else [])
         source = FreeModule(ring, len(cycles), [c.homogeneous_degree() for c in cycles])
         cols = lift_relations(cycles, modulo, source)

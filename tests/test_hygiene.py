@@ -1,8 +1,9 @@
 """Source hygiene: every module-level import in the package is used,
 only modules.py touches the cache behind Presentation.cached, each cache
 key is computed at one call site, one module states the parameter
-ideal contract, only the engine reads its packed internals, and only
-fields.py divides with `/`."""
+ideal contract, only the engine reads its packed internals, only
+groebner.py and hilbert.py build an engine, and only fields.py divides
+with `/`."""
 
 import ast
 from collections import defaultdict
@@ -129,3 +130,18 @@ def test_coefficient_division_lives_in_fields(path):
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
     ]
     assert not lines, f"{path.name} divides with / at lines {lines}"
+
+
+def test_engines_are_built_in_groebner_and_hilbert_only():
+    """GroebnerEngine( is constructed only in groebner.py and hilbert.py:
+    every minimal presentation is one minimal_lift, so no minimality rule
+    runs an engine of its own."""
+    builders = [
+        p.name
+        for p in MODULES
+        for node in ast.walk(ast.parse(p.read_text(), filename=str(p)))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "GroebnerEngine"
+    ]
+    assert sorted(set(builders)) == ["groebner.py", "hilbert.py"], builders

@@ -30,13 +30,12 @@ from homdeg import (
     stuckrad_vogel,
     torsions,
 )
-from homdeg.groebner import GroebnerEngine
+from homdeg.groebner import GroebnerEngine, minimal_lift
 from homdeg.invariants import NotDSequenceError, _sub_length
 from homdeg.modules import (
     NotParameterIdealError,
     colon_by_ideal,
     intersect_submodules,
-    minimal_generators,
     submodule_gb,
     submodule_key,
 )
@@ -311,7 +310,7 @@ def _power_gens(pres, ideal_gens):
                     if q and q not in seen:
                         seen.add(q)
                         nxt.append(q)
-            kept = minimal_generators([one_mod.inject(q) for q in nxt])
+            kept = minimal_lift([one_mod.inject(q) for q in nxt], (), one_mod)[1]
             powers[top + 1] = [e.component(0) for e in kept]
         return pres.ideal_times_ambient(powers[k])
 

@@ -20,13 +20,12 @@ from homdeg import (
     koszul_homology_lengths,
 )
 from homdeg.errors import EngineBugError, InhomogeneousError
-from homdeg.groebner import TermOrder, groebner_basis, lift_relations
+from homdeg.groebner import TermOrder, groebner_basis, lift_relations, minimal_lift
 from homdeg.kernel import mono_lcm, mono_mul
 from homdeg.modules import (
     colon_by_ideal,
     ideal_cache_key,
     intersect_submodules,
-    minimal_generators,
     submodule_key,
 )
 
@@ -214,16 +213,12 @@ def _redundant_gens(rng, ring, module):
     return [g for g in gens if g]
 
 
-@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["QQ", "GF(32003)"])
-def test_minimal_generators_meet_graded_nakayama(field):
-    """minimal_generators(gens, modulo) keeps l(N/mN) of gens, N the
-    submodule they span in F/<modulo> (read off the presentation of the
-    subquotient modulo the variables), and kept + modulo spans what gens
-    + modulo spans.  Rank 1-2, with and without modulo, seeded."""
-    rng = random.Random(1906)
+def _nakayama_draws(field, seed):
+    """Seeded (module, gens, modulo) over k[x,y,z]: rank 1-2, gens with
+    redundant members (_redundant_gens), and modulo empty or 1-2 random
+    elements."""
+    rng = random.Random(seed)
     ring = PolyRing(("x", "y", "z"), field=field)
-    plain = Algebra(ring)
-    dropped = 0
     for rank in (1, 1, 2, 2):
         for with_modulo in (False, True):
             for _ in range(4):
@@ -236,17 +231,64 @@ def test_minimal_generators_meet_graded_nakayama(field):
                         _random_element(rng, ring, module, rng.randint(1, 3))
                         for _ in range(rng.randint(1, 2))
                     ]
-                if not gens:
-                    continue
-                kept = minimal_generators(gens, modulo)
-                assert all(g in gens for g in kept)
-                sub = Presentation(plain, module, modulo).subquotient(gens)
-                assert len(kept) == sub.quotient_by_ideal(ring.gens()).length()
-                assert submodule_key(groebner_basis(kept + modulo, module=module)) == submodule_key(
-                    groebner_basis(gens + modulo, module=module)
-                )
-                dropped += len(gens) - len(kept)
+                if gens:
+                    yield module, gens, modulo
+
+
+FIELDS = pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["QQ", "GF(32003)"])
+
+
+@FIELDS
+def test_minimal_lift_meets_graded_nakayama(field):
+    """minimal_lift(gens, modulo, F) keeps l(N/mN) of gens, N the submodule
+    they span in F/<modulo> (read off N presented on all of gens by
+    lift_relations, modulo the variables), kept + modulo spans what gens +
+    modulo spans, and source carries the degrees of kept."""
+    dropped = 0
+    for module, gens, modulo in _nakayama_draws(field, 1906):
+        ring = module.ring
+        source, kept, _ = minimal_lift(gens, modulo, module)
+        assert all(g in gens for g in kept)
+        assert source.twists == tuple(g.homogeneous_degree() for g in kept)
+        on_all = FreeModule(ring, len(gens), [g.homogeneous_degree() for g in gens])
+        sub = Presentation(Algebra(ring), on_all, lift_relations(gens, modulo, on_all))
+        assert len(kept) == sub.quotient_by_ideal(ring.gens()).length()
+        assert submodule_key(groebner_basis(kept + modulo, module=module)) == submodule_key(
+            groebner_basis(gens + modulo, module=module)
+        )
+        dropped += len(gens) - len(kept)
     assert dropped
+
+
+@FIELDS
+def test_minimal_lift_relations_are_lift_relations_of_kept(field):
+    """The relations minimal_lift reads off its one engine are those of a
+    separate lift_relations(kept, modulo, source), element for element and
+    term for term, each an element of source itself."""
+    for module, gens, modulo in _nakayama_draws(field, 2906):
+        source, kept, relations = minimal_lift(gens, modulo, module)
+        want = lift_relations(kept, modulo, source)
+        assert [list(r.terms.items()) for r in relations] == [
+            list(r.terms.items()) for r in want
+        ], (gens, modulo)
+        assert all(r.module is source for r in relations)
+
+
+@FIELDS
+def test_minimal_lift_of_redundant_generators_is_zero(field):
+    """Generators that all lie in <modulo> keep none: a rank-0 source, no
+    relations, and subquotient gives the zero module."""
+    rng = random.Random(3906)
+    ring = PolyRing(("x", "y", "z"), field=field)
+    for rank in (1, 2):
+        module = FreeModule(ring, rank, tuple(range(rank)))
+        modulo = [_random_element(rng, ring, module, rng.randint(1, 2)) for _ in range(3)]
+        modulo = [m for m in modulo if m]
+        gens = [_random_form(rng, ring, 1) * m for m in modulo] + modulo[:1]
+        source, kept, relations = minimal_lift(gens, modulo, module)
+        assert (source.rank, kept, relations) == (0, [], [])
+        sub = Presentation(Algebra(ring), module, modulo).subquotient(gens)
+        assert sub.rank == 0 and sub.is_zero()
 
 
 def test_lift_relations_of_zero_gens_are_units():
