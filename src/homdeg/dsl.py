@@ -392,6 +392,7 @@ class _Parser:
                 return self._intersect(t, a, b)
             if t.text == "product":
                 return _dedupe(f * g for f in a for g in b)
+            self._within_cap(t, b * max((g.degree() for g in a), default=0))
             out = a
             for _ in range(b - 1):
                 out = _dedupe(f * g for f in out for g in a)
@@ -427,6 +428,13 @@ class _Parser:
         except DegreeCapError as exc:
             raise DslError(str(exc), tok.line, tok.col) from exc
         return [el.component(0) for el in inter]
+
+    def _within_cap(self, tok, degree):
+        """A power of degree above the ring's degree cap is an error at
+        tok, before it is expanded."""
+        cap = self.ring.ring.degree_cap
+        if degree > cap:
+            raise DslError(str(DegreeCapError(cap)), tok.line, tok.col)
 
     def _algebra(self):
         _, ntok = self._head("algebra")
@@ -527,8 +535,9 @@ class _Parser:
     def _factor(self):
         base = self._atom()
         while self.peek().text == "^":
-            self.next()
+            tok = self.next()
             k = self.expect_int()
+            self._within_cap(tok, base.degree() * k)
             base = base**k
         return base
 

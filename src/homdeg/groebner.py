@@ -305,14 +305,11 @@ def _checked_basis(eng, inputs):
     return reduced
 
 
-def groebner_basis(gens, module=None, order=None):
-    """Reduced Groebner basis of the submodule generated by gens, with the
-    membership self-check (_checked_basis) of every input generator."""
+def groebner_basis(gens, module, order=None):
+    """Reduced Groebner basis of the submodule of module generated by gens,
+    with the membership self-check (_checked_basis) of every input
+    generator."""
     gens = [g for g in gens if g]
-    if module is None:
-        if not gens:
-            raise ValueError("cannot infer ambient from an empty generator list")
-        module = gens[0].module
     eng = GroebnerEngine(module, order)
     for g in gens:
         eng.add(g)

@@ -12,21 +12,15 @@ forms spanning an ideal of height d in the Cohen-Macaulay ring S are
 regular.  So K(Q; S) resolves S/Q, and H_i(Q; M) = Tor_i^S(S/Q, M) =
 H_i(F otimes S/Q) (Bruns and Herzog, Cohen-Macaulay Rings, 1.6).  The
 series of F_j otimes S/Q is prod_t (1 - t^deg a_t) / (1-t)^n times
-sum_k t^(twist_k of F_j).  With C_i = F_i / (Q F_i + im d_{i+1}), d_i
-induces the exact sequence
-
-    0 -> H_i -> C_i -> F_{i-1} otimes S/Q -> C_{i-1} -> 0,
-
-so HS(H_i) = HS(C_i) - HS(F_{i-1} otimes S/Q) + HS(C_{i-1}).  C_0 is
-M/QM, cached on M.  For i >= min(d, pd M), F otimes S/Q is exact above
-F_i (Tor_j = 0 for j > d, F_j = 0 for j > pd M), so HS(C_i) telescopes
-down from the top, sum_{j >= i} (-1)^(j-i) HS(F_j otimes S/Q), with no
-Groebner basis.  Each C_i with 1 <= i < min(d, pd M) costs one, over
-fewer variables when Q has linear generators l_1..l_r: C_i is killed by
-them, so it is the cokernel over S' = S/(l) (modules.LinearBaseChange) of
-the image of d_{i+1} and of the images of Q's other generators times
-F_i.  Its numerator over (1-t)^(n-r), times (1-t)^r, is the one over
-(1-t)^n.  No homology module is ever presented.
+sum_k t^(twist_k of F_j).  F otimes S/Q is exact above min(d, pd M)
+(Tor_j = 0 for j > d, F_j = 0 for j > pd M), so homology_series reads the
+H_i off these series and the cokernels C_i = F_i / (Q F_i + im d_{i+1})
+below max(min(d, pd M), 1).  C_0 is M/QM, cached on M.  Each other C_i
+costs one Groebner basis, over fewer variables when Q has linear generators
+l_1..l_r: C_i is killed by them, so it is the cokernel over S' = S/(l)
+(modules.LinearBaseChange) of the image of d_{i+1} and of the images of
+Q's other generators times F_i.  Its numerator over (1-t)^(n-r), times
+(1-t)^r, is the one over (1-t)^n.  No homology module is ever presented.
 """
 
 from .errors import EngineBugError
@@ -37,7 +31,7 @@ from .modules import (
     Presentation,
     check_parameter_ideal,
 )
-from .monomial_ideals import poly_add, poly_shift, series_length
+from .monomial_ideals import homology_series, poly_add, poly_shift, series_length
 from .resolution import free_resolution
 
 
@@ -60,19 +54,17 @@ def _homology_lengths(pres, seq):
     s_mod_q = {0: 1}  # HS numerator of S/Q
     for a in seq:
         s_mod_q = poly_add(s_mod_q, poly_shift(s_mod_q, a.degree()), sign=-1)
-    free = []  # HS numerators of F_j otimes S/Q, j = 0..max(d, pd M)
-    for f in res.modules:
-        num = {}
+    frees = [{}] * max(d + 1, len(res.modules))  # HS of F_j otimes S/Q
+    for j, f in enumerate(res.modules):
         for t in f.twists:
-            num = poly_add(num, poly_shift(s_mod_q, t))
-        free.append(num)
-    free += [{}] * (d + 1 - len(free))
-    top = min(d, res.length)
+            frees[j] = poly_add(frees[j], poly_shift(s_mod_q, t))
     change = LinearBaseChange(pres.ring, [a for a in seq if a.degree() == 1])
     others = [change.poly(a) for a in seq if a.degree() != 1]
     plain = Algebra(change.target)
-    cokernels = [pres.quotient_by_ideal(seq).hilbert_numerator()] + [None] * d
-    for i in range(1, top):
+
+    def cokernel(i):
+        if i == 0:
+            return pres.quotient_by_ideal(seq).hilbert_numerator()
         f = change.free(res.modules[i])
         # Q F_i ahead of the boundaries: Buchberger runs shorter that way
         q_f = [f.inject(a, c) for a in others for c in range(f.rank)]
@@ -80,17 +72,11 @@ def _homology_lengths(pres, seq):
         num = Presentation(plain, f, q_f + cols).hilbert_numerator()
         for _ in change.pivots:  # back over (1-t)^n
             num = poly_add(num, poly_shift(num, 1), sign=-1)
-        cokernels[i] = num
-    tail = {}
-    for i in range(len(free) - 1, max(top, 1) - 1, -1):
-        tail = poly_add(free[i], tail, sign=-1)
-        if i <= d:
-            cokernels[i] = tail
+        return num
+
+    top = max(min(d, res.length), 1)
     out = []
-    for i in range(d + 1):
-        num = cokernels[i]
-        if i > 0:
-            num = poly_add(poly_add(num, free[i - 1], sign=-1), cokernels[i - 1])
+    for i, num in enumerate(homology_series(frees, top, cokernel)[: d + 1]):
         ln = series_length(num, pres.ring.n)
         if ln is None:
             raise EngineBugError(f"Koszul homology H_{i} has infinite length")

@@ -29,6 +29,22 @@ def poly_shift(p, k):
     return {d + k: c for d, c in p.items()}
 
 
+def homology_series(frees, top, cokernel):
+    """[HS(H_0), ..., HS(H_m)] of a complex of free modules G_m -> ... ->
+    G_0, frees[k] = HS(G_k), exact above top.  With C_k = coker(G_{k+1} ->
+    G_k), 0 -> H_k -> C_k -> G_{k-1} -> C_{k-1} -> 0 is exact, so HS(H_k) =
+    HS(C_k) - HS(G_{k-1}) + HS(C_{k-1}).  cokernel(k) gives HS(C_k) for
+    k < top only: from top up, 0 -> G_m -> ... -> G_k -> C_k -> 0 is exact
+    and HS(C_k) telescopes to sum_{j >= k} (-1)^(j-k) HS(G_j), with no
+    Groebner basis."""
+    cokernels, tail = [None] * len(frees), {}
+    for k in range(len(frees) - 1, -1, -1):
+        tail = poly_add(frees[k], tail, sign=-1)
+        cokernels[k] = tail if k >= top else cokernel(k)
+    terms = zip(cokernels, [{}] + frees, [{}] + cokernels)  # G_{-1} = C_{-1} = 0
+    return [poly_add(poly_add(c, g, sign=-1), below) for c, g, below in terms]
+
+
 def hilbert_numerators(per_component_monos, weights=None):
     """For each list of exponent tuples, the numerator N(t) with Hilbert
     series of S/(monos) = N(t)/(1-t)^n: {0: 1} for the zero ideal, {} for

@@ -15,10 +15,10 @@ the next step.
 
 Ext^i vanishes below the grade n - d, d = dim M (Bruns and Herzog,
 Cohen-Macaulay Rings, 1.2.10), so the duals are Ext^{n-d}..Ext^n.  Most
-readers need only their Hilbert series: with D_i = coker(d_i^*) the
-sequence 0 -> Ext^i -> D_i -> F_{i+1}^* -> D_{i+1} -> 0 is exact, so
-HS(Ext^i) = HS(D_i) - HS(F_{i+1}^*) + HS(D_{i+1}), one Groebner basis
-per D_i (dual_series).  A dual is presented only on demand (dual_module),
+readers need only their Hilbert series: F^* has homology Ext^i at
+F_i^*, zero for i < n - d, so monomial_ideals.homology_series, reading
+F^* backwards, takes them off the cokernels D_i = coker(d_i^*), one
+Groebner basis per D_i with i > n - d (dual_series).  A dual is presented only on demand (dual_module),
 as the homology of the dualized resolution: one lift_relations for the
 cycles, into F_i^*, and one minimal_lift of the cycles modulo the
 boundaries (Presentation.subquotient).
@@ -31,7 +31,7 @@ from .freemod import FreeElement, FreeModule
 from .groebner import lift_relations, minimal_lift
 from .kernel import mono_mul
 from .modules import Algebra, Presentation
-from .monomial_ideals import poly_add, series_dim
+from .monomial_ideals import homology_series, series_dim
 
 
 class FreeResolution:
@@ -152,8 +152,8 @@ def _ext_at(res, i):
 
 def dual_series(pres):
     """Hilbert numerators [HS(M_0), ..., HS(M_d)] of the duals M_j =
-    Ext^{n-j}_S(M, S), d = dim M, read off D_{n-d}..D_L (module
-    docstring; D_{L+1} = 0) and cached on pres.  Also validates dim M_j
+    Ext^{n-j}_S(M, S), d = dim M, read off one Groebner basis per D_i with
+    i > n - d (module docstring) and cached on pres.  Also validates dim M_j
     <= j for every j, and cross-checks depth M = n - pd M
     (Auslander-Buchsbaum, pd M = L) against min{j : M_j != 0}."""
     return pres.cached("dual_series", lambda: _dual_series(pres))
@@ -164,20 +164,18 @@ def _dual_series(pres):
     if d < 0:
         return []
     res = free_resolution(pres)
-    top = res.length
-    coker = {i: _cokernel(res, i).hilbert_numerator() for i in range(n - d, top + 1)}
-    series = []
-    for j in range(d + 1):
-        i = n - j
-        free = Counter(-t for t in res.modules[i + 1].twists) if i < top else {}
-        series.append(poly_add(poly_add(coker.get(i, {}), coker.get(i + 1, {})), free, sign=-1))
+    L = res.length
+    # G_k = F_{L-k}^* has H_k = Ext^{L-k} and C_k = D_{L-k}
+    frees = [Counter(-t for t in f.twists) for f in reversed(res.modules)]
+    exts = homology_series(frees, L - n + d, lambda k: _cokernel(res, L - k).hilbert_numerator())
+    series = ([{}] * (n - L) + exts)[: d + 1]  # M_j = Ext^{n-j} = H_{L-n+j}
     for j, num in enumerate(series):
         if (dim := series_dim(num, n)) > j:
             raise EngineBugError(f"local cohomology dual M_{j} has dimension {dim} > {j}")
     depth_dual = next((j for j, num in enumerate(series) if num), None)
-    if depth_dual != n - top:
+    if depth_dual != n - L:
         raise EngineBugError(
-            f"depth mismatch: Auslander-Buchsbaum gives {n - top}, "
+            f"depth mismatch: Auslander-Buchsbaum gives {n - L}, "
             f"first nonzero dual is {depth_dual}"
         )
     return series

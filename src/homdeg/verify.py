@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from itertools import permutations
 
 from .errors import EngineBugError
+from .fields import QQ
 from .invariants import (
     _sub_length,
     h0_length,
@@ -245,7 +246,7 @@ def check_thm2(inst, seed=0):
     )
 
 
-def gen_example_39(l, m, field=None, degree_cap=64):
+def gen_example_39(l, m, field=QQ, degree_cap=64):
     """The intersection-of-linear-ideals family: A = S/(X_1..X_l) cap
     (Y_1..Y_l) in 2l + m variables, Q = (x_i - y_i; z_j), over a ring
     whose Groebner runs are bounded by degree_cap."""
@@ -256,8 +257,7 @@ def gen_example_39(l, m, field=None, degree_cap=64):
         + [f"y{i}" for i in range(1, l + 1)]
         + [f"z{j}" for j in range(1, m + 1)]
     )
-    kwargs = {} if field is None else {"field": field}
-    ring = PolyRing(names, degree_cap=degree_cap, **kwargs)
+    ring = PolyRing(names, field=field, degree_cap=degree_cap)
     xs = [ring.var(i) for i in range(l)]
     ys = [ring.var(l + i) for i in range(l)]
     zs = [ring.var(2 * l + j) for j in range(m)]
@@ -267,14 +267,13 @@ def gen_example_39(l, m, field=None, degree_cap=64):
     return ProblemInstance(pres, q, {"family": "ex39", "params": {"l": l, "m": m}})
 
 
-def gen_example_46(l, field=None, degree_cap=64):
+def gen_example_46(l, field=QQ, degree_cap=64):
     """The mixed-ring family: A = k[x,y,z]/((X) cap (Y^l, Z)), with the
     parameter ideal Q = (x - y, x - z), over a ring whose Groebner runs
     are bounded by degree_cap."""
     if l < 1:
         raise ValueError("family requires l >= 1")
-    kwargs = {} if field is None else {"field": field}
-    ring = PolyRing(["x", "y", "z"], degree_cap=degree_cap, **kwargs)
+    ring = PolyRing(["x", "y", "z"], field=field, degree_cap=degree_cap)
     x, y, z = ring.gens()
     pres = Algebra(ring, [x * y**l, x * z]).as_module()
     q = [x - y, x - z]

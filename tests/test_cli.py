@@ -279,6 +279,28 @@ def test_degree_cap_reaches_the_engine(tmp_path, capsys, text, where):
 @pytest.mark.parametrize(
     "text, where",
     [
+        (
+            "ring S = QQ[x, y, z];\nideal J = (x*y);\nalgebra A = S / J;\n"
+            "params Q = ((x + y + z)^65, z);\ncheck invariants;\n",
+            "4:24",
+        ),
+        ("ring S = QQ[x, y, z];\nideal J = power((x + y + z), 65);\n", "2:11"),
+    ],
+    ids=["caret", "power"],
+)
+def test_power_above_the_degree_cap_stops_at_its_token(tmp_path, capsys, text, where):
+    """A power whose degree exceeds the ring's degree cap exits 2 at its
+    `^` or `power` token, before it is expanded, not at the `check`."""
+    script = tmp_path / "power.hd"
+    script.write_text(text)
+    code, out, err = run_cli(capsys, "--input", str(script))
+    assert code == 2
+    assert err == f"{script}:{where}: error: computation exceeded the degree cap 64\n"
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
         ("ring S = QQ[x, y];\nideal J = (1/0*x*y);\n", "2:12"),
         ("ring S = FP(5)[x, y];\nideal J = (1/5*x*y);\n", "2:12"),
         ("ring S = FP(5)[x, y];\nmodule M = coker [[1/10*x]];\n", "2:20"),

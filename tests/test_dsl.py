@@ -109,3 +109,15 @@ def test_error_mentions_offender():
     with pytest.raises(DslError) as err:
         parse_input("ring S = QQ[x];\nideal J = (x + 1);")
     assert "x + 1" in err.value.msg
+
+
+def test_powers_up_to_the_degree_cap_parse():
+    """The degree cap refuses a power only above it: a power of degree 64
+    parses under the default cap, and so does any power of a constant."""
+    script = parse_input("ring S = QQ[x, y, z];\nparams Q = ((x + y + z)^64, 2^100*z);")
+    assert [g.degree() for g in script.statements[-1].gens] == [64, 1]
+    script = parse_input("ring S = QQ[x, y];\nideal J = power((x, y^2), 32);")
+    assert max(g.degree() for g in script.statements[-1].gens) == 64
+    with pytest.raises(DslError) as err:
+        parse_input("ring S = QQ[x, y];\nideal J = (x^3);", degree_cap=2)
+    assert (err.value.line, err.value.col) == (2, 13)

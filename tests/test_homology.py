@@ -39,7 +39,13 @@ from homdeg.modules import (
     linear_annihilators,
     linear_rows,
 )
-from homdeg.monomial_ideals import poly_add, poly_shift, series_dim, series_length
+from homdeg.monomial_ideals import (
+    homology_series,
+    poly_add,
+    poly_shift,
+    series_dim,
+    series_length,
+)
 from homdeg.resolution import FreeResolution, _ext_at, dual_module, dual_series, ext_codims
 from homdeg.verify import check_thm1, gen_example_39, gen_example_46
 
@@ -283,6 +289,44 @@ def test_duals_depth_and_codims_match_ext_at_every_index(corpus):
         ranks.add(pres.rank)
         fields.add(pres.ring.field.name)
     assert {1, 2} <= ranks and {"QQ", "GF(32003)"} <= fields
+
+
+def test_dual_series_presents_only_the_cokernels_above_the_grade(monkeypatch):
+    """dual_series presents D_i only for n - d < i <= L, L - (n - d)
+    cokernels per resolution: D_{n-d} telescopes, since Ext^i = 0 below
+    the grade n - d.  ex39(2,1) (n = 5, d = 3, L = 3) presents D_3 only;
+    the Cohen-Macaulay k[x,y]/(xy) none."""
+    ring = PolyRing(("x", "y"))
+    x, y = ring.gens()
+    cases = [(gen_example_39(2, 1).pres, [3]), (Algebra(ring, [x * y]).as_module(), [])]
+    calls = []
+    cokernel = resolution._cokernel
+
+    def counted(res, i):
+        calls.append(i)
+        return cokernel(res, i)
+
+    monkeypatch.setattr(resolution, "_cokernel", counted)
+    for pres, want in cases:
+        n, d, L = pres.ring.n, pres.dim(), free_resolution(pres).length
+        calls.clear()
+        dual_series(pres)
+        assert calls == want == list(range(n - d + 1, L + 1)), pres
+
+
+def test_homology_series_telescopes_from_any_top():
+    """The Koszul complex 0 -> S(-2) -> S(-1)^2 -> S of (x, y) over
+    k[x, y] resolves k: H_0 = k and H_1 = H_2 = 0 for every top, whether
+    each cokernel comes from cokernel(k) or telescopes, and cokernel(k) is
+    asked only for k < top."""
+    frees = [{0: 1}, {1: 2}, {2: 1}]
+    cokernels = [{0: 1, 1: -2, 2: 1}, {1: 2, 2: -1}, {2: 1}]  # k, S(-1)^2/S(-2), S(-2)
+    for top in range(4):
+        asked = []
+        series = homology_series(frees, top, lambda k: asked.append(k) or cokernels[k])
+        assert [series_length(num, 2) for num in series] == [1, 0, 0], top
+        assert series[1:] == [{}, {}], top
+        assert sorted(asked) == list(range(min(top, 3))), top
 
 
 def _one_relation_short(ext_at):
