@@ -18,7 +18,10 @@ Grammar (statements end with ';'):
 
 Polynomials use integer or INT/INT coefficients, identifiers declared in
 the ring, and the operators + - * ^ with parentheses.  All declared
-generators must be homogeneous.  Errors carry line and column.
+generators must be homogeneous.  Errors carry line and column.  A power
+above the ring's degree cap, and a `*`, `^`, `power` or `product` whose
+expansion could exceed MAX_TERMS terms, is an error at its token, before
+it is expanded.
 
 Each `ring` opens a new scope: a name declared under an earlier ring may
 not be used, so a script never mixes two rings.  A `module` lives over
@@ -28,6 +31,7 @@ since the last `ring`.
 """
 
 from dataclasses import dataclass, field
+from math import comb
 
 from .errors import DegreeCapError, DslError
 from .fields import QQ, PrimeField
@@ -52,6 +56,10 @@ _KEYWORDS = {
 }
 
 _CHECKS = ("thm1", "thm2", "invariants", "audit")
+
+#: The most terms, over all its generators, that one `*`, `^`, `power` or
+#: `product` may expand to.
+MAX_TERMS = 10_000
 
 
 @dataclass(frozen=True)
@@ -203,10 +211,43 @@ class InputScript:
     def unparse(self):
         return "\n".join(s.unparse() for s in self.statements) + "\n"
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, InputScript) and self.statements == other.statements
-        )
+
+def _monomials(nvars, lo, hi):
+    """The number of monomials in nvars variables of degree lo..hi."""
+    return comb(hi + nvars, nvars) - (comb(lo - 1 + nvars, nvars) if lo else 0)
+
+
+def _spread(polys):
+    """The lowest and the highest degree of a term of polys, and the set
+    of variables that occur in them."""
+    monos = [m for p in polys for m in p.terms]
+    degs = [sum(m) for m in monos] or [0]
+    return min(degs), max(degs), {v for m in monos for v, e in enumerate(m) if e}
+
+
+def _product_size(a, b):
+    """A bound on the terms of the products f*g, f in a and g in b: each
+    has at most |f|*|g| terms, and at most as many as the monomials in the
+    variables of a and b of degree lo_a + lo_b..hi_a + hi_b."""
+    size = sum(len(f.terms) for f in a) * sum(len(g.terms) for g in b)
+    if size <= MAX_TERMS:
+        return size
+    (lo_a, hi_a, va), (lo_b, hi_b, vb) = _spread(a), _spread(b)
+    return min(size, len(a) * len(b) * _monomials(len(va | vb), lo_a + lo_b, hi_a + hi_b))
+
+
+def _power_size(a, k):
+    """A bound on the terms of the products of k of the polynomials a
+    (f^k for a = [f], the generators of (a)^k).  Each term of a product
+    comes from a multiset of k of the S terms of a, its factors' terms, so
+    all the products have at most C(k + S - 1, k) terms; and there are at
+    most C(k + len(a) - 1, k) products, each within the monomials in the
+    variables of a of degree k*lo..k*hi."""
+    size = comb(k + max(sum(len(f.terms) for f in a), 1) - 1, k)
+    if size <= MAX_TERMS:
+        return size
+    lo, hi, v = _spread(a)
+    return min(size, comb(k + len(a) - 1, k) * _monomials(len(v), k * lo, k * hi))
 
 
 def _dedupe(polys):
@@ -391,8 +432,10 @@ class _Parser:
             if t.text == "intersect":
                 return self._intersect(t, a, b)
             if t.text == "product":
+                self._within_size(t, _product_size(a, b))
                 return _dedupe(f * g for f in a for g in b)
             self._within_cap(t, b * max((g.degree() for g in a), default=0))
+            self._within_size(t, _power_size(a, b))
             out = a
             for _ in range(b - 1):
                 out = _dedupe(f * g for f in out for g in a)
@@ -435,6 +478,16 @@ class _Parser:
         cap = self.ring.ring.degree_cap
         if degree > cap:
             raise DslError(str(DegreeCapError(cap)), tok.line, tok.col)
+
+    def _within_size(self, tok, size):
+        """An expansion bounded by more than MAX_TERMS terms is an error at
+        tok, before it is expanded."""
+        if size > MAX_TERMS:
+            raise DslError(
+                f"expansion may have up to {size} terms; the limit is {MAX_TERMS}",
+                tok.line,
+                tok.col,
+            )
 
     def _algebra(self):
         _, ntok = self._head("algebra")
@@ -528,8 +581,10 @@ class _Parser:
     def _term(self):
         out = self._factor()
         while self.peek().text == "*":
-            self.next()
-            out = out * self._factor()
+            tok = self.next()
+            rhs = self._factor()
+            self._within_size(tok, _product_size([out], [rhs]))
+            out = out * rhs
         return out
 
     def _factor(self):
@@ -538,6 +593,7 @@ class _Parser:
             tok = self.next()
             k = self.expect_int()
             self._within_cap(tok, base.degree() * k)
+            self._within_size(tok, _power_size([base], k))
             base = base**k
         return base
 

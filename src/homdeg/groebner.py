@@ -11,7 +11,7 @@ deterministic.
 """
 
 import heapq
-from operator import mul
+from operator import itemgetter, mul
 
 from .errors import DegreeCapError, EngineBugError, InhomogeneousError
 from .freemod import FreeElement, FreeModule
@@ -428,9 +428,10 @@ def minimal_lift(gens, modulo, ambient):
     in tagged, as g + e_{r+k}.  The relations are the elements of the
     reduced basis that lead in a tag, renumbered into source.
     """
-    gens = sorted((g for g in gens if g), key=FreeElement.homogeneous_degree)
+    # stable on the degree alone: equal-degree generators keep their order
+    pairs = sorted(((g.homogeneous_degree(), g) for g in gens if g), key=itemgetter(0))
+    degs, gens = [d for d, _ in pairs], [g for _, g in pairs]
     ring, r = ambient.ring, ambient.rank
-    degs = [g.homogeneous_degree() for g in gens]
     big = FreeModule(ring, r + len(gens), ambient.twists + tuple(degs))
     eng = GroebnerEngine(big, TermOrder(r))
     inputs = [FreeElement(big, m.terms) for m in modulo if m]

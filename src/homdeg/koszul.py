@@ -11,16 +11,18 @@ intersection inequality in the regular ring S gives ht Q >= d, and d
 forms spanning an ideal of height d in the Cohen-Macaulay ring S are
 regular.  So K(Q; S) resolves S/Q, and H_i(Q; M) = Tor_i^S(S/Q, M) =
 H_i(F otimes S/Q) (Bruns and Herzog, Cohen-Macaulay Rings, 1.6).  The
-series of F_j otimes S/Q is prod_t (1 - t^deg a_t) / (1-t)^n times
-sum_k t^(twist_k of F_j).  F otimes S/Q is exact above min(d, pd M)
-(Tor_j = 0 for j > d, F_j = 0 for j > pd M), so homology_series reads the
-H_i off these series and the cokernels C_i = F_i / (Q F_i + im d_{i+1})
-below max(min(d, pd M), 1).  C_0 is M/QM, cached on M.  Each other C_i
-costs one Groebner basis, over fewer variables when Q has linear generators
-l_1..l_r: C_i is killed by them, so it is the cokernel over S' = S/(l)
-(modules.LinearBaseChange) of the image of d_{i+1} and of the images of
-Q's other generators times F_i.  Its numerator over (1-t)^(n-r), times
-(1-t)^r, is the one over (1-t)^n.  No homology module is ever presented.
+series of F_j otimes S/Q is prod_t (1 - t^deg a_t) / (1-t)^n times sum_k
+t^(twist_k of F_j).  As Q + ann M is m-primary, H_i(Q; M) = 0 above
+d - grade(Q, M) = d - depth M = pd M - (n - d), the grade bound of
+dual_series, and not at it (1.6.17; a fatal check).  So homology_series
+reads the H_i off these series and the cokernels C_i = F_i / (Q F_i +
+im d_{i+1}) below max(pd M - (n - d), 1).  C_0 is M/QM, cached on M.
+Each other C_i costs one Groebner basis, over fewer variables when Q has
+linear generators l_1..l_r: C_i is killed by them, so it is the cokernel
+over S' = S/(l) (modules.LinearBaseChange) of the image of d_{i+1} and of
+the images of Q's other generators times F_i.  Its numerator over
+(1-t)^(n-r), times (1-t)^r, is the one over (1-t)^n.  No homology module
+is ever presented.
 """
 
 from .errors import EngineBugError
@@ -74,32 +76,31 @@ def _homology_lengths(pres, seq):
             num = poly_add(num, poly_shift(num, 1), sign=-1)
         return num
 
-    top = max(min(d, res.length), 1)
+    top = res.length - (pres.ring.n - d)  # d - depth M
     out = []
-    for i, num in enumerate(homology_series(frees, top, cokernel)[: d + 1]):
+    for i, num in enumerate(homology_series(frees, max(top, 1), cokernel)[: d + 1]):
         ln = series_length(num, pres.ring.n)
         if ln is None:
             raise EngineBugError(f"Koszul homology H_{i} has infinite length")
         if ln < 0:
             raise EngineBugError(f"Koszul homology H_{i} has negative length {ln}")
         out.append(ln)
+    if (last := max((i for i, ln in enumerate(out) if ln), default=-1)) != top:
+        raise EngineBugError(f"Koszul homology ends at H_{last}, but d - depth M = {top}")
     return tuple(out)
 
 
 def euler_char_1(pres, seq, multiplicity):
     """chi_1 = sum_{i>=1} (-1)^(i-1) l(H_i(seq; M)) for a system of
-    parameters seq of M.
+    parameters seq = (a_1, ..., a_d) of M.
 
-    The Samuel multiplicity e(seq; M) is required: the identity
-    chi_1 = l(M/(seq)M) - e(seq; M) is checked exactly; a mismatch means
-    the engine miscomputed and is fatal.
-    """
+    Serre's identity chi_1 = l(M/(seq)M) - e0, with the required Samuel
+    multiplicity e0 = e(seq; M), is checked exactly and fatal on a mismatch.
+    Every cokernel C_i cancels in the alternating sum, so it compares e0
+    with e(M) * prod deg a_i, read off the twists of F: no C_i with i >= 1
+    enters it, and a wrong one passes."""
     lens = koszul_homology_lengths(pres, seq)
-    chi1 = 0
-    sign = 1
-    for ln in lens[1:]:
-        chi1 += sign * ln
-        sign = -sign
+    chi1 = sum((-1) ** i * ln for i, ln in enumerate(lens[1:]))
     if lens[0] - multiplicity != chi1:
         raise EngineBugError(
             f"Euler characteristic inconsistency: chi_1 = {chi1} but "

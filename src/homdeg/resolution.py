@@ -18,10 +18,10 @@ Cohen-Macaulay Rings, 1.2.10), so the duals are Ext^{n-d}..Ext^n.  Most
 readers need only their Hilbert series: F^* has homology Ext^i at
 F_i^*, zero for i < n - d, so monomial_ideals.homology_series, reading
 F^* backwards, takes them off the cokernels D_i = coker(d_i^*), one
-Groebner basis per D_i with i > n - d (dual_series).  A dual is presented only on demand (dual_module),
-as the homology of the dualized resolution: one lift_relations for the
-cycles, into F_i^*, and one minimal_lift of the cycles modulo the
-boundaries (Presentation.subquotient).
+Groebner basis per D_i with i > n - d (dual_series).  A dual is presented
+only on demand (dual_module), as the homology of the dualized resolution:
+one lift_relations for the cycles, into F_i^*, and one minimal_lift of the
+cycles modulo the boundaries (Presentation.subquotient).
 """
 
 from collections import Counter
@@ -154,8 +154,11 @@ def dual_series(pres):
     """Hilbert numerators [HS(M_0), ..., HS(M_d)] of the duals M_j =
     Ext^{n-j}_S(M, S), d = dim M, read off one Groebner basis per D_i with
     i > n - d (module docstring) and cached on pres.  Also validates dim M_j
-    <= j for every j, and cross-checks depth M = n - pd M
-    (Auslander-Buchsbaum, pd M = L) against min{j : M_j != 0}."""
+    <= j for every j and dim M_d = d, where the telescoped D_{n-d} meets a
+    presented D_{n-d+1} (M_d is nonzero of full dimension: Bruns and Herzog
+    3.5.7 with local duality 3.5.8, localized at a minimal prime of
+    dimension d), and cross-checks depth M = n - pd M (Auslander-Buchsbaum,
+    pd M = L) against min{j : M_j != 0}."""
     return pres.cached("dual_series", lambda: _dual_series(pres))
 
 
@@ -167,11 +170,11 @@ def _dual_series(pres):
     L = res.length
     # G_k = F_{L-k}^* has H_k = Ext^{L-k} and C_k = D_{L-k}
     frees = [Counter(-t for t in f.twists) for f in reversed(res.modules)]
-    exts = homology_series(frees, L - n + d, lambda k: _cokernel(res, L - k).hilbert_numerator())
+    exts = homology_series(frees, L - (n - d), lambda k: _cokernel(res, L - k).hilbert_numerator())
     series = ([{}] * (n - L) + exts)[: d + 1]  # M_j = Ext^{n-j} = H_{L-n+j}
-    for j, num in enumerate(series):
-        if (dim := series_dim(num, n)) > j:
-            raise EngineBugError(f"local cohomology dual M_{j} has dimension {dim} > {j}")
+    for j, num in enumerate(series):  # dim M_j <= j, and dim M_d = d
+        if (dim := series_dim(num, n)) > j or dim < j == d:
+            raise EngineBugError(f"local cohomology dual M_{j} has dimension {dim}, dim M = {d}")
     depth_dual = next((j for j, num in enumerate(series) if num), None)
     if depth_dual != n - L:
         raise EngineBugError(

@@ -298,6 +298,33 @@ def test_power_above_the_degree_cap_stops_at_its_token(tmp_path, capsys, text, w
     assert err == f"{script}:{where}: error: computation exceeded the degree cap 64\n"
 
 
+_SIX = "ring S = QQ[a, b, c, d, e, f];\n"
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        (_SIX + "params Q = ((a+b+c+d+e+f)^16, a);\ncheck invariants;\n", "2:26"),
+        (_SIX + "params Q = ((a+b+c+d+e+f)^8*(a+b+c+d+e+f)^8, a);\n", "2:28"),
+        (_SIX + "ideal J = power((a+b+c+d+e+f), 16);\n", "2:11"),
+        (_SIX + "ideal J = product(((a+b+c+d+e+f)^8), ((a+b+c+d+e+f)^8));\n", "2:11"),
+    ],
+    ids=["caret", "times", "power", "product"],
+)
+def test_expansion_above_the_term_bound_stops_at_its_token(tmp_path, capsys, text, where):
+    """An expansion within the degree cap whose bound from the term counts
+    and degrees of its operands exceeds 10,000 terms exits 2 at its token,
+    before it is expanded: each case here would expand to the 20,349
+    monomials of degree 16 in six variables."""
+    script = tmp_path / "size.hd"
+    script.write_text(text)
+    code, out, err = run_cli(capsys, "--input", str(script))
+    assert code == 2
+    assert err == (
+        f"{script}:{where}: error: expansion may have up to 20349 terms; the limit is 10000\n"
+    )
+
+
 @pytest.mark.parametrize(
     "text, where",
     [

@@ -29,7 +29,7 @@ from homdeg import (
     multiplicity,
     torsions,
 )
-from homdeg import resolution
+from homdeg import koszul, resolution
 from homdeg.errors import EngineBugError
 from homdeg.groebner import GroebnerEngine, minimal_lift
 from homdeg.invariants import h0_length, h0_torsion_module, invariant_report
@@ -446,25 +446,36 @@ def _free_cube():
     return Algebra(ring, ()).as_module(), list(ring.gens())
 
 
+def _socle_line():
+    """k[x,y,z]/(x^2, xy, xz): dim 2, depth 0 (x spans the socle)."""
+    ring = PolyRing(("x", "y", "z"))
+    x, y, z = ring.gens()
+    return Algebra(ring, [x**2, x * y, x * z]).as_module(), [y, z]
+
+
 @pytest.mark.parametrize(
     "make, bases, lengths",
     [
-        (lambda: _instance(gen_example_39(2, 1)), 2, [3, 1, 0, 0]),
-        (lambda: _instance(gen_example_39(2, 2)), 2, [3, 1, 0, 0, 0]),
-        (lambda: _instance(gen_example_46(3)), 1, [2, 1, 0]),
+        (lambda: _instance(gen_example_39(2, 1)), 0, [3, 1, 0, 0]),
+        (lambda: _instance(gen_example_39(2, 2)), 0, [3, 1, 0, 0, 0]),
+        (lambda: _instance(gen_example_46(3)), 0, [2, 1, 0]),
         (_free_cube, 0, [1, 0, 0, 0]),
+        (_socle_line, 1, [2, 2, 1]),
     ],
-    ids=["ex39_2_1", "ex39_2_2", "ex46_3", "free"],
+    ids=["ex39_2_1", "ex39_2_2", "ex46_3", "free", "socle_line"],
 )
-def test_koszul_lengths_build_a_basis_only_below_min_d_pd(make, bases, lengths, monkeypatch):
+def test_koszul_lengths_build_a_basis_only_below_the_grade_bound(
+    make, bases, lengths, monkeypatch
+):
     """With the resolution F of M, HS(M) and M/QM cached, the lengths cost
     one Groebner basis per C_i = F_i / (Q F_i + im d_{i+1}) with
-    1 <= i < min(d, pd M); the cokernels from min(d, pd M) up telescope
-    off the series of F otimes S/Q."""
+    1 <= i < d - depth M; the cokernels from d - depth M up telescope off
+    the series of F otimes S/Q, which is exact there (H_i(Q; M) = 0 above
+    d - grade(Q, M))."""
     pres, q = make()
-    res = free_resolution(pres)
+    free_resolution(pres)
     pres.quotient_by_ideal(q).hilbert_numerator()
-    assert bases == max(0, min(pres.dim(), res.length) - 1)
+    assert bases == max(0, pres.dim() - depth(pres) - 1)
     runs = Counter()
     init = GroebnerEngine.__init__
 
@@ -475,6 +486,36 @@ def test_koszul_lengths_build_a_basis_only_below_min_d_pd(make, bases, lengths, 
     monkeypatch.setattr(GroebnerEngine, "__init__", counted)
     assert koszul_homology_lengths(pres, q) == lengths
     assert runs["bases"] == bases
+
+
+def _zeroed(series, k):
+    """series with its k-th entry replaced by the zero series."""
+    return lambda *args: [{} if i == k else s for i, s in enumerate(series(*args))]
+
+
+def test_koszul_lengths_end_at_d_minus_depth(monkeypatch):
+    """H_{d - depth M}(Q; M) != 0 (Bruns and Herzog 1.6.17), where a
+    telescoped cokernel meets a presented one: a Koszul reader that loses
+    it is an engine bug.  ex46(3) has d = 2, depth 1."""
+    pres, q = _instance(gen_example_46(3))
+    assert pres.dim() - depth(pres) == 1
+    monkeypatch.setattr(koszul, "homology_series", _zeroed(koszul.homology_series, 1))
+    with pytest.raises(EngineBugError, match="ends at H_0, but d - depth M = 1"):
+        koszul_homology_lengths(pres, q)
+
+
+def test_top_dual_has_full_dimension(monkeypatch):
+    """M_d = Ext^{n-d}(M, S) is nonzero of dimension d: an Ext reader that
+    loses it is an engine bug.  ex39(2,1) has d = 3 and depth 2, so with
+    M_3 zeroed the first nonzero dual still matches Auslander-Buchsbaum."""
+    pres = gen_example_39(2, 1).pres
+    n, d = pres.ring.n, pres.dim()
+    assert (d, depth(pres)) == (3, 2)
+    # Ext^{n-d} = H_{L-n+d} of F^* read backwards
+    top = free_resolution(pres).length - (n - d)
+    monkeypatch.setattr(resolution, "homology_series", _zeroed(resolution.homology_series, top))
+    with pytest.raises(EngineBugError, match="dual M_3 has dimension -1, dim M = 3"):
+        dual_series(pres)
 
 
 # ---- Koszul lengths against independent routes ------------------------
