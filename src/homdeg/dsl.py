@@ -57,6 +57,10 @@ _KEYWORDS = {
 
 _CHECKS = ("thm1", "thm2", "invariants", "audit")
 
+# An integer is ASCII digits only: str.isdigit also accepts superscripts,
+# which int() refuses, and other scripts' digits, which int() reads.
+_DIGITS = frozenset("0123456789")
+
 #: The most terms, over all its generators, that one `*`, `^`, `power` or
 #: `product` may expand to.
 MAX_TERMS = 10_000
@@ -99,9 +103,9 @@ def _tokenize(text):
             col += j - i
             i = j
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             toks.append(Token("int", text[i:j], line, start_col))
             col += j - i
@@ -542,6 +546,8 @@ class _Parser:
         args = {}
         while self.peek().kind == "name":
             k = self.expect_name()
+            if k.text in args:
+                raise DslError(f"argument {k.text!r} is repeated", k.line, k.col)
             self.expect("=")
             args[k.text] = self.expect_int()
         wanted = {"ex39": {"l", "m"}, "ex46": {"l"}}[ftok.text]

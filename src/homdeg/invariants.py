@@ -224,12 +224,23 @@ def is_d_sequence(pres, seq):
     Hilbert series, by _series_drop iff t^(deg a_i) (HS(M/Q_{i-1}M) -
     HS(M/(Q_{i-1}, a_j)M)) = HS(M/Q_{i-1}M) - HS(M/(Q_{i-1}, a_i a_j)M),
     the last quotient used once and not cached.
+
+    A regular a_i decides every pair (i, j) at once.  On W = M/Q_{i-1}M,
+    with D = deg a_i, the sequence 0 -> (0 :_W a_i)(-D) -> W(-D) -> W ->
+    W/a_iW -> 0 (times a_i) is exact, so a_i is a nonzerodivisor on W iff
+    HS(W) - HS(W/a_iW) = t^D HS(W), both quotients on the cached chain
+    M/Q_kM.  Then (N : a_i a_j) = ((N : a_i) : a_j) = (N : a_j) for every
+    j, and no product quotient is built for that i.  Otherwise the pairs
+    run in order, so the first failing pair is the same either way.
     """
     check_ideal_ring(pres, seq)
     d = len(seq)
     for i in range(1, d + 1):
         a = seq[i - 1]
         quotient = pres.quotient_by_ideal(seq[: i - 1])
+        shifted = poly_shift(quotient.hilbert_numerator(), a.homogeneous_degree())
+        if _series_drop(quotient, pres.quotient_by_ideal(seq[:i])) == shifted:
+            continue
         for j in range(i, d + 1):
             cut = pres.quotient_by_ideal([*seq[: i - 1], seq[j - 1]])
             rhs = poly_shift(_series_drop(quotient, cut), a.homogeneous_degree())

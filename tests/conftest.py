@@ -10,6 +10,8 @@ presentation, so later tests reuse earlier work.
 import pytest
 
 from homdeg import Algebra, FreeModule, PolyRing, Presentation
+from homdeg.invariants import _series_drop
+from homdeg.monomial_ideals import poly_shift
 from homdeg.verify import ProblemInstance, gen_example_39, gen_example_46
 
 
@@ -171,3 +173,25 @@ def ex46_family():
 @pytest.fixture(scope="session")
 def ex39_family():
     return {(l, m): gen_example_39(l, m) for (l, m) in ((2, 1), (3, 1), (2, 2), (3, 2), (4, 1))}
+
+
+def _pair_loop_is_d_sequence(pres, seq):
+    """Oracle for is_d_sequence: every pair (i, j >= i) compared by the
+    Hilbert series of M/Q_{i-1}M, M/(Q_{i-1}, a_j)M and a product quotient
+    M/(Q_{i-1}, a_i a_j)M, with no shortcut for a regular a_i."""
+    for i in range(1, len(seq) + 1):
+        a = seq[i - 1]
+        quotient = pres.quotient_by_ideal(seq[: i - 1])
+        for j in range(i, len(seq) + 1):
+            cut = pres.quotient_by_ideal([*seq[: i - 1], seq[j - 1]])
+            rhs = poly_shift(_series_drop(quotient, cut), a.homogeneous_degree())
+            cols = quotient.columns + tuple(pres.ideal_times_ambient([a * seq[j - 1]]))
+            by_product = Presentation(pres.algebra, pres.ambient, cols)
+            if _series_drop(quotient, by_product) != rhs:
+                return False, (i, j)
+    return True, None
+
+
+@pytest.fixture(scope="session")
+def pair_loop_oracle():
+    return _pair_loop_is_d_sequence

@@ -343,3 +343,41 @@ def test_zero_denominator_is_positioned(tmp_path, capsys, text, where):
     code, out, err = run_cli(capsys, "--input", str(script))
     assert code == 2
     assert err == f"{script}:{where}: error: zero denominator\n"
+
+
+@pytest.mark.parametrize(
+    "text, where, char",
+    [
+        ("ring S = QQ[x, y];\nideal J = (x^²);\n", "2:14", "²"),
+        ("ring S = QQ[x, y];\nideal J = (x^٣);\n", "2:14", "٣"),
+        ("ring S = QQ[x, y];\nideal J = (٣*x);\n", "2:12", "٣"),
+    ],
+    ids=["superscript", "arabic-indic-exponent", "arabic-indic-coefficient"],
+)
+def test_non_ascii_digit_is_an_unexpected_character(tmp_path, capsys, text, where, char):
+    """An integer is ASCII 0-9 only: a superscript digit, which int()
+    refuses, and an Arabic-Indic digit, which int() would read as 3, both
+    stop at their position with exit 2."""
+    script = tmp_path / "digit.hd"
+    script.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "--input", str(script))
+    assert code == 2
+    assert err == f"{script}:{where}: error: unexpected character {char!r}\n"
+
+
+@pytest.mark.parametrize(
+    "text, where, name",
+    [
+        ("example ex39 l=2 m=1 m=2;\ncheck invariants;\n", "1:22", "m"),
+        ("example ex46 l=1 l=1;\ncheck invariants;\n", "1:18", "l"),
+    ],
+    ids=["ex39", "ex46-same-value"],
+)
+def test_repeated_example_argument_is_refused(tmp_path, capsys, text, where, name):
+    """A repeated `example` argument stops at its second occurrence, as a
+    redeclared name does, instead of letting the last value win."""
+    script = tmp_path / "twice.hd"
+    script.write_text(text)
+    code, out, err = run_cli(capsys, "--input", str(script))
+    assert code == 2
+    assert err == f"{script}:{where}: error: argument {name!r} is repeated\n"

@@ -8,6 +8,7 @@ from itertools import combinations_with_replacement
 import pytest
 
 import homdeg.groebner
+import homdeg.invariants
 import homdeg.modules
 import homdeg.resolution
 from homdeg import (
@@ -567,6 +568,90 @@ def test_is_d_sequence_matches_colon_oracle():
     pres = Algebra(ring, [x * y, x * z]).as_module()
     for seq in ([x - y, ring.zero, z], [ring.zero, y, z], [y, z, ring.zero]):
         assert is_d_sequence(pres, seq) == _colon_is_d_sequence(pres, seq), seq
+
+
+def _is_regular(pres, prefix, a):
+    """a is a nonzerodivisor on M/(prefix)M: (N : a) = N for N the
+    relations of that quotient, compared by reduced bases."""
+    colon = colon_by_ideal(pres, pres.ideal_times_ambient(prefix), [a])
+    return submodule_key(colon) == submodule_key(pres.quotient_by_ideal(prefix).gb())
+
+
+def _random_small_draw(rng):
+    """A monomial quotient k[x,y,z]/J of dimension 1 or 2 with a linear Q
+    of small integer coefficients that is a parameter ideal, or None."""
+    ring = PolyRing(("x", "y", "z"))
+    j = [
+        Polynomial(ring, {_mono(rng, rng.randint(2, 3)): ring.field.one})
+        for _ in range(rng.randint(1, 4))
+    ]
+    pres = Algebra(ring, j).as_module()
+    d = pres.dim()
+    if d not in (1, 2):
+        return None
+    q = [_combination(ring, rng, ring.gens()) for _ in range(d)]
+    if not all(q) or pres.quotient_by_ideal(q).length() is None:
+        return None
+    return pres, q
+
+
+def test_regular_rows_match_the_pair_loop(ex39_family, ex46_family, low_depth, pair_loop_oracle):
+    """is_d_sequence, which skips every pair (i, j) of a regular a_i,
+    returns the full pair loop's (ok, pair): on ex39(2,1) with its given Q,
+    where a_1 is regular, a_2 is not and (2, 3) fails; on the candidate the
+    search accepts there; on ex46 l=1..3; on a depth-0 module; and on a
+    dozen random-small-style draws, regular and zero-divisor a_1 alike."""
+    inst = ex39_family[(2, 1)]
+    pres, q = inst.pres, inst.q_gens
+    assert _is_regular(pres, [], q[0]) and not _is_regular(pres, q[:1], q[1])
+    dense = find_dseq_generators(pres, q, metadata=inst.metadata)
+    cases = [(pres, q), (pres, dense)]
+    cases += [(ex46_family[l].pres, ex46_family[l].q_gens) for l in (1, 2, 3)]
+    cases.append(low_depth[:2])
+    rng = random.Random(20141022)
+    draws = []
+    while len(draws) < 12:
+        draw = _random_small_draw(rng)
+        if draw is not None:
+            draws.append(draw)
+    verdicts = [is_d_sequence(p, s) for p, s in cases + draws]
+    assert verdicts == [pair_loop_oracle(p, s) for p, s in cases + draws]
+    assert verdicts[:2] == [(False, (2, 3)), (True, None)]
+    assert not _is_regular(*low_depth[:2], low_depth[1][0])
+    first_regular = {_is_regular(p, [], s[0]) for p, s in draws}
+    assert first_regular == {True, False}
+
+
+def test_regular_sequence_builds_only_the_quotient_chain(monkeypatch):
+    """On k[x,y,z] with Q = (x, y, z) every a_i is regular on M/Q_{i-1}M,
+    so is_d_sequence builds no product presentation and no Groebner engine
+    beyond those of the quotients M/Q_kM."""
+    engines, products = Counter(), Counter()
+    init = GroebnerEngine.__init__
+
+    def counted_init(self, *args, **kwargs):
+        engines["built"] += 1
+        init(self, *args, **kwargs)
+
+    def counted_presentation(*args, **kwargs):
+        products["built"] += 1
+        return Presentation(*args, **kwargs)
+
+    monkeypatch.setattr(GroebnerEngine, "__init__", counted_init)
+    monkeypatch.setattr(homdeg.invariants, "Presentation", counted_presentation)
+
+    ring = PolyRing(("x", "y", "z"))
+    seq = list(ring.gens())
+    chain = Algebra(ring, ()).as_module()
+    for k in range(len(seq) + 1):
+        chain.quotient_by_ideal(seq[:k]).hilbert_numerator()
+    chain_engines = engines.pop("built")
+    assert chain_engines > 0
+
+    pres = Algebra(ring, ()).as_module()
+    assert is_d_sequence(pres, seq) == (True, None)
+    assert engines["built"] == chain_engines
+    assert products["built"] == 0
 
 
 def test_colon_correction_matches_colon_oracle():

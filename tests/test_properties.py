@@ -8,7 +8,9 @@ generator is a product of two linear forms.  A draw is rejected only when
 it is not valid input: Q must have dim M nonzero generators and M/QM
 finite length.  On every valid draw the full report, both theorem
 checkers and the inequality audit must run without an EngineBugError and
-with consistent equivalences.
+with consistent equivalences, and is_d_sequence must return the full pair
+loop's verdict on Q (the second kind gives its regular-element rule a
+quadric a_1).
 """
 
 from functools import reduce
@@ -18,7 +20,7 @@ from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from homdeg import Algebra, FreeModule, Polynomial, PolyRing, Presentation
-from homdeg.invariants import invariant_report
+from homdeg.invariants import invariant_report, is_d_sequence
 from homdeg.verify import ProblemInstance, audit_inequalities, check_thm1, check_thm2
 
 N = 3
@@ -54,8 +56,9 @@ def _draw_form(data, ring, deg, label):
     return form
 
 
-def _check_valid_draw(pres, q):
-    """Reject invalid input, then run every report and checker."""
+def _check_valid_draw(pres, q, pair_loop_oracle):
+    """Reject invalid input, then run every report and checker, and test
+    Q for a d-sequence against the pair-loop oracle."""
     d = pres.dim()
     assume(d >= 1)  # dim 0: no parameter ideal of length dim M
     assume(len(q) == d and all(q) and pres.quotient_by_ideal(q).length() is not None)
@@ -66,6 +69,7 @@ def _check_valid_draw(pres, q):
     if d >= 2:
         assert check_thm2(inst).equivalence_consistent
     audit_inequalities(inst)
+    assert is_d_sequence(pres, q) == pair_loop_oracle(pres, q)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -74,7 +78,7 @@ def _check_valid_draw(pres, q):
     shear=st.lists(_coeff, min_size=N * (N - 1) // 2, max_size=N * (N - 1) // 2),
     data=st.data(),
 )
-def test_random_valid_input_never_raises_engine_bug(monos, shear, data):
+def test_random_valid_input_never_raises_engine_bug(monos, shear, data, pair_loop_oracle):
     ring = PolyRing(("x", "y", "z"))
     # x_i -> x_i + sum_{j > i} c_ij x_j: unitriangular, so invertible
     sub, k = [], 0
@@ -88,12 +92,12 @@ def test_random_valid_input_never_raises_engine_bug(monos, shear, data):
     rels = [reduce(mul, [sub[i] for i in m]) for m in monos]
     pres = Algebra(ring, rels).as_module()
     q = [_draw_linear(data, ring, f"q{i}") for i in range(max(pres.dim(), 0))]
-    _check_valid_draw(pres, q)
+    _check_valid_draw(pres, q, pair_loop_oracle)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(data=st.data())
-def test_twisted_rank_two_with_a_quadratic_parameter(data):
+def test_twisted_rank_two_with_a_quadratic_parameter(data, pair_loop_oracle):
     ring = PolyRing(("x", "y", "z"))
     twists = (0, 1)
     ambient = FreeModule(ring, 2, twists)
@@ -108,4 +112,4 @@ def test_twisted_rank_two_with_a_quadratic_parameter(data):
     q = [_draw_linear(data, ring, f"q{i}") for i in range(max(pres.dim(), 0))]
     if q:
         q[0] = q[0] * _draw_linear(data, ring, "q0 factor")
-    _check_valid_draw(pres, q)
+    _check_valid_draw(pres, q, pair_loop_oracle)
