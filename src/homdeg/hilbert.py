@@ -97,6 +97,12 @@ def _adjoin(pres, others):
     return ambient, rels
 
 
+def check_ideal_of_definition(pres, q_gens):
+    """ValueError unless M/QM (cached on M) has finite length."""
+    if pres.quotient_by_ideal(q_gens).length() is None:
+        raise ValueError("not an ideal of definition: M/QM has infinite length")
+
+
 def hilbert_coefficients(pres, q_gens):
     """The Samuel polynomial of Q on M in binomial form, cached on pres."""
     check_ideal_ring(pres, q_gens)
@@ -170,8 +176,7 @@ def exact_coefficients(pres, q_gens):
     for a, p in rows.items():
         ln = series_length(p, nvars - sum(pivot))
         if ln is None:
-            if pres.quotient_by_ideal(q_gens).length() is None:
-                raise ValueError("not an ideal of definition: M/QM has infinite length")
+            check_ideal_of_definition(pres, q_gens)
             raise EngineBugError("a graded piece of gr_Q(M) has infinite length")
         if ln:
             series[a] = ln

@@ -16,7 +16,11 @@ from math import comb
 from .errors import EngineBugError
 from .groebner import normal_forms
 from .hilbert import (
-    HilbertCoefficients, associated_graded, hilbert_coefficients, multiplicity
+    HilbertCoefficients,
+    associated_graded,
+    check_ideal_of_definition,
+    hilbert_coefficients,
+    multiplicity,
 )
 from .koszul import euler_char_1
 from .modules import (
@@ -55,28 +59,65 @@ def hdeg(pres, q_gens):
     (modules.linear_annihilators; the pair cached on M_j): lengths and e0
     are the same there, and by Rees' lemma so are the duals of M_j up to
     a twist, so hdeg is too.  M itself stays over S.
+
+    e0(Q; M) is the Samuel multiplicity, computed before any dual, so a
+    Q with M/QM of infinite length raises ValueError there.  A presented
+    dual takes e0(Q; M_j) = D^(dim M_j) e(M_j) when the nonzero generators
+    of Q share one degree D, and the Samuel multiplicity only when they
+    do not (_dual_hdeg).
+
     Cached on pres, keyed by Q, so the duals (cached on pres too) keep
     their own hdeg across calls.
     """
     check_ideal_ring(pres, q_gens)
     if pres.is_zero():
         return 0
-    return pres.cached("hdeg", lambda: _hdeg(pres, q_gens), q_gens)
+    return _hdeg(pres, q_gens, multiplicity)
 
 
-def _hdeg(pres, q_gens):
-    s = pres.dim()
-    if s <= 0:
-        return pres.length()
-    out = multiplicity(pres, q_gens)
-    for j in range(s):
-        out += comb(s - 1, j) * _dual_hdeg(pres, j, q_gens)
-    return out
+def _hdeg(pres, q_gens, e0):
+    """The recursion of hdeg on a nonzero M, with e0(Q; M) taken from
+    e0(pres, q_gens); cached on pres, keyed by Q."""
+
+    def compute():
+        s = pres.dim()
+        if s <= 0:
+            return pres.length()
+        out = e0(pres, q_gens)
+        for j in range(s):
+            out += comb(s - 1, j) * _dual_hdeg(pres, j, q_gens)
+        return out
+
+    return pres.cached("hdeg", compute, q_gens)
+
+
+def _dual_e0(pres, q_gens):
+    """e0(Q; N) of a presented dual N or of its descent: D^(dim N) e(N)
+    when the nonzero generators of Q share one degree D, else the Samuel
+    multiplicity (see _dual_hdeg)."""
+    degrees = {g.degree() for g in q_gens if g}
+    if len(degrees) == 1:
+        return degrees.pop() ** pres.dim() * pres.degree_multiplicity()
+    return multiplicity(pres, q_gens)
 
 
 def _dual_hdeg(pres, j, q_gens):
     """hdeg(M_j): its length off dual_series when dim M_j <= 0, else that
-    of the presented M_j over S/(l) (see hdeg)."""
+    of the presented M_j over S/(l) (see hdeg), with e0 by _dual_e0 at
+    every level of its recursion.
+
+    Q + ann M is m-primary by the parameter-ideal contract, and ann M lies
+    in ann Ext^i(M, S), so N/QN has finite length for every dual N below
+    M.  When the nonzero generators of Q share one degree D, then over an
+    infinite field s = dim N general combinations of them are a reduction
+    of Q on N (Northcott and Rees, 1954; Swanson and Huneke, Integral
+    Closure of Ideals, Rings, and Modules, 2006, Ch. 8), hence a
+    homogeneous system of parameters of N of degree D, and by Serre's
+    formula e0(Q; N) = D^s e(N), e(N) the degree multiplicity.
+    Multiplicities do not change under field extension, so this holds
+    over a finite field too, and the descent of N has the same e(N) and
+    dimension.  No Samuel basis is built for N then.
+    """
     num, n = _duals(pres)[j], pres.ring.n
     if series_dim(num, n) < 1:
         return series_length(num, n)
@@ -87,16 +128,20 @@ def _dual_hdeg(pres, j, q_gens):
         return change, change.presentation(dual)
 
     change, down = dual.cached("descent", descend)
-    return hdeg(down, [change.poly(g) for g in q_gens])
+    return _hdeg(down, [change.poly(g) for g in q_gens], _dual_e0)
 
 
 def torsion(pres, q_gens, i):
-    """Homological torsion T^i = sum_{j=1}^{s-i} C(s-i-1, j-1) hdeg(M_j)."""
+    """Homological torsion T^i = sum_{j=1}^{s-i} C(s-i-1, j-1) hdeg(M_j).
+    Raises ValueError when M/QM has infinite length, as hdeg does, read
+    off the cached M/QM."""
     s = pres.dim()
     if s < 2:
         raise ValueError("torsion requires dim M >= 2")
     if not 1 <= i <= s - 1:
         raise ValueError(f"torsion index {i} out of range 1..{s - 1}")
+    check_ideal_ring(pres, q_gens)
+    check_ideal_of_definition(pres, q_gens)
     return sum(
         comb(s - i - 1, j - 1) * _dual_hdeg(pres, j, q_gens) for j in range(1, s - i + 1)
     )
@@ -265,8 +310,7 @@ def is_superficial(pres, a, ideal_gens):
     """
     if not a:
         raise ValueError("the zero element is never superficial")
-    if pres.quotient_by_ideal(ideal_gens).length() is None:
-        raise ValueError("M/IM has infinite length: I is not an ideal of definition")
+    check_ideal_of_definition(pres, ideal_gens)
     gr, a_star = associated_graded(pres, ideal_gens, a)
     return _sub_length(gr, colon_by_ideal(gr, [], [a_star])) is not None
 

@@ -6,6 +6,7 @@ defining ideal J (pulled into each free-module component) to every
 relation computation.
 """
 
+import weakref
 from collections import Counter
 
 from .errors import EngineBugError, InhomogeneousError
@@ -31,14 +32,23 @@ class Algebra:
                 raise InhomogeneousError(repr(g))
             rels.append(g)
         self.relations = tuple(rels)
+        self._module = None  # weakref to the presentation as_module gave
 
     def irrelevant_gens(self):
         """Generators of the maximal (irrelevant) ideal: the variables."""
         return [self.ring.var(i) for i in range(self.ring.n)]
 
     def as_module(self):
-        """A as a module over itself."""
-        return Presentation(self, FreeModule(self.ring, 1), ())
+        """A as a module over itself: one presentation per algebra while it
+        is in use, so that every user of A shares its cached quotients
+        A/QA.  The algebra holds it weakly: the presentation refers to the
+        algebra, and a strong reference back would leave the two, with
+        every quantity cached on the presentation, to the cycle collector."""
+        module = self._module() if self._module else None
+        if module is None:
+            module = Presentation(self, FreeModule(self.ring, 1), ())
+            self._module = weakref.ref(module)
+        return module
 
     def __eq__(self, other):
         return (

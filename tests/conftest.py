@@ -1,4 +1,5 @@
-"""Shared fixtures: the audit corpus of (module, parameter ideal) instances.
+"""Shared fixtures: the audit corpus of (module, parameter ideal) instances,
+and the tests-only oracles of is_d_sequence, hdeg and torsions.
 
 The corpus mixes the two built-in example families with Cohen-Macaulay
 controls and small low-depth modules, so the inequality audit and the
@@ -7,9 +8,18 @@ Instances are session-scoped: every derived invariant is cached on the
 presentation, so later tests reuse earlier work.
 """
 
+from math import comb
+
 import pytest
 
-from homdeg import Algebra, FreeModule, PolyRing, Presentation
+from homdeg import (
+    Algebra,
+    FreeModule,
+    PolyRing,
+    Presentation,
+    local_cohomology_duals,
+    multiplicity,
+)
 from homdeg.invariants import _series_drop
 from homdeg.monomial_ideals import poly_shift
 from homdeg.verify import ProblemInstance, gen_example_39, gen_example_46
@@ -195,3 +205,30 @@ def _pair_loop_is_d_sequence(pres, seq):
 @pytest.fixture(scope="session")
 def pair_loop_oracle():
     return _pair_loop_is_d_sequence
+
+
+def _hdeg_over_s(pres, q):
+    """hdeg by its recursion over S alone: every dual presented over S,
+    none moved to fewer variables, and e0 the Samuel multiplicity at every
+    level.  The oracle of the linear descent of the duals and of their
+    closed-form e0."""
+    s = pres.dim()
+    if s <= 0:
+        return pres.length()
+    duals = local_cohomology_duals(pres)
+    return multiplicity(pres, q) + sum(comb(s - 1, j) * _hdeg_over_s(duals[j], q) for j in range(s))
+
+
+def _torsions_over_s(pres, q):
+    s = pres.dim()
+    duals = local_cohomology_duals(pres)
+    return tuple(
+        sum(comb(s - i - 1, j - 1) * _hdeg_over_s(duals[j], q) for j in range(1, s - i + 1))
+        for i in range(1, s)
+    )
+
+
+@pytest.fixture(scope="session")
+def over_s_oracle():
+    """(hdeg, torsions) by the recursion over S (_hdeg_over_s)."""
+    return _hdeg_over_s, _torsions_over_s

@@ -6,7 +6,6 @@ the duals, depth and Ext codimensions against Ext at every index."""
 import random
 from collections import Counter
 from itertools import combinations
-from math import comb
 
 import pytest
 
@@ -812,41 +811,24 @@ def _over_s(numerator, change):
     return numerator
 
 
-def _hdeg_over_s(pres, q):
-    """hdeg by its recursion over S alone, no dual moved to fewer
-    variables: the oracle of the route through linear_annihilators."""
-    s = pres.dim()
-    if s <= 0:
-        return pres.length()
-    duals = local_cohomology_duals(pres)
-    return multiplicity(pres, q) + sum(comb(s - 1, j) * _hdeg_over_s(duals[j], q) for j in range(s))
-
-
-def _torsions_over_s(pres, q):
-    s = pres.dim()
-    duals = local_cohomology_duals(pres)
-    return tuple(
-        sum(comb(s - i - 1, j - 1) * _hdeg_over_s(duals[j], q) for j in range(1, s - i + 1))
-        for i in range(1, s)
-    )
-
-
-def _check_descent(pres, q):
+def _check_descent(pres, q, over_s):
     """pres (dim >= 1) and its linear descent agree on the Hilbert
-    function, e0, hdeg and every torsion, each over its own ring; returns
-    the change."""
+    function, e0, hdeg and every torsion, each over its own ring, the
+    last two against over_s = (hdeg, torsions) over S; returns the
+    change."""
+    hdeg_over_s, torsions_over_s = over_s
     forms = linear_annihilators(pres)
     change = LinearBaseChange(pres.ring, forms)
     down, q_down = change.presentation(pres), [change.poly(g) for g in q]
     assert all(not change.poly(l) for l in forms)
     assert _over_s(down.hilbert_numerator(), change) == pres.hilbert_numerator()
     assert multiplicity(down, q_down) == multiplicity(pres, q)
-    assert hdeg(down, q_down) == _hdeg_over_s(pres, q)
-    assert torsions(down, q_down) == _torsions_over_s(pres, q)
+    assert hdeg(down, q_down) == hdeg_over_s(pres, q)
+    assert torsions(down, q_down) == torsions_over_s(pres, q)
     return change
 
 
-def test_rank_two_dual_keeps_its_equations_apart():
+def test_rank_two_dual_keeps_its_equations_apart(over_s_oracle):
     """Q = (x - 2y - 3z, -x - 3y - 2z) on k[x,y,z]/(xy^2, x^2y, x^3): the
     dual M_1 has rank 2 and no linear form kills it.  Equations of x e_0
     and x e_1 merged into one would find x - y and give T^1 = 2."""
@@ -857,13 +839,14 @@ def test_rank_two_dual_keeps_its_equations_apart():
     m1 = local_cohomology_duals(pres)[1]
     assert m1.rank == 2 and m1.dim() == 1
     assert linear_annihilators(m1) == []
-    _check_descent(m1, q)
+    _check_descent(m1, q, over_s_oracle)
+    hdeg_over_s, torsions_over_s = over_s_oracle
     inv = invariant_report(pres, q)
-    assert inv.torsions == _torsions_over_s(pres, q) == (3,)
-    assert inv.hdeg == _hdeg_over_s(pres, q) == 4
+    assert inv.torsions == torsions_over_s(pres, q) == (3,)
+    assert inv.hdeg == hdeg_over_s(pres, q) == 4
 
 
-def test_hdeg_by_linear_descent_matches_the_route_over_s():
+def test_hdeg_by_linear_descent_matches_the_route_over_s(over_s_oracle):
     """On seeded modules (_draw_module) with linear Q, and on every dual
     of dimension >= 1 among them, the descent to S/(l) gives the Hilbert
     function, e0, hdeg and torsions of the route over S, and the report
@@ -879,16 +862,45 @@ def test_hdeg_by_linear_descent_matches_the_route_over_s():
             cases.append((pres, q))
     for pres, q in cases:
         inv = invariant_report(pres, q)
-        assert (inv.hdeg, inv.torsions) == (_hdeg_over_s(pres, q), _torsions_over_s(pres, q))
+        assert (inv.hdeg, inv.torsions) == tuple(f(pres, q) for f in over_s_oracle)
         modules = [pres] + [m for m in local_cohomology_duals(pres)[: pres.dim()] if m.dim() >= 1]
         for k, m in enumerate(modules):
-            change = _check_descent(m, q)
+            change = _check_descent(m, q, over_s_oracle)
             kind = "dual" if k else "module"
             seen[kind] += 1
             seen[kind, "moved"] += bool(change.pivots)
             seen[kind, "rank 2"] += m.rank >= 2
     assert seen["module"] >= 80 and seen["module", "moved"] >= 30, seen
     assert seen["dual"] >= 18 and seen["dual", "moved"] >= 8 and seen["dual", "rank 2"] >= 4, seen
+
+
+def _closed_form_cases():
+    """(M, Q) for the closed-form e0 of the duals: Q linear, quadric and
+    cubic of one degree, and one Q of mixed degrees, on which the Samuel
+    route still runs.  The non-linear Q lie on the ex46 rings
+    k[x,y,z]/((x) cap (y^l, z))."""
+    cases = [pytest.param(*_instance(gen_example_39(2, 1)), id="ex39_l2_m1")]
+    cases += [pytest.param(*_instance(gen_example_46(l)), id=f"ex46_l{l}") for l in (1, 2, 3)]
+    for l, power, kind in [(l, 2, "quadric") for l in range(1, 7)] + [(3, 3, "cubic")]:
+        pres = gen_example_46(l).pres
+        x, y, z = pres.ring.gens()
+        q = [(x - y) ** power, (x - z) ** power]
+        cases.append(pytest.param(pres, q, id=f"{kind}_l{l}"))
+    pres = gen_example_46(2).pres
+    x, y, z = pres.ring.gens()
+    cases.append(pytest.param(pres, [x - y, (x - z) ** 2], id="mixed_l2"))
+    return cases
+
+
+@pytest.mark.parametrize("pres, q", _closed_form_cases())
+def test_closed_form_dual_e0_matches_samuel_at_every_level(pres, q, over_s_oracle):
+    """hdeg and torsions, whose presented duals take e0 = D^dim e, equal
+    the recursion over S that takes the Samuel multiplicity at every
+    level.  Each case presents a dual of dimension >= 1, where a wrong
+    power of D or the e of another module shows."""
+    hdeg_over_s, torsions_over_s = over_s_oracle
+    assert (hdeg(pres, q), torsions(pres, q)) == (hdeg_over_s(pres, q), torsions_over_s(pres, q))
+    assert any(m.dim() >= 1 for m in local_cohomology_duals(pres)[: pres.dim()])
 
 
 def _lengths_over_s(pres, seq):

@@ -8,6 +8,7 @@ from itertools import combinations_with_replacement
 import pytest
 
 import homdeg.groebner
+import homdeg.hilbert
 import homdeg.invariants
 import homdeg.modules
 import homdeg.resolution
@@ -135,6 +136,58 @@ def test_torsions_and_sv():
     assert is_generalized_cm(pres)
     assert stuckrad_vogel(pres, q) == 1
     assert hdeg(pres, q) == 3  # e0 = 2 plus the torsion contribution
+
+
+@pytest.mark.parametrize("entry", [hdeg, torsions])
+@pytest.mark.parametrize("power", [1, 2], ids=["linear", "quadric"])
+def test_a_q_that_is_no_ideal_of_definition_is_refused(entry, power):
+    """On ex46(2), Q = (x, y) or (x^2, y^2) leaves M/QM = k[z] of
+    infinite length.  hdeg refuses it at the Samuel multiplicity of M,
+    before any dual takes its e0 in closed form, and torsions refuses it
+    too, although each of its terms is the hdeg of a dual."""
+    pres = gen_example_46(2).pres
+    x, y, _ = pres.ring.gens()
+    with pytest.raises(ValueError, match="not an ideal of definition: M/QM has infinite length"):
+        entry(pres, [x**power, y**power])
+
+
+def _pres_and_q(inst, q=None):
+    """(M, Q) of a family instance, Q its own or q of the ring's variables."""
+    return inst.pres, inst.q_gens if q is None else q(*inst.pres.ring.gens())
+
+
+@pytest.mark.parametrize(
+    "make, one_degree",
+    [
+        (lambda: _pres_and_q(gen_example_39(2, 1)), True),
+        (lambda: _pres_and_q(gen_example_46(2)), True),
+        (lambda: _pres_and_q(gen_example_46(2), lambda x, y, z: [(x - y) ** 2, (x - z) ** 2]), True),
+        (lambda: _pres_and_q(gen_example_46(3), lambda x, y, z: [(x - y) ** 3, (x - z) ** 3]), True),
+        (lambda: _pres_and_q(gen_example_46(2), lambda x, y, z: [x - y, (x - z) ** 2]), False),
+    ],
+    ids=["ex39_linear", "ex46_linear", "ex46_quadric", "ex46_cubic", "ex46_mixed"],
+)
+def test_samuel_bases_of_the_report(make, one_degree, monkeypatch):
+    """With Q of one degree, invariant_report builds one Samuel basis,
+    that of M: every presented dual takes e0 = D^dim e.  With Q of mixed
+    degrees, every presented dual builds its own."""
+    pres, q = make()
+    built, presented = Counter(), set()
+    gr_basis, dual_module = homdeg.hilbert._gr_basis, homdeg.invariants.dual_module
+
+    def counted(*args):
+        built["samuel"] += 1
+        return gr_basis(*args)
+
+    def recorded(m, j):
+        presented.add((id(m), j))
+        return dual_module(m, j)
+
+    monkeypatch.setattr(homdeg.hilbert, "_gr_basis", counted)
+    monkeypatch.setattr(homdeg.invariants, "dual_module", recorded)
+    invariant_report(pres, q)
+    assert presented
+    assert built["samuel"] == (1 if one_degree else 1 + len(presented))
 
 
 def test_gcm_false_for_mixed_components():

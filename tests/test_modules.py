@@ -3,7 +3,9 @@ against monomial combinatorics and against a reference colon that
 intersects with f*F and divides f back out (and, for an ideal, intersects
 those element colons)."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -471,3 +473,21 @@ def test_ideal_cache_key_is_a_multiset():
     assert koszul_homology_lengths(pres, [f]) == [2, 0]
     with pytest.raises(ValueError, match="not a parameter ideal of the module"):
         koszul_homology_lengths(pres, [f, f])
+
+
+def test_algebra_gives_one_module_and_holds_it_weakly():
+    """as_module returns the one presentation of A while it is in use, and
+    A does not keep it alive: the two form no cycle, so reference counting
+    frees the presentation, and every quotient cached on it, at once."""
+    x, y = PolyRing(("x", "y")).gens()
+    algebra = Algebra(x.ring, [x * y])
+    pres = algebra.as_module()
+    assert algebra.as_module() is pres
+    pres.quotient_by_ideal([x - y]).gb()
+    gone = weakref.ref(pres)
+    gc.disable()
+    try:
+        del pres
+        assert gone() is None
+    finally:
+        gc.enable()

@@ -10,7 +10,9 @@ finite length.  On every valid draw the full report, both theorem
 checkers and the inequality audit must run without an EngineBugError and
 with consistent equivalences, and is_d_sequence must return the full pair
 loop's verdict on Q (the second kind gives its regular-element rule a
-quadric a_1).
+quadric a_1).  On the second kind hdeg must also equal its recursion over
+S with the Samuel multiplicity at every level: a Q of one quadric, or of
+a quadric and linear forms, reaches both rules for e0 of the duals.
 """
 
 from functools import reduce
@@ -19,7 +21,7 @@ from operator import mul
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-from homdeg import Algebra, FreeModule, Polynomial, PolyRing, Presentation
+from homdeg import Algebra, FreeModule, Polynomial, PolyRing, Presentation, hdeg
 from homdeg.invariants import invariant_report, is_d_sequence
 from homdeg.verify import ProblemInstance, audit_inequalities, check_thm1, check_thm2
 
@@ -97,7 +99,7 @@ def test_random_valid_input_never_raises_engine_bug(monos, shear, data, pair_loo
 
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(data=st.data())
-def test_twisted_rank_two_with_a_quadratic_parameter(data, pair_loop_oracle):
+def test_twisted_rank_two_with_a_quadratic_parameter(data, pair_loop_oracle, over_s_oracle):
     ring = PolyRing(("x", "y", "z"))
     twists = (0, 1)
     ambient = FreeModule(ring, 2, twists)
@@ -113,3 +115,5 @@ def test_twisted_rank_two_with_a_quadratic_parameter(data, pair_loop_oracle):
     if q:
         q[0] = q[0] * _draw_linear(data, ring, "q0 factor")
     _check_valid_draw(pres, q, pair_loop_oracle)
+    hdeg_over_s, _ = over_s_oracle
+    assert hdeg(pres, q) == hdeg_over_s(pres, q)

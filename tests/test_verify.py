@@ -237,3 +237,38 @@ def test_find_dseq_generators_mixes_only_equal_degrees(monkeypatch):
     assert find_dseq_generators(inst.pres, [x - y, (x - z) ** 2], trials=3) is None
     assert seen[:2] == [[1, 2], [2, 1]]
     assert len(seen) > 2 and seen[2:4] == [[1, 2], [2, 1]]
+
+
+def test_dseq_search_on_the_algebra_reuses_its_quotients(monkeypatch):
+    """On ex39(2,1), M = A, and after invariant_report the search reaches
+    its random draws.  A has one presentation (Algebra.as_module), so the
+    target A/QA is the M/QM of the contract, and each drawn span is the
+    M/Q'M that is_d_sequence tests: the search builds 9 engines, none for
+    a relation module that already has its Groebner basis."""
+    from homdeg import modules
+    from homdeg.groebner import GroebnerEngine
+
+    inst = gen_example_39(2, 1)
+    bases = []
+    groebner_basis = modules.groebner_basis
+
+    def recorded(rels, module=None):
+        bases.append(frozenset(frozenset(r.terms.items()) for r in rels))
+        return groebner_basis(rels, module=module)
+
+    monkeypatch.setattr(modules, "groebner_basis", recorded)
+    invariant_report(inst.pres, inst.q_gens)
+    before = len(bases)
+    engines = []
+    init = GroebnerEngine.__init__
+
+    def counted(eng, *args, **kwargs):
+        engines.append(eng)
+        return init(eng, *args, **kwargs)
+
+    monkeypatch.setattr(GroebnerEngine, "__init__", counted)
+    assert find_dseq_generators(inst.pres, inst.q_gens, metadata=inst.metadata) != inst.q_gens
+    assert len(engines) == 9
+    assert len(set(bases)) == len(bases), "a relation module got its basis twice"
+    assert len(bases) - before == len(engines)
+    assert inst.pres.algebra.as_module() is inst.pres
